@@ -116,9 +116,7 @@ class CurvatureField:
     radii_sigma: np.ndarray
     elementary: np.ndarray
     mean: np.ndarray
-    norm2: np.ndarray
     traceless_norm2: np.ndarray
-    cubes: np.ndarray
 
     @property
     def area_element(self) -> np.ndarray:
@@ -144,9 +142,7 @@ def _curvature_from_radii_data(dimension, s, hess, convexity_tol):
             radii_sigma=sigma,
             elementary=elementary,
             mean=mean,
-            norm2=mean**2,
             traceless_norm2=np.zeros(m),
-            cubes=mean**3,
         )
 
     r00 = hess[:, 0, 0] + s
@@ -168,16 +164,13 @@ def _curvature_from_radii_data(dimension, s, hess, convexity_tol):
     gauss = 1.0 / det
     norm2 = mean * mean - 2.0 * gauss
     traceless = norm2 - 0.5 * mean * mean
-    cubes = mean**3 - 3.0 * mean * gauss
     elementary = np.column_stack([np.ones(m), 0.5 * mean, gauss])
     return CurvatureField(
         kappa=kappa,
         radii_sigma=sigma,
         elementary=elementary,
         mean=mean,
-        norm2=norm2,
         traceless_norm2=np.maximum(traceless, 0.0),
-        cubes=cubes,
     )
 
 

@@ -45,7 +45,7 @@ from .body import (
     save_snapshot,
 )
 from .flow import FlowSnapshot, Trajectory, estimate_collapse, run_flow
-from .geometry import diskant_bounds, direct_radii, geombound_check, mixed_volumes
+from .geometry import diskant_bounds, geombound_check
 from .shapes import default_cone_threshold, parse_shape
 from .spectral import standard_grid
 from .speeds import (
@@ -224,7 +224,7 @@ def series_header(dimension: int) -> list[str]:
 def time_series(trajectory: Trajectory, record: DiagnosticsRecord) -> list[TimeSeriesRow]:
     rows = []
     for i, snap in enumerate(trajectory.snapshots):
-        mv = mixed_volumes(snap.body)
+        mv = snap.volumes
         rows.append(
             TimeSeriesRow(
                 t=snap.time,
@@ -292,8 +292,9 @@ def save_trajectory(out_dir, config: ExperimentConfig, trajectory: Trajectory, s
 def load_trajectory(path) -> tuple[Trajectory, dict]:
     """Rebuild a trajectory from a simulation output directory.
 
-    Radii are recomputed (the linear programs are deterministic); the speed
-    and stop metadata come from the stored config and summary.
+    A snapshot solves its radii linear programs only when its radii are
+    first read (the programs are deterministic); the speed and stop
+    metadata come from the stored config and summary.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -309,7 +310,7 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     snapshots = []
     for i, file in enumerate(files):
         body, time = load_snapshot(file)
-        snapshots.append(FlowSnapshot(step=i, time=time, body=body, radii=direct_radii(body)))
+        snapshots.append(FlowSnapshot(step=i, time=time, body=body))
     trajectory = Trajectory(
         speed=speed,
         snapshots=tuple(snapshots),
@@ -326,12 +327,14 @@ def _anchor_index(trajectory: Trajectory, factor: float) -> int:
     return int(eligible[0]) if eligible.size else len(r) - 1
 
 
+def _default_sigma(trajectory: Trajectory) -> float:
+    """1.05 times the initial worst pinching ratio, floored at 1e-10."""
+    status = pinching_status(trajectory.snapshots[0].curv, np.inf)
+    return max(1.05 * status.max_ratio, 1e-10)
+
+
 def _resolve_sigma(config: ExperimentConfig, trajectory: Trajectory) -> tuple[float, float]:
-    if config.sigma is not None:
-        sigma = config.sigma
-    else:
-        status = pinching_status(trajectory.snapshots[0].body, np.inf)
-        sigma = max(1.05 * status.max_ratio, 1e-10)
+    sigma = config.sigma if config.sigma is not None else _default_sigma(trajectory)
     sigma0 = config.sigma0 if config.sigma0 is not None else sigma
     return float(sigma), float(sigma0)
 
@@ -533,8 +536,7 @@ def cmd_verify(args) -> int:
 
     sigma = float(summary.get("sigma") or 0.0)
     if sigma <= 0.0:
-        status = pinching_status(trajectory.snapshots[0].body, np.inf)
-        sigma = max(1.05 * status.max_ratio, 1e-10)
+        sigma = _default_sigma(trajectory)
     t0_index = int(summary.get("t0_index", 0))
     record = diagnostics_record(trajectory, sigma=sigma, sigma0=sigma, t0_index=t0_index)
 
@@ -597,7 +599,7 @@ def cmd_analyze(args) -> int:
     rows = []
     r_plus, ratios = [], []
     for snap in trajectory.snapshots:
-        mv = mixed_volumes(snap.body)
+        mv = snap.volumes
         bounds = diskant_bounds(mv)
         ratio = snap.radii.r_plus / snap.radii.r_minus
         r_plus.append(snap.radii.r_plus)
@@ -626,8 +628,7 @@ def cmd_analyze(args) -> int:
     roundness = geombound_check(np.array(r_plus), np.array(ratios), rho_grid)
     sigma = float(summary.get("sigma") or 0.0)
     if sigma <= 0.0:
-        status = pinching_status(trajectory.snapshots[0].body, np.inf)
-        sigma = max(1.05 * status.max_ratio, 1e-10)
+        sigma = _default_sigma(trajectory)
     pinching = pinching_monitors(trajectory, sigma, sigma, eps_grid=eps_grid)
     fit = speed_lowerbound_fit(trajectory)
 

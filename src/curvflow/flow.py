@@ -11,18 +11,21 @@ classic fourth-order Runge-Kutta under a parabolic step-size heuristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .body import (
     ConvexityLostError,
+    CurvatureField,
     DEFAULT_CONVEXITY_TOL,
     SupportFunction,
     _curvature_from_radii_data,
+    curvature,
     pinching_status,
     support_from_coefficients,
 )
-from .geometry import DirectRadii, direct_radii
+from .geometry import DirectRadii, MixedVolumes, direct_radii, mixed_volumes
 from .speeds import Speed
 from .spectral import TruncatedEvaluator, standard_grid
 
@@ -45,10 +48,28 @@ MAX_STEP_RETRIES = 20
 
 @dataclass(frozen=True, eq=False)
 class FlowSnapshot:
+    """One stored state of a flow run.
+
+    The radii, curvature and mixed volumes are computed the first time they
+    are read and kept on the snapshot, so every monitor, writer and check
+    that reads them shares one computation.
+    """
+
     step: int
     time: float
     body: SupportFunction
-    radii: DirectRadii
+
+    @cached_property
+    def radii(self) -> DirectRadii:
+        return direct_radii(self.body)
+
+    @cached_property
+    def curv(self) -> CurvatureField:
+        return curvature(self.body)
+
+    @cached_property
+    def volumes(self) -> MixedVolumes:
+        return mixed_volumes(self.body, self.curv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +175,7 @@ def run_flow(
     steps = 0
     total_retries = 0
 
-    snapshots = [FlowSnapshot(0, 0.0, body, direct_radii(body))]
+    snapshots = [FlowSnapshot(0, 0.0, body)]
     target = stop_fraction * snapshots[0].radii.r_minus
     stop_reason = None
 
@@ -191,15 +212,13 @@ def run_flow(
             stop_reason = "cone_exit"
             break
         if steps % snapshot_every == 0:
-            snap_body = support_from_coefficients(grid, coeffs)
-            snap = FlowSnapshot(steps, time, snap_body, direct_radii(snap_body))
+            snap = FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs))
             snapshots.append(snap)
             if snap.radii.r_minus <= target:
                 stop_reason = "target_radius"
 
     if snapshots[-1].step != steps:
-        snap_body = support_from_coefficients(grid, coeffs)
-        snapshots.append(FlowSnapshot(steps, time, snap_body, direct_radii(snap_body)))
+        snapshots.append(FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs)))
 
     return Trajectory(
         speed=speed,

@@ -383,14 +383,13 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
     return _surface_hessian(grid, c)
 
 
+# angle partials (d_theta, d_phi) in the argument order of _assemble_surface_state
+_SURFACE_STATE_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
 def _surface_hessian(grid, c):
     return _assemble_surface_state(
-        grid.theta,
-        grid.partial_matrix(1, 0) @ c,
-        grid.partial_matrix(0, 1) @ c,
-        grid.partial_matrix(2, 0) @ c,
-        grid.partial_matrix(1, 1) @ c,
-        grid.partial_matrix(0, 2) @ c,
+        grid.theta, *(grid.partial_matrix(*order) @ c for order in _SURFACE_STATE_ORDERS)
     )
 
 
@@ -428,7 +427,7 @@ class TruncatedEvaluator:
         if grid.dimension == 1:
             orders = [(0, 0), (1, 0), (2, 0)]
         else:
-            orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+            orders = [(0, 0), *_SURFACE_STATE_ORDERS]
         self._partials = _partial_matrices(
             grid.dimension, source_degree, grid.theta, grid.phi, orders
         )
@@ -447,18 +446,9 @@ class TruncatedEvaluator:
             hess = (p[(2, 0)] @ c)[:, None, None]
             return values, grad, hess
         grad, hess = _assemble_surface_state(
-            self.grid.theta,
-            p[(1, 0)] @ c,
-            p[(0, 1)] @ c,
-            p[(2, 0)] @ c,
-            p[(1, 1)] @ c,
-            p[(0, 2)] @ c,
+            self.grid.theta, *(p[order] @ c for order in _SURFACE_STATE_ORDERS)
         )
         return values, grad, hess
-
-    def values(self, coefficients: np.ndarray) -> np.ndarray:
-        c = np.asarray(coefficients, dtype=float)
-        return self._partials[(0, 0)] @ c
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Leading source-degree coefficients of a fine-grid node vector.
@@ -485,12 +475,11 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
     st, ct = np.sin(grid.theta), np.cos(grid.theta)
     cot = ct / st
     p = {
-        (a, b): grid.partial_matrix(a, b) @ c
-        for a, b in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3)]
+        order: grid.partial_matrix(*order) @ c
+        for order in _SURFACE_STATE_ORDERS + ((3, 0), (2, 1), (1, 2), (0, 3))
     }
-    h_tt = p[(2, 0)]
-    h_tp = p[(1, 1)] / st - ct * p[(0, 1)] / st**2
-    h_pp = p[(0, 2)] / st**2 + cot * p[(1, 0)]
+    _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _SURFACE_STATE_ORDERS))
+    h_tt, h_tp, h_pp = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
 
     # frame derivatives D_a of the Hessian components (product rule on the
     # explicit sin/cos factors), then connection corrections from the
@@ -607,25 +596,16 @@ def directional_state(field: SpectralField, directions: np.ndarray) -> Direction
 
 
 def _surface_state_away_from_poles(field, theta, phi):
-    grid = field.grid
     mats = _partial_matrices(
-        2, grid.degree, theta, phi, [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        2, field.grid.degree, theta, phi, [(0, 0), *_SURFACE_STATE_ORDERS]
     )
     c = field.coefficients
-    st, ct = np.sin(theta), np.cos(theta)
-    vals = mats[(0, 0)] @ c
-    p10, p01 = mats[(1, 0)] @ c, mats[(0, 1)] @ c
-    p20, p11, p02 = mats[(2, 0)] @ c, mats[(1, 1)] @ c, mats[(0, 2)] @ c
+    grad_frame, hess = _assemble_surface_state(
+        theta, *(mats[order] @ c for order in _SURFACE_STATE_ORDERS)
+    )
     frames = _frames_from_angles(2, theta, phi)
-    grad_frame = np.stack([p10, p01 / st], axis=-1)
     grad = np.einsum("pa,pax->px", grad_frame, frames)
-    hess = np.empty((theta.shape[0], 2, 2))
-    hess[:, 0, 0] = p20
-    off = p11 / st - ct * p01 / st**2
-    hess[:, 0, 1] = off
-    hess[:, 1, 0] = off
-    hess[:, 1, 1] = p02 / st**2 + ct / st * p10
-    return vals, grad, hess, frames
+    return mats[(0, 0)] @ c, grad, hess, frames
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,13 @@ __all__ = [
     "ConditionCheck",
     "ConditionReport",
     "DerivativeBoundReport",
+    "elementary_symmetric",
 ]
 
 DEFAULT_ALPHA = 2.0
 
 
-def _sigma(kappa: np.ndarray, k: int) -> np.ndarray:
+def elementary_symmetric(kappa: np.ndarray, k: int) -> np.ndarray:
     """Elementary symmetric polynomial sigma_k along the last axis."""
     n = kappa.shape[-1]
     if k < 0:
@@ -55,13 +56,13 @@ def _sigma(kappa: np.ndarray, k: int) -> np.ndarray:
 def _sigma_without(kappa: np.ndarray, k: int, i: int) -> np.ndarray:
     """sigma_k of the entries with index i removed."""
     others = [j for j in range(kappa.shape[-1]) if j != i]
-    return _sigma(kappa[..., others], k)
+    return elementary_symmetric(kappa[..., others], k)
 
 
 def _sigma_without_pair(kappa: np.ndarray, k: int, i: int, j: int) -> np.ndarray:
     """sigma_k of the entries with indices i and j removed."""
     others = [t for t in range(kappa.shape[-1]) if t != i and t != j]
-    return _sigma(kappa[..., others], k)
+    return elementary_symmetric(kappa[..., others], k)
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,7 @@ class Speed:
         if self.kind == "norm":
             return n ** (a / 2.0) * np.sum(kappa**2, axis=-1) ** (a / 2.0)
         k = self.k
-        ek = _sigma(kappa, k) / comb(n, k)
+        ek = elementary_symmetric(kappa, k) / comb(n, k)
         return (float(n) ** k * ek) ** (a / k)
 
     def gradient(self, kappa: np.ndarray) -> np.ndarray:
@@ -125,7 +126,7 @@ class Speed:
             return front[..., None] * kappa
         k = self.k
         scaled = float(n) ** k / comb(n, k)
-        base = scaled * _sigma(kappa, k)  # = n^k E_k
+        base = scaled * elementary_symmetric(kappa, k)  # = n^k E_k
         front = (a / k) * base ** (a / k - 1.0) * scaled
         grad = np.empty_like(kappa)
         for i in range(n):
@@ -155,7 +156,7 @@ class Speed:
             )
         k = self.k
         scaled = float(n) ** k / comb(n, k)
-        base = scaled * _sigma(kappa, k)
+        base = scaled * elementary_symmetric(kappa, k)
         partial = np.empty(shape + (n,))
         for i in range(n):
             partial[..., i] = _sigma_without(kappa, k - 1, i)

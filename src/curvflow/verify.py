@@ -19,9 +19,9 @@ from math import comb
 
 import numpy as np
 
-from .body import CurvatureField, SupportFunction, curvature
+from .body import CurvatureField, SupportFunction
 from .flow import CollapseEstimate, Trajectory, estimate_collapse
-from .geometry import mixed_volumes, volume_decay_rate
+from .geometry import volume_decay_rate
 from .shapes import resample
 from .spectral import (
     field_from_values,
@@ -29,7 +29,7 @@ from .spectral import (
     tangential_derivatives,
     third_derivatives,
 )
-from .speeds import _sigma
+from .speeds import elementary_symmetric
 
 __all__ = [
     "LEMMA_MARGIN_TOL",
@@ -247,7 +247,7 @@ def lemma_maclaurin_suite(
     kappa = _sample_kappa_batch(n, samples, rng, pinch_cap=False)
     powers = np.empty((kappa.shape[0], n))
     for k in range(1, n + 1):
-        powers[:, k - 1] = (_sigma(kappa, k) / comb(n, k)) ** (1.0 / k)
+        powers[:, k - 1] = (elementary_symmetric(kappa, k) / comb(n, k)) ** (1.0 / k)
     margins = np.min(powers[:, :-1] - powers[:, 1:], axis=1)
     return _report("maclaurin", n, kappa, margins)
 
@@ -388,10 +388,6 @@ def gradient_inequality_monitor(
 # trajectory monitors
 
 
-def _curvatures(trajectory: Trajectory) -> list[CurvatureField]:
-    return [curvature(snap.body) for snap in trajectory.snapshots]
-
-
 @dataclass(frozen=True)
 class PinchingReport:
     """Per-snapshot pinching diagnostics plus the fitted decay exponent."""
@@ -412,7 +408,6 @@ def pinching_monitors(
     sigma: float,
     sigma0: float,
     eps_grid=DEFAULT_EPS_GRID,
-    curvs: list[CurvatureField] | None = None,
 ) -> PinchingReport:
     """Track Z_sigma, the worst pinching ratio, and the decay exponent.
 
@@ -421,14 +416,15 @@ def pinching_monitors(
     supremum h0; fewer than five usable snapshots (the round case) leaves
     it None.
     """
-    curvs = curvs if curvs is not None else _curvatures(trajectory)
+    snaps = trajectory.snapshots
     times = trajectory.times()
-    pinch = np.empty(len(curvs))
-    z_sigma = np.empty(len(curvs))
-    h_max = np.empty(len(curvs))
-    kappa_spread = np.empty((len(curvs), len(tuple(eps_grid))))
+    pinch = np.empty(len(snaps))
+    z_sigma = np.empty(len(snaps))
+    h_max = np.empty(len(snaps))
+    kappa_spread = np.empty((len(snaps), len(tuple(eps_grid))))
     eps_grid = np.asarray(tuple(eps_grid), dtype=float)
-    for i, curv in enumerate(curvs):
+    for i, snap in enumerate(snaps):
+        curv = snap.curv
         ratio = curv.traceless_norm2 / curv.mean**2
         pinch[i] = ratio.max()
         z_sigma[i] = (curv.traceless_norm2 - sigma * curv.mean**2).max()
@@ -489,7 +485,6 @@ def tso_monitor(
     trajectory: Trajectory,
     t0_index: int = 0,
     sigma: float | None = None,
-    curvs: list[CurvatureField] | None = None,
 ) -> TsoReport:
     """Bound F / (2<X, u> - r0) from the anchor snapshot onwards.
 
@@ -503,7 +498,6 @@ def tso_monitor(
     snaps = trajectory.snapshots
     if not 0 <= t0_index < len(snaps):
         raise IndexError("anchor snapshot index out of range")
-    curvs = curvs if curvs is not None else _curvatures(trajectory)
     anchor = snaps[t0_index]
     origin = np.asarray(anchor.radii.incenter, dtype=float)
     r0 = float(anchor.radii.r_minus)
@@ -511,7 +505,7 @@ def tso_monitor(
 
     if sigma is None:
         sigma = max(
-            float((c.traceless_norm2 / c.mean**2).max()) for c in curvs[t0_index:]
+            float((s.curv.traceless_norm2 / s.curv.mean**2).max()) for s in snaps[t0_index:]
         )
     root = np.sqrt(n * (n - 1) * sigma) if n > 1 else 0.0
     if root >= 1.0:
@@ -532,7 +526,7 @@ def tso_monitor(
             abort_index = i
             abort_witness = (worst, float(denom[worst]))
             break
-        f_vals = speed.value(curvs[i].kappa)
+        f_vals = speed.value(snap.curv.kappa)
         times.append(snap.time)
         q_max.append(float(np.max(f_vals / denom)))
         dt = snap.time - t0
@@ -572,7 +566,6 @@ def smoczyk_monitor(
     trajectory: Trajectory,
     t0_index: int = 0,
     point: np.ndarray | None = None,
-    curvs: list[CurvatureField] | None = None,
 ) -> SmoczykReport:
     """Expansion margin for a point enclosed at the anchor snapshot.
 
@@ -597,7 +590,6 @@ def smoczyk_monitor(
             f"(support slack {slack[worst]:.3e} at node {worst})"
         )
 
-    curvs = curvs if curvs is not None else _curvatures(trajectory)
     alpha = trajectory.speed.alpha
     t0 = anchor.time
     times = np.array([s.time for s in snaps[t0_index:]])
@@ -605,7 +597,7 @@ def smoczyk_monitor(
     for j, i in enumerate(range(t0_index, len(snaps))):
         snap = snaps[i]
         stilde = snap.body.values - snap.body.grid.nodes @ point
-        f_vals = trajectory.speed.value(curvs[i].kappa)
+        f_vals = trajectory.speed.value(snap.curv.kappa)
         margins[j] = float(np.min(stilde + (1.0 + alpha) * (snap.time - t0) * f_vals))
     return SmoczykReport(t0_index=t0_index, point=point, times=times, margins=margins)
 
@@ -626,7 +618,6 @@ def speed_lowerbound_fit(
     trajectory: Trajectory,
     estimate: CollapseEstimate | None = None,
     tail_fraction: float = 0.3,
-    curvs: list[CurvatureField] | None = None,
 ) -> SpeedFitReport:
     """Fit log(min F) ~ slope * log(T - t) over the trajectory tail.
 
@@ -635,12 +626,11 @@ def speed_lowerbound_fit(
     """
     speed = trajectory.speed
     expected = -speed.alpha / (1.0 + speed.alpha)
-    curvs = curvs if curvs is not None else _curvatures(trajectory)
     if estimate is None and len(trajectory.snapshots) >= 2:
         estimate = estimate_collapse(trajectory)
 
     times = trajectory.times()
-    f_min = np.array([float(speed.value(c.kappa).min()) for c in curvs])
+    f_min = np.array([float(speed.value(s.curv.kappa).min()) for s in trajectory.snapshots])
     count = max(int(np.ceil(tail_fraction * times.size)), 1)
     keep = np.zeros(times.size, dtype=bool)
     keep[-count:] = True
@@ -701,7 +691,7 @@ def curve_evolution_residual(
 
     g_vals, rhs = [], []
     for snap in snaps:
-        curv = curvature(snap.body)
+        curv = snap.curv
         kappa = curv.kappa[:, 0]
         r = 1.0 / kappa
         f_vals = speed.value(curv.kappa)
@@ -762,10 +752,8 @@ def volume_decay_check(trajectory: Trajectory) -> VolumeDecayReport:
     if len(snaps) < 3:
         raise ValueError("need at least three snapshots for a central difference")
     times = trajectory.times()
-    volumes = np.array([mixed_volumes(s.body).canonical[-1] for s in snaps])
-    rates = np.array(
-        [-volume_decay_rate(s.body, trajectory.speed) for s in snaps]
-    )
+    volumes = np.array([s.volumes.canonical[-1] for s in snaps])
+    rates = np.array([-volume_decay_rate(s.body, trajectory.speed, s.curv) for s in snaps])
     out_t, measured, predicted = [], [], []
     for i in range(1, len(snaps) - 1):
         w0, w1, w2 = _three_point_weights(times[i - 1], times[i], times[i + 1])
@@ -824,19 +812,18 @@ def diagnostics_record(
     roundest body of the run) for surfaces; curves have none.
     """
     snaps = trajectory.snapshots
-    curvs = _curvatures(trajectory)
     speed = trajectory.speed
 
-    pinching = pinching_monitors(trajectory, sigma, sigma0, eps_grid, curvs=curvs)
-    tso = tso_monitor(trajectory, t0_index, curvs=curvs)
-    smoczyk = smoczyk_monitor(trajectory, t0_index, curvs=curvs)
-    fit = speed_lowerbound_fit(trajectory, curvs=curvs)
+    pinching = pinching_monitors(trajectory, sigma, sigma0, eps_grid)
+    tso = tso_monitor(trajectory, t0_index)
+    smoczyk = smoczyk_monitor(trajectory, t0_index)
+    fit = speed_lowerbound_fit(trajectory)
 
     count = len(snaps)
     f_min = np.empty(count)
     f_max = np.empty(count)
-    for i, curv in enumerate(curvs):
-        f_vals = speed.value(curv.kappa)
+    for i, snap in enumerate(snaps):
+        f_vals = speed.value(snap.curv.kappa)
         f_min[i] = f_vals.min()
         f_max[i] = f_vals.max()
 

@@ -36,9 +36,7 @@ def test_sphere_curvature_n2():
     curv = curvature(ball)
     np.testing.assert_allclose(curv.kappa, 0.5, atol=1e-12)
     np.testing.assert_allclose(curv.mean, 1.0, atol=1e-12)
-    np.testing.assert_allclose(curv.norm2, 0.5, atol=1e-12)
     np.testing.assert_allclose(curv.traceless_norm2, 0.0, atol=1e-12)
-    np.testing.assert_allclose(curv.cubes, 0.25, atol=1e-12)
     np.testing.assert_allclose(curv.elementary[:, 0], 1.0)
     np.testing.assert_allclose(curv.elementary[:, 1], 0.5, atol=1e-12)
     np.testing.assert_allclose(curv.elementary[:, 2], 0.25, atol=1e-12)
@@ -115,9 +113,7 @@ def test_pinching_ratio_value():
         radii_sigma=np.array([[1.0, 8.0 / 3.0, 4.0 / 3.0]]),
         elementary=np.array([[1.0, 1.0, 0.75]]),
         mean=np.array([2.0]),
-        norm2=np.array([2.5]),
         traceless_norm2=np.array([0.5]),
-        cubes=np.array([3.5]),
     )
     status = pinching_status(curv, delta0=0.45)
     assert status.max_ratio == pytest.approx(0.125, abs=1e-15)

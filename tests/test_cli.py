@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from curvflow import cli
+from curvflow import cli, flow, geometry
 from curvflow.body import load_snapshot
 from curvflow.cli import (
     EXIT_CONE,
@@ -22,6 +22,7 @@ from curvflow.cli import (
 )
 from curvflow.shapes import parse_shape
 from curvflow.spectral import standard_grid
+from curvflow.verify import diagnostics_record
 
 
 def write_config(path, **overrides):
@@ -157,15 +158,20 @@ def test_simulate_series_matches_snapshots(ellipsoid_dir):
     assert ratios[-1] < ratios[0]  # the body got rounder
 
 
-def test_simulate_reruns_byte_identical(tmp_path):
+def test_simulate_reruns_byte_identical(tmp_path, capsys):
     digests = []
     for tag in ("a", "b"):
         out = tmp_path / tag
         path = write_config(tmp_path / f"{tag}.json", degree=6, output=str(out))
         assert main(["simulate", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", "flow", str(out)]) == EXIT_OK
+        verify_out = capsys.readouterr().out
+        assert main(["analyze", str(out)]) == EXIT_OK
         digest = hashlib.sha256()
-        digest.update((out / "series.csv").read_bytes())
-        digest.update((out / "summary.json").read_bytes())
+        digest.update(verify_out.encode())
+        for name in ("series.csv", "summary.json", "analysis.csv"):
+            digest.update((out / name).read_bytes())
         for snap in sorted((out / "snapshots").glob("snap_*.json")):
             digest.update(snap.read_bytes())
         digests.append(digest.hexdigest())
@@ -234,6 +240,29 @@ def test_load_trajectory_round_trip(ellipsoid_dir):
     body, time = load_snapshot(sorted((ellipsoid_dir / "snapshots").glob("*.json"))[-1])
     assert time == trajectory.final.time
     np.testing.assert_array_equal(trajectory.final.body.values, body.values)
+
+
+def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
+    # every radii LP goes through geometry.linprog; FlowSnapshot computes its
+    # curvature through flow.curvature
+    calls = {"lp": 0, "curvature": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(geometry, "linprog", counting("lp", geometry.linprog))
+    monkeypatch.setattr(flow, "curvature", counting("curvature", flow.curvature))
+    trajectory, summary = load_trajectory(ellipsoid_dir)
+    assert calls["lp"] == 0
+    record = diagnostics_record(
+        trajectory, sigma=summary["sigma"], sigma0=summary["sigma0"], t0_index=summary["t0_index"]
+    )
+    cli.time_series(trajectory, record)
+    assert calls["curvature"] == len(trajectory.snapshots)
 
 
 def test_load_trajectory_missing_dir(tmp_path):

@@ -204,9 +204,7 @@ def test_ek_margin_value():
         radii_sigma=np.array([[1.0, 8.0 / 3.0, 4.0 / 3.0]]),
         elementary=np.array([[1.0, 1.0, 0.75]]),
         mean=np.array([2.0]),
-        norm2=np.array([2.5]),
         traceless_norm2=np.array([0.5]),
-        cubes=np.array([3.5]),
     )
     margin = ek_comparison_margin(curv, 1, 2, 0.1)
     assert margin == pytest.approx(1.0 - 1.1 * np.sqrt(0.75), rel=1e-12)
