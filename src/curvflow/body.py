@@ -129,7 +129,7 @@ def _curvature_from_radii_data(dimension, s, hess, convexity_tol):
     scale = max(float(np.mean(np.abs(s))), np.finfo(float).tiny)
     if dimension == 1:
         r = hess[:, 0, 0] + s
-        bad = r <= convexity_tol * scale
+        bad = ~(r > convexity_tol * scale)  # NaN radii count as lost convexity
         if np.any(bad):
             i = int(np.argmin(r))
             raise ConvexityLostError(i, float(r[i]), scale)
@@ -152,7 +152,7 @@ def _curvature_from_radii_data(dimension, s, hess, convexity_tol):
     det = r00 * r11 - r01 * r01
     disc = np.sqrt(np.maximum((0.5 * (r00 - r11)) ** 2 + r01 * r01, 0.0))
     r_small = half_tr - disc
-    bad = r_small <= convexity_tol * scale
+    bad = ~(r_small > convexity_tol * scale)
     if np.any(bad):
         i = int(np.argmin(r_small))
         raise ConvexityLostError(i, float(r_small[i]), scale)

@@ -103,6 +103,17 @@ _CONFIG_DEFAULTS = {
 }
 
 
+def _positive_numbers(items, kind, name: str) -> tuple:
+    """A config list or a split command-line list as a tuple of positive ``kind``s."""
+    try:
+        numbers = tuple(kind(x) for x in items)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be a list of numbers, got {items!r}") from None
+    if not all(x > 0 for x in numbers):
+        raise ValueError(f"{name} entries must be positive, got {numbers}")
+    return numbers
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation: shape, speed, resolution, stopping, monitor knobs.
@@ -146,8 +157,8 @@ class ExperimentConfig:
             sigma=None if merged["sigma"] is None else float(merged["sigma"]),
             sigma0=None if merged["sigma0"] is None else float(merged["sigma0"]),
             t0_anchor=float(merged["t0_anchor"]),
-            eps_grid=tuple(float(x) for x in merged["eps_grid"]),
-            rho_grid=tuple(float(x) for x in merged["rho_grid"]),
+            eps_grid=_positive_numbers(merged["eps_grid"], float, "eps_grid"),
+            rho_grid=_positive_numbers(merged["rho_grid"], float, "rho_grid"),
             seed=int(merged["seed"]),
             output=None if merged["output"] is None else str(merged["output"]),
         )
@@ -157,7 +168,13 @@ class ExperimentConfig:
             raise ValueError("degree must be at least 2")
         if not 0.0 < config.stop_fraction < 1.0:
             raise ValueError("stop_fraction must lie in (0, 1)")
-        if config.t0_anchor < 1.0:
+        if not 0.0 < config.c_safe < np.inf:
+            raise ValueError("c_safe must be a positive finite number")
+        if config.snapshot_every < 1:
+            raise ValueError("snapshot_every must be at least 1")
+        if config.max_steps < 1:
+            raise ValueError("max_steps must be at least 1")
+        if not config.t0_anchor >= 1.0:
             raise ValueError("t0_anchor must be at least 1")
         return config
 
@@ -502,8 +519,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.scope == "lemmas":
-        dims = tuple(int(d) for d in args.dimensions.split(","))
-        reports = run_lemma_suites(dimensions=dims, samples=args.samples)
+        try:
+            dims = _positive_numbers(args.dimensions.split(","), int, "--dimensions")
+            reports = run_lemma_suites(dimensions=dims, samples=args.samples)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
         for report in reports:
             print(report.summary())
         return EXIT_OK if all(r.passed for r in reports) else EXIT_NUMERICAL
@@ -590,6 +611,12 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
+        rho_grid = _positive_numbers(args.rho_grid.split(","), float, "--rho-grid")
+        eps_grid = _positive_numbers(args.eps_grid.split(","), float, "--eps-grid")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    try:
         trajectory, summary = load_trajectory(args.directory)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -623,8 +650,6 @@ def cmd_analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    rho_grid = tuple(float(x) for x in args.rho_grid.split(","))
-    eps_grid = tuple(float(x) for x in args.eps_grid.split(","))
     roundness = geombound_check(np.array(r_plus), np.array(ratios), rho_grid)
     sigma = float(summary.get("sigma") or 0.0)
     if sigma <= 0.0:

@@ -165,6 +165,8 @@ def run_flow(
         )
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be positive")
+    if not 0.0 < c_safe < np.inf:
+        raise ValueError("c_safe must be a positive finite number")
     grid = body.grid
     stepper = _Stepper(grid, speed, convexity_tol)
     h_min = grid.min_spacing()

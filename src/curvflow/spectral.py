@@ -74,6 +74,10 @@ def coefficient_count(dimension: int, degree: int) -> int:
 class SphereGrid:
     """Quadrature grid plus cached basis operators for one (dimension, degree).
 
+    ``partial_matrix`` is the one store of basis matrices on the nodes, keyed
+    by (band, d_theta, d_phi): synthesis uses the grid's own degree and
+    ``TruncatedEvaluator`` a lower one.  The matrices live as long as the grid.
+
     Attributes
     ----------
     dimension : int
@@ -127,19 +131,20 @@ class SphereGrid:
             arr.flags.writeable = False
         if self.phi is not None:
             self.phi.flags.writeable = False
-        self._partials: dict[tuple[int, int], np.ndarray] = {}
+        self._partials: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- basis operator matrices -------------------------------------------
 
-    def partial_matrix(self, d_theta: int, d_phi: int = 0) -> np.ndarray:
-        """(M, K) matrix mapping coefficients to the partial derivative
-        d^a/dtheta^a d^b/dphi^b of the synthesized field at the grid nodes."""
-        key = (d_theta, d_phi)
+    def partial_matrix(self, d_theta: int, d_phi: int = 0, degree: int | None = None) -> np.ndarray:
+        """(M, K) matrix mapping band-``degree`` coefficients (by default the
+        grid's degree) to the partial derivative d^a/dtheta^a d^b/dphi^b of
+        the synthesized field at the grid nodes."""
+        band = self.degree if degree is None else degree
+        key = (band, d_theta, d_phi)
         if key not in self._partials:
-            built = _partial_matrices(
-                self.dimension, self.degree, self.theta, self.phi, [key]
-            )
-            self._partials[key] = built[key]
+            order = (d_theta, d_phi)
+            built = _partial_matrices(self.dimension, band, self.theta, self.phi, [order])
+            self._partials[key] = built[order]
         return self._partials[key]
 
     def frames(self) -> np.ndarray:
@@ -163,7 +168,7 @@ class SphereGrid:
 
 @lru_cache(maxsize=32)
 def standard_grid(dimension: int, degree: int) -> SphereGrid:
-    """Shared grid instances so basis operators are built once per (n, L)."""
+    """Shared grid instances so basis operators are built once per (n, L, band)."""
     return SphereGrid(dimension, degree)
 
 
@@ -236,31 +241,25 @@ def _partial_matrices(
     return _sphere_partials(degree, theta, phi, orders)
 
 
+def _trig_derivative(k, angle, order):
+    """k**order and (dc, ds): d^order/dt^order (cos kt, sin kt) / k**order."""
+    c, s = np.cos(k * angle), np.sin(k * angle)
+    # derivative cycle: cos -> -sin -> -cos -> sin -> cos
+    cycle = ((c, s), (-s, c), (-c, -s), (s, -c))
+    return float(k) ** order, cycle[order % 4]
+
+
 def _circle_partials(degree, theta, orders):
-    m = theta.shape[0]
-    k_count = 2 * degree + 1
     out = {}
-    inv_sqrt_2pi = 1.0 / np.sqrt(2.0 * np.pi)
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
     for d_t, d_p in orders:
         if d_p:
             raise ValueError("circle fields have no longitude derivative")
-        mat = np.zeros((m, k_count))
+        mat = np.zeros((theta.shape[0], 2 * degree + 1))
         if d_t == 0:
-            mat[:, 0] = inv_sqrt_2pi
+            mat[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
         for k in range(1, degree + 1):
-            ck, sk = np.cos(k * theta), np.sin(k * theta)
-            # derivative cycle: cos -> -k sin -> -k^2 cos -> k^3 sin -> ...
-            quarter = d_t % 4
-            factor = float(k) ** d_t
-            if quarter == 0:
-                dc, ds = ck, sk
-            elif quarter == 1:
-                dc, ds = -sk, ck
-            elif quarter == 2:
-                dc, ds = -ck, -sk
-            else:
-                dc, ds = sk, -ck
+            factor, (dc, ds) = _trig_derivative(k, theta, d_t)
             mat[:, 2 * k - 1] = factor * dc * inv_sqrt_pi
             mat[:, 2 * k] = factor * ds * inv_sqrt_pi
         out[(d_t, d_p)] = mat
@@ -315,11 +314,9 @@ def _sphere_partials(degree, theta, phi, orders):
                 + (ms**2 * inv_s2[None, None, :] - lam) * d_theta[1]
             )
 
-    m_pts = theta.shape[0]
-    k_count = (degree + 1) ** 2
     out = {}
     for d_t, d_p in orders:
-        mat = np.zeros((m_pts, k_count))
+        mat = np.zeros((theta.shape[0], (degree + 1) ** 2))
         theta_part = d_theta[d_t]
         for order in range(degree + 1):
             if order == 0:
@@ -327,18 +324,7 @@ def _sphere_partials(degree, theta, phi, orders):
                 if d_p == 0:
                     mat[:, cols] = theta_part[:, 0, :][:, inv].T
                 continue
-            factor = float(order) ** d_p
-            base_c = np.cos(order * phi)
-            base_s = np.sin(order * phi)
-            quarter = d_p % 4
-            if quarter == 0:
-                trig_c, trig_s = base_c, base_s
-            elif quarter == 1:
-                trig_c, trig_s = -base_s, base_c
-            elif quarter == 2:
-                trig_c, trig_s = -base_c, -base_s
-            else:
-                trig_c, trig_s = base_s, -base_c
+            factor, (trig_c, trig_s) = _trig_derivative(order, phi, d_p)
             block = theta_part[order:, order, :][:, inv] * np.sqrt(2.0)
             cols_c = np.array([l * l + l + order for l in range(order, degree + 1)])
             cols_s = np.array([l * l + l - order for l in range(order, degree + 1)])
@@ -375,22 +361,21 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
         Covariant Hessian with respect to the round metric, same frame.
     """
     grid = field.grid
-    c = field.coefficients
-    if grid.dimension == 1:
-        g = (grid.partial_matrix(1) @ c)[:, None]
-        h = (grid.partial_matrix(2) @ c)[:, None, None]
-        return g, h
-    return _surface_hessian(grid, c)
+    return _derivatives(grid.dimension, grid.theta, grid.partial_matrix, field.coefficients)
 
 
-# angle partials (d_theta, d_phi) in the argument order of _assemble_surface_state
-_SURFACE_STATE_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+# angle partials (d_theta, d_phi) that _derivatives reads, per dimension; for
+# surfaces in the argument order of _assemble_surface_state
+_STATE_ORDERS = {1: ((1, 0), (2, 0)), 2: ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
 
 
-def _surface_hessian(grid, c):
-    return _assemble_surface_state(
-        grid.theta, *(grid.partial_matrix(*order) @ c for order in _SURFACE_STATE_ORDERS)
-    )
+def _derivatives(dimension, theta, partial, c):
+    """Frame gradient and covariant Hessian of coefficients ``c`` at angles
+    ``theta``; ``partial(d_theta, d_phi)`` returns the basis-partial matrix."""
+    p = [partial(*order) @ c for order in _STATE_ORDERS[dimension]]
+    if dimension == 1:
+        return p[0][:, None], p[1][:, None, None]
+    return _assemble_surface_state(theta, *p)
 
 
 def _assemble_surface_state(theta, p10, p01, p20, p11, p02):
@@ -414,6 +399,9 @@ class TruncatedEvaluator:
     alias-free.  Only the leading K(S) basis columns are built on the fine
     nodes, which is what makes production band limits affordable: the full
     fine-grid operator cache would be an order of magnitude larger.
+
+    It holds no matrices: it reads band S from the fine grid's
+    ``partial_matrix`` cache, so evaluators sharing a grid build them once.
     """
 
     def __init__(self, grid: SphereGrid, source_degree: int):
@@ -424,13 +412,11 @@ class TruncatedEvaluator:
         self.grid = grid
         self.source_degree = source_degree
         self.source_count = coefficient_count(grid.dimension, source_degree)
-        if grid.dimension == 1:
-            orders = [(0, 0), (1, 0), (2, 0)]
-        else:
-            orders = [(0, 0), *_SURFACE_STATE_ORDERS]
-        self._partials = _partial_matrices(
-            grid.dimension, source_degree, grid.theta, grid.phi, orders
-        )
+        for order in ((0, 0), *_STATE_ORDERS[grid.dimension]):
+            self._partial(*order)
+
+    def _partial(self, d_theta: int, d_phi: int = 0) -> np.ndarray:
+        return self.grid.partial_matrix(d_theta, d_phi, self.source_degree)
 
     def state(self, coefficients: np.ndarray):
         """Values, frame gradient, and covariant Hessian at the fine nodes."""
@@ -439,16 +425,8 @@ class TruncatedEvaluator:
             raise ValueError(
                 f"coefficient vector has shape {c.shape}, expected ({self.source_count},)"
             )
-        p = self._partials
-        values = p[(0, 0)] @ c
-        if self.grid.dimension == 1:
-            grad = (p[(1, 0)] @ c)[:, None]
-            hess = (p[(2, 0)] @ c)[:, None, None]
-            return values, grad, hess
-        grad, hess = _assemble_surface_state(
-            self.grid.theta, *(p[order] @ c for order in _SURFACE_STATE_ORDERS)
-        )
-        return values, grad, hess
+        grad, hess = _derivatives(self.grid.dimension, self.grid.theta, self._partial, c)
+        return self._partial(0) @ c, grad, hess
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Leading source-degree coefficients of a fine-grid node vector.
@@ -458,7 +436,7 @@ class TruncatedEvaluator:
         inside that budget when the fine degree is twice the source degree.
         """
         values = np.asarray(values, dtype=float)
-        return self._partials[(0, 0)].T @ (self.grid.weights * values)
+        return self._partial(0).T @ (self.grid.weights * values)
 
 
 def third_derivatives(field: SpectralField) -> np.ndarray:
@@ -476,9 +454,9 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
     cot = ct / st
     p = {
         order: grid.partial_matrix(*order) @ c
-        for order in _SURFACE_STATE_ORDERS + ((3, 0), (2, 1), (1, 2), (0, 3))
+        for order in _STATE_ORDERS[2] + ((3, 0), (2, 1), (1, 2), (0, 3))
     }
-    _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _SURFACE_STATE_ORDERS))
+    _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _STATE_ORDERS[2]))
     h_tt, h_tp, h_pp = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
 
     # frame derivatives D_a of the Hessian components (product rule on the
@@ -561,16 +539,10 @@ def directional_state(field: SpectralField, directions: np.ndarray) -> Direction
     """
     grid = field.grid
     directions = np.asarray(directions, dtype=float)
+    theta, phi = directions_to_angles(grid.dimension, directions)
     if grid.dimension == 1:
-        theta, _ = directions_to_angles(1, directions)
-        mats = _partial_matrices(1, grid.degree, theta, None, [(0, 0), (1, 0), (2, 0)])
-        vals = mats[(0, 0)] @ field.coefficients
-        g = mats[(1, 0)] @ field.coefficients
-        h = mats[(2, 0)] @ field.coefficients
-        frames = _frames_from_angles(1, theta, None)
-        return DirectionalState(vals, g[:, None] * frames[:, 0, :], h[:, None, None], frames)
+        return DirectionalState(*_state_at_angles(field, theta, phi))
 
-    theta, phi = directions_to_angles(2, directions)
     near_pole = np.abs(np.sin(theta)) < _POLE_SIN_MIN
     vals = np.empty(directions.shape[0])
     grad = np.empty((directions.shape[0], 3))
@@ -579,7 +551,7 @@ def directional_state(field: SpectralField, directions: np.ndarray) -> Direction
 
     safe = ~near_pole
     if np.any(safe):
-        v, g, h, f = _surface_state_away_from_poles(field, theta[safe], phi[safe])
+        v, g, h, f = _state_at_angles(field, theta[safe], phi[safe])
         vals[safe], grad[safe], hess[safe], frames[safe] = v, g, h, f
     if np.any(near_pole):
         # chart rotation about the y-axis takes both poles to the equator
@@ -587,7 +559,7 @@ def directional_state(field: SpectralField, directions: np.ndarray) -> Direction
         rotated = rotate_field(field, q)
         dirs_rot = directions[near_pole] @ q.T
         th_r, ph_r = directions_to_angles(2, dirs_rot)
-        v, g, h, f = _surface_state_away_from_poles(rotated, th_r, ph_r)
+        v, g, h, f = _state_at_angles(rotated, th_r, ph_r)
         vals[near_pole] = v
         grad[near_pole] = g @ q
         hess[near_pole] = h
@@ -595,15 +567,14 @@ def directional_state(field: SpectralField, directions: np.ndarray) -> Direction
     return DirectionalState(vals, grad, hess, frames)
 
 
-def _surface_state_away_from_poles(field, theta, phi):
-    mats = _partial_matrices(
-        2, field.grid.degree, theta, phi, [(0, 0), *_SURFACE_STATE_ORDERS]
-    )
+def _state_at_angles(field, theta, phi):
+    """Value, ambient gradient, frame Hessian and frames at angles off the poles."""
+    dimension = field.grid.dimension
+    orders = [(0, 0), *_STATE_ORDERS[dimension]]
+    mats = _partial_matrices(dimension, field.grid.degree, theta, phi, orders)
     c = field.coefficients
-    grad_frame, hess = _assemble_surface_state(
-        theta, *(mats[order] @ c for order in _SURFACE_STATE_ORDERS)
-    )
-    frames = _frames_from_angles(2, theta, phi)
+    grad_frame, hess = _derivatives(dimension, theta, lambda *order: mats[order], c)
+    frames = _frames_from_angles(dimension, theta, phi)
     grad = np.einsum("pa,pax->px", grad_frame, frames)
     return mats[(0, 0)] @ c, grad, hess, frames
 

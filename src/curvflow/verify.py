@@ -256,6 +256,8 @@ def run_lemma_suites(
     dimensions=(2, 3, 4), samples: int = 100_000
 ) -> tuple[LemmaReport, ...]:
     """All four suites across the given dimensions."""
+    for n in dimensions:
+        _require_surface(n)  # before any suite runs
     reports = []
     for n in dimensions:
         reports.append(lemma_pinch_suite(n, samples))

@@ -176,6 +176,15 @@ def test_convexity_loss_raises():
     assert err.eigenvalue <= err.scale * 1e-8
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_nan_support_raises_convexity_lost(dimension):
+    grid = standard_grid(dimension, 6)
+    coeffs = make_sphere(grid, 1.0).coefficients.copy()
+    coeffs[1] = np.nan
+    with pytest.raises(ConvexityLostError):
+        curvature(support_from_coefficients(grid, coeffs))
+
+
 def test_snapshot_round_trip(tmp_path):
     grid = standard_grid(2, 6)
     rng = np.random.default_rng(7)

@@ -123,6 +123,21 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"stop_fraction": 1.5})
     with pytest.raises(ValueError, match="t0_anchor"):
         ExperimentConfig.from_dict({"t0_anchor": 0.5})
+    nan, inf = float("nan"), float("inf")
+    for key, value in [
+        ("c_safe", -0.2),
+        ("c_safe", 0.0),
+        ("c_safe", nan),
+        ("c_safe", inf),
+        ("snapshot_every", 0),
+        ("max_steps", 0),
+        ("eps_grid", [0.01, 0.0]),
+        ("rho_grid", [-0.05]),
+        ("rho_grid", ["abc"]),
+        ("t0_anchor", nan),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict({key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +229,14 @@ def test_simulate_cone_exit_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_simulate_negative_step_safety_is_a_precondition_failure(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", c_safe=-0.2, output=str(out))
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert "c_safe" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_jobs_fan_out(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):
@@ -281,6 +304,15 @@ def test_verify_lemmas_passes(capsys):
     assert out.count("pass") == 8  # 4 suites x 2 dimensions
 
 
+@pytest.mark.parametrize("dimensions", ["2,x", "1"])
+def test_verify_lemmas_bad_dimensions_is_a_precondition_failure(dimensions, capsys):
+    argv = ["verify", "lemmas", "--samples", "100", "--dimensions", dimensions]
+    assert main(argv) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_verify_speeds_passes(capsys):
     code = main(["verify", "speeds", "pow_norm,alpha=2", "--dimension", "2",
                  "--samples", "64"])
@@ -337,6 +369,14 @@ def test_analyze_sphere_run_degenerate_diagnostics(sphere_dir, capsys):
     out = capsys.readouterr().out
     assert "lambda_hat: unavailable" in out
     assert "inf" in out
+
+
+@pytest.mark.parametrize("option", ["--rho-grid", "--eps-grid"])
+def test_analyze_bad_grid_is_a_precondition_failure(ellipsoid_dir, option, capsys):
+    assert main(["analyze", str(ellipsoid_dir), option, "0.01,abc"]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {option}")
+    assert captured.out == ""
 
 
 def test_analyze_missing_dir(tmp_path, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import curvflow.flow as flow_module
+from curvflow import spectral
 from curvflow.body import ConvexityLostError
 from curvflow.flow import (
     MAX_STEP_RETRIES,
@@ -15,7 +16,7 @@ from curvflow.flow import (
 )
 from curvflow.geometry import mixed_volumes
 from curvflow.shapes import make_ellipsoid, make_sphere
-from curvflow.speeds import make_speed
+from curvflow.speeds import Speed, make_speed
 from curvflow.spectral import standard_grid
 
 
@@ -132,6 +133,54 @@ def test_retry_exhaustion_flags_convexity_lost(monkeypatch):
     assert traj.steps == 0
     assert traj.retries == MAX_STEP_RETRIES + 1
     assert len(traj.snapshots) == 1
+
+
+def test_nan_speed_is_a_numerical_failure(monkeypatch):
+    # NaN radii must take the retry path, not pass as a cone exit
+    grid = standard_grid(2, 6)
+    body = make_ellipsoid(grid, (1.0, 1.0, 1.1))
+    original = Speed.value
+    calls = {"count": 0}
+
+    def poisoned(self, kappa):
+        calls["count"] += 1
+        f = original(self, kappa)
+        return np.full_like(f, np.nan) if calls["count"] > 40 else f
+
+    monkeypatch.setattr(Speed, "value", poisoned)
+    traj = run_flow(body, make_speed("mean", 2), snapshot_every=1)
+    assert traj.stop_reason == "convexity_lost"
+    assert traj.retries == MAX_STEP_RETRIES + 1
+    assert np.all(np.isfinite(traj.final.body.coefficients))
+
+
+@pytest.mark.parametrize("c_safe", [-0.2, 0.0, float("nan"), float("inf")])
+def test_run_flow_rejects_bad_step_safety(c_safe):
+    body = make_sphere(standard_grid(2, 6), 1.0)
+    with pytest.raises(ValueError, match="c_safe"):
+        run_flow(body, make_speed("mean", 2), c_safe=c_safe)
+
+
+def test_fine_grid_operators_built_once_across_runs(monkeypatch):
+    grid = standard_grid(2, 6)
+    fine = standard_grid(2, 12)
+    body = make_ellipsoid(grid, (1.0, 1.0, 1.1))
+    speed = make_speed("mean", 2)
+    built = []
+    original = spectral._partial_matrices
+
+    def counting(dimension, degree, theta, phi, orders):
+        if theta is fine.theta:
+            built.extend(orders)
+        return original(dimension, degree, theta, phi, orders)
+
+    monkeypatch.setattr(spectral, "_partial_matrices", counting)
+    first = run_flow(body, speed, max_steps=3)
+    first_builds = len(built)
+    second = run_flow(body, speed, max_steps=3)
+    assert first_builds <= 6  # none if another run already used this grid
+    assert len(built) == first_builds
+    np.testing.assert_array_equal(second.final.body.coefficients, first.final.body.coefficients)
 
 
 def test_rescaling_and_limit_point():

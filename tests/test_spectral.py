@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvflow.spectral import (
+    SphereGrid,
     TruncatedEvaluator,
     analyze,
+    coefficient_count,
     directional_state,
     evaluate,
     field_from_coefficients,
@@ -323,3 +327,53 @@ def test_truncated_rejects_bad_shapes():
     ev = TruncatedEvaluator(fine, 4)
     with pytest.raises(ValueError):
         ev.state(np.zeros(7))
+
+
+def test_one_grid_serves_two_bands():
+    # the degree-12 grid is both a body grid and the fine grid for band 6;
+    # its cache must keep the two bands apart whatever the call order
+    shared = standard_grid(2, 12)
+    rng = np.random.default_rng(5)
+    body_coeffs = rng.standard_normal(shared.coefficient_count)
+    band_coeffs = rng.standard_normal(coefficient_count(2, 6))
+
+    state = TruncatedEvaluator(shared, 6).state(band_coeffs)
+    values = synthesize(shared, body_coeffs)
+    grad, hess = tangential_derivatives(field_from_coefficients(shared, body_coeffs))
+    state_again = TruncatedEvaluator(shared, 6).state(band_coeffs)
+    projected = TruncatedEvaluator(shared, 6).project(values)
+
+    body_grid = SphereGrid(2, 12)
+    ref_grad, ref_hess = tangential_derivatives(field_from_coefficients(body_grid, body_coeffs))
+    np.testing.assert_array_equal(values, synthesize(body_grid, body_coeffs))
+    np.testing.assert_array_equal(grad, ref_grad)
+    np.testing.assert_array_equal(hess, ref_hess)
+    ref_ev = TruncatedEvaluator(SphereGrid(2, 12), 6)
+    for got in (state, state_again):
+        for a, b in zip(got, ref_ev.state(band_coeffs)):
+            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(projected, ref_ev.project(values))
+
+
+# fresh grids, so random bands do not crowd the shared standard_grid cache
+@pytest.mark.parametrize("dimension, max_degree", [(1, 48), (2, 10)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_analyze_inverts_synthesize_at_random_bands(dimension, max_degree, data):
+    grid = SphereGrid(dimension, data.draw(st.integers(1, max_degree), label="degree"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    coeffs = np.random.default_rng(seed).standard_normal(grid.coefficient_count)
+    np.testing.assert_allclose(analyze(grid, synthesize(grid, coeffs)), coeffs, rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("dimension, max_degree", [(1, 24), (2, 6)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, data):
+    source = data.draw(st.integers(1, max_degree), label="source degree")
+    fine = SphereGrid(dimension, source + data.draw(st.integers(0, max_degree), label="margin"))
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ev = TruncatedEvaluator(fine, source)
+    coeffs = np.random.default_rng(seed).standard_normal(ev.source_count)
+    values, _, _ = ev.state(coeffs)
+    np.testing.assert_allclose(ev.project(values), coeffs, rtol=0, atol=1e-11)
