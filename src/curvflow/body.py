@@ -22,7 +22,6 @@ from .spectral import (
     SphereGrid,
     SpectralField,
     analyze,
-    directional_state,
     field_from_coefficients,
     standard_grid,
     tangential_derivatives,
@@ -37,7 +36,6 @@ __all__ = [
     "support_from_values",
     "support_from_coefficients",
     "curvature",
-    "curvature_at",
     "embed",
     "pinching_status",
     "steiner_point",
@@ -185,18 +183,6 @@ def curvature(body: SupportFunction, convexity_tol: float = DEFAULT_CONVEXITY_TO
     """
     _, hess = tangential_derivatives(body.field)
     return _curvature_from_radii_data(body.dimension, body.values, hess, convexity_tol)
-
-
-def curvature_at(
-    body: SupportFunction,
-    directions: np.ndarray,
-    convexity_tol: float = DEFAULT_CONVEXITY_TOL,
-) -> CurvatureField:
-    """Curvature data at arbitrary unit directions (pole-safe)."""
-    state = directional_state(body.field, np.asarray(directions, dtype=float))
-    return _curvature_from_radii_data(
-        body.dimension, state.values, state.hessian_frame, convexity_tol
-    )
 
 
 @dataclass(frozen=True, eq=False)

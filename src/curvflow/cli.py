@@ -6,7 +6,8 @@ so rerunning a command over the same inputs reproduces files byte for byte.
 
 Exit codes: 0 success, 2 failed precondition (bad config, shape outside the
 cone), 3 the flow left the pinching cone, 4 a numerical failure or a
-verification violation, 5 an I/O problem.
+verification violation, 5 an I/O problem, 6 a run cut off by ``max_steps``
+(its outputs are written).
 """
 
 import os
@@ -76,6 +77,7 @@ __all__ = [
     "EXIT_CONE",
     "EXIT_NUMERICAL",
     "EXIT_IO",
+    "EXIT_TRUNCATED",
 ]
 
 EXIT_OK = 0
@@ -83,6 +85,7 @@ EXIT_PRECONDITION = 2
 EXIT_CONE = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
+EXIT_TRUNCATED = 6
 
 _CONFIG_DEFAULTS = {
     "dimension": 2,
@@ -327,7 +330,7 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     snapshots = []
     for i, file in enumerate(files):
         body, time = load_snapshot(file)
-        snapshots.append(FlowSnapshot(step=i, time=time, body=body))
+        snapshots.append(FlowSnapshot(step=i, time=time, body=body, speed=speed))
     trajectory = Trajectory(
         speed=speed,
         snapshots=tuple(snapshots),
@@ -364,17 +367,16 @@ def cmd_shape(args) -> int:
     try:
         grid = standard_grid(args.dimension, args.degree)
         body = parse_shape(args.spec, grid)
+        if args.speed is not None:
+            delta0 = parse_speed(args.speed, args.dimension).delta0
+        else:
+            delta0 = default_cone_threshold(args.dimension)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-
-    if args.speed is not None:
-        delta0 = parse_speed(args.speed, args.dimension).delta0
-    else:
-        delta0 = default_cone_threshold(args.dimension)
 
     try:
         status = pinching_status(body, delta0)
@@ -491,7 +493,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
 
     code = {
         "target_radius": EXIT_OK,
-        "max_steps": EXIT_OK,
+        "max_steps": EXIT_TRUNCATED,
         "cone_exit": EXIT_CONE,
         "convexity_lost": EXIT_NUMERICAL,
     }[trajectory.stop_reason]

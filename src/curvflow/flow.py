@@ -48,16 +48,17 @@ MAX_STEP_RETRIES = 20
 
 @dataclass(frozen=True, eq=False)
 class FlowSnapshot:
-    """One stored state of a flow run.
+    """One stored state of a flow run under ``speed``.
 
-    The radii, curvature and mixed volumes are computed the first time they
-    are read and kept on the snapshot, so every monitor, writer and check
-    that reads them shares one computation.
+    The radii, curvature, speed values and mixed volumes are computed the
+    first time they are read and kept on the snapshot, so every monitor,
+    writer and check that reads them shares one computation.
     """
 
     step: int
     time: float
     body: SupportFunction
+    speed: Speed
 
     @cached_property
     def radii(self) -> DirectRadii:
@@ -66,6 +67,11 @@ class FlowSnapshot:
     @cached_property
     def curv(self) -> CurvatureField:
         return curvature(self.body)
+
+    @cached_property
+    def speed_values(self) -> np.ndarray:
+        """The speed at the grid nodes."""
+        return self.speed.value(self.curv.kappa)
 
     @cached_property
     def volumes(self) -> MixedVolumes:
@@ -177,7 +183,7 @@ def run_flow(
     steps = 0
     total_retries = 0
 
-    snapshots = [FlowSnapshot(0, 0.0, body)]
+    snapshots = [FlowSnapshot(0, 0.0, body, speed)]
     target = stop_fraction * snapshots[0].radii.r_minus
     stop_reason = None
 
@@ -214,13 +220,13 @@ def run_flow(
             stop_reason = "cone_exit"
             break
         if steps % snapshot_every == 0:
-            snap = FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs))
+            snap = FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs), speed)
             snapshots.append(snap)
             if snap.radii.r_minus <= target:
                 stop_reason = "target_radius"
 
     if snapshots[-1].step != steps:
-        snapshots.append(FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs)))
+        snapshots.append(FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs), speed))
 
     return Trajectory(
         speed=speed,

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .body import CurvatureField, SupportFunction, curvature
-from .speeds import Speed
 
 __all__ = [
     "MixedVolumes",
@@ -302,10 +301,10 @@ def ek_comparison_margin(curv: CurvatureField, k: int, ell: int, eps: float) -> 
     return float(np.max(values))
 
 
-def volume_decay_rate(body: SupportFunction, speed: Speed, curv: CurvatureField | None = None) -> float:
-    """Instantaneous decrease rate of V_{n+1} under the contraction."""
-    if curv is None:
-        curv = curvature(body)
+def volume_decay_rate(
+    body: SupportFunction, curv: CurvatureField, speed_values: np.ndarray
+) -> float:
+    """Instantaneous decrease rate of V_{n+1} when the support function
+    falls at ``speed_values`` on the grid nodes."""
     n = body.dimension
-    f = speed.value(curv.kappa)
-    return (n + 1) * _mean(body.grid, f * curv.area_element)
+    return (n + 1) * _mean(body.grid, speed_values * curv.area_element)

@@ -166,6 +166,10 @@ def parse_shape(text: str, grid: SphereGrid) -> SupportFunction:
         sphere R [+ Y(l,m)*amp ...]
         ellipsoid a b [c]
         snapshot PATH
+
+    A description whose support function is not finite on every node (a
+    NaN or infinite number, or one so large that the body overflows) is
+    rejected with ValueError.
     """
     text = text.strip()
     head, _, rest = text.partition(" ")
@@ -185,13 +189,16 @@ def parse_shape(text: str, grid: SphereGrid) -> SupportFunction:
             perturbations.append(
                 (int(match.group(1)), int(match.group(2)), float(match.group(3)))
             )
-        return make_perturbed_sphere(grid, radius, perturbations)
-    if head == "ellipsoid":
-        axes = [float(p) for p in rest.split()]
-        return make_ellipsoid(grid, axes)
-    if head == "snapshot":
+        body = make_perturbed_sphere(grid, radius, perturbations)
+    elif head == "ellipsoid":
+        body = make_ellipsoid(grid, [float(p) for p in rest.split()])
+    elif head == "snapshot":
         if not rest:
             raise ValueError("snapshot needs a file path")
         loaded, _ = bodymod.load_snapshot(rest)
-        return resample(loaded, grid)
-    raise ValueError(f"unknown shape {head!r}; expected sphere, ellipsoid, or snapshot")
+        body = resample(loaded, grid)
+    else:
+        raise ValueError(f"unknown shape {head!r}; expected sphere, ellipsoid, or snapshot")
+    if not (np.all(np.isfinite(body.coefficients)) and np.all(np.isfinite(body.values))):
+        raise ValueError(f"shape {text!r} has a non-finite support function")
+    return body

@@ -19,10 +19,8 @@ Key concepts
   ``(e_theta, e_phi)`` from analytic derivatives of the basis functions;
   second and third colatitude derivatives come from the associated Legendre
   ODE rather than finite differences.
-- The frame degenerates at the poles.  Grid nodes never sit there, but
-  arbitrary query directions may; those are evaluated in a rotated chart
-  (the field is resampled under a fixed rotation taking the pole to the
-  equator) and the resulting tangent frame is rotated back.
+- Fields are evaluated only at the quadrature nodes.  The frame degenerates
+  at the poles, which the Gauss-Legendre rings never touch.
 """
 
 from __future__ import annotations
@@ -45,17 +43,7 @@ __all__ = [
     "coefficient_count",
     "tangential_derivatives",
     "third_derivatives",
-    "evaluate",
-    "directional_state",
-    "DirectionalState",
-    "rotate_field",
-    "random_rotation",
-    "directions_to_angles",
 ]
-
-# Below this |sin(theta)| an arbitrary query direction is handled in a
-# rotated chart; Gauss-Legendre grid nodes stay above it for every L <= 200.
-_POLE_SIN_MIN = 1e-2
 
 
 def sphere_area(dimension: int) -> float:
@@ -142,14 +130,18 @@ class SphereGrid:
         band = self.degree if degree is None else degree
         key = (band, d_theta, d_phi)
         if key not in self._partials:
-            order = (d_theta, d_phi)
-            built = _partial_matrices(self.dimension, band, self.theta, self.phi, [order])
-            self._partials[key] = built[order]
+            self._partials[key] = _partial_matrix(self, band, d_theta, d_phi)
         return self._partials[key]
 
     def frames(self) -> np.ndarray:
         """Orthonormal tangent frame at each node, shape (M, n, n+1)."""
-        return _frames_from_angles(self.dimension, self.theta, self.phi)
+        st, ct = np.sin(self.theta), np.cos(self.theta)
+        if self.dimension == 1:
+            return np.column_stack([-st, ct])[:, None, :]
+        cp, sp = np.cos(self.phi), np.sin(self.phi)
+        e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+        e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+        return np.stack([e_theta, e_phi], axis=1)
 
     def min_spacing(self) -> float:
         """Minimal angular spacing of the colatitude/angle grid.
@@ -228,17 +220,12 @@ def field_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> Spect
 # ---------------------------------------------------------------------------
 
 
-def _partial_matrices(
-    dimension: int,
-    degree: int,
-    theta: np.ndarray,
-    phi: np.ndarray | None,
-    orders: list[tuple[int, int]],
-) -> dict[tuple[int, int], np.ndarray]:
-    """Build (M, K) matrices of basis partial derivatives at given angles."""
-    if dimension == 1:
-        return _circle_partials(degree, theta, orders)
-    return _sphere_partials(degree, theta, phi, orders)
+def _partial_matrix(grid: SphereGrid, degree: int, d_theta: int, d_phi: int) -> np.ndarray:
+    """(M, K) matrix of band-``degree`` basis partials d^a/dtheta^a d^b/dphi^b
+    at the grid nodes."""
+    if grid.dimension == 1:
+        return _circle_partial(degree, grid.theta, d_theta, d_phi)
+    return _sphere_partial(degree, grid.theta, grid.phi, d_theta, d_phi)
 
 
 def _trig_derivative(k, angle, order):
@@ -249,100 +236,69 @@ def _trig_derivative(k, angle, order):
     return float(k) ** order, cycle[order % 4]
 
 
-def _circle_partials(degree, theta, orders):
-    out = {}
+def _circle_partial(degree, theta, d_t, d_p):
+    if d_p:
+        raise ValueError("circle fields have no longitude derivative")
     inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-    for d_t, d_p in orders:
-        if d_p:
-            raise ValueError("circle fields have no longitude derivative")
-        mat = np.zeros((theta.shape[0], 2 * degree + 1))
-        if d_t == 0:
-            mat[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
-        for k in range(1, degree + 1):
-            factor, (dc, ds) = _trig_derivative(k, theta, d_t)
-            mat[:, 2 * k - 1] = factor * dc * inv_sqrt_pi
-            mat[:, 2 * k] = factor * ds * inv_sqrt_pi
-        out[(d_t, d_p)] = mat
-    return out
+    mat = np.zeros((theta.shape[0], 2 * degree + 1))
+    if d_t == 0:
+        mat[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
+    for k in range(1, degree + 1):
+        factor, (dc, ds) = _trig_derivative(k, theta, d_t)
+        mat[:, 2 * k - 1] = factor * dc * inv_sqrt_pi
+        mat[:, 2 * k] = factor * ds * inv_sqrt_pi
+    return mat
 
 
-def _sphere_partials(degree, theta, phi, orders):
-    max_dt = max(d for d, _ in orders)
+def _sphere_partial(degree, theta, phi, d_t, d_p):
     theta_u, inv = np.unique(theta, return_inverse=True)
     st_u, ct_u = np.sin(theta_u), np.cos(theta_u)
     # Normalized associated Legendre values and z-derivative; theta derivatives
     # beyond the first follow from the Legendre ODE, which is better
     # conditioned than repeated d/dz near the ends of the interval.
-    if max_dt == 0:
+    if d_t == 0:
         p_all = assoc_legendre_p_all(degree, degree, ct_u, norm=True)[0]
-        dp_all = None
     else:
         p_all, dp_all = assoc_legendre_p_all(degree, degree, ct_u, norm=True, diff_n=1)
-    # scipy returns the unnormalized boundary value 1.0 at z = +/-1 exactly;
-    # patch in the correct normalized limit (zonal only; m > 0 vanishes there)
-    at_pole = np.abs(ct_u) == 1.0
-    if np.any(at_pole):
-        ls = np.arange(degree + 1)
-        zonal_limit = np.sqrt((2.0 * ls + 1.0) / 2.0)
-        for j in np.flatnonzero(at_pole):
-            p_all[:, 0, j] = zonal_limit * np.sign(ct_u[j]) ** ls
-            p_all[:, 1:, j] = 0.0
     # reindex to [l, m, point] with m >= 0 and fold in the 1/sqrt(2*pi)
     # longitude normalization so columns are orthonormal on the sphere
-    p = p_all[:, : degree + 1, :] / np.sqrt(2.0 * np.pi)
-
-    d_theta = {0: p}
-    if max_dt >= 1:
+    d_theta = [p_all[:, : degree + 1, :] / np.sqrt(2.0 * np.pi)]
+    if d_t >= 1:
         dp = dp_all[:, : degree + 1, :] / np.sqrt(2.0 * np.pi)
-        d_theta[1] = -st_u[None, None, :] * dp
-    if max_dt >= 2:
+        d_theta.append(-st_u[None, None, :] * dp)
+    if d_t >= 2:
         ls = np.arange(degree + 1)[:, None, None].astype(float)
         ms = np.arange(degree + 1)[None, :, None].astype(float)
         lam = ls * (ls + 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_s2 = 1.0 / st_u**2
-            cot = ct_u / st_u
-        d_theta[2] = (
+        inv_s2 = 1.0 / st_u**2
+        cot = ct_u / st_u
+        d_theta.append(
             -cot[None, None, :] * d_theta[1]
             + (ms**2 * inv_s2[None, None, :] - lam) * d_theta[0]
         )
-        if max_dt >= 3:
-            d_theta[3] = (
+        if d_t >= 3:
+            d_theta.append(
                 inv_s2[None, None, :] * d_theta[1]
                 - cot[None, None, :] * d_theta[2]
                 - 2.0 * ms**2 * (ct_u / st_u**3)[None, None, :] * d_theta[0]
                 + (ms**2 * inv_s2[None, None, :] - lam) * d_theta[1]
             )
 
-    out = {}
-    for d_t, d_p in orders:
-        mat = np.zeros((theta.shape[0], (degree + 1) ** 2))
-        theta_part = d_theta[d_t]
-        for order in range(degree + 1):
-            if order == 0:
-                cols = np.array([l * l + l for l in range(degree + 1)])
-                if d_p == 0:
-                    mat[:, cols] = theta_part[:, 0, :][:, inv].T
-                continue
-            factor, (trig_c, trig_s) = _trig_derivative(order, phi, d_p)
-            block = theta_part[order:, order, :][:, inv] * np.sqrt(2.0)
-            cols_c = np.array([l * l + l + order for l in range(order, degree + 1)])
-            cols_s = np.array([l * l + l - order for l in range(order, degree + 1)])
-            mat[:, cols_c] = (factor * block * trig_c[None, :]).T
-            mat[:, cols_s] = (factor * block * trig_s[None, :]).T
-        out[(d_t, d_p)] = mat
-    return out
-
-
-def _frames_from_angles(dimension, theta, phi):
-    if dimension == 1:
-        e_t = np.column_stack([-np.sin(theta), np.cos(theta)])
-        return e_t[:, None, :]
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return np.stack([e_theta, e_phi], axis=1)
+    mat = np.zeros((theta.shape[0], (degree + 1) ** 2))
+    theta_part = d_theta[d_t]
+    for order in range(degree + 1):
+        if order == 0:
+            cols = np.array([l * l + l for l in range(degree + 1)])
+            if d_p == 0:
+                mat[:, cols] = theta_part[:, 0, :][:, inv].T
+            continue
+        factor, (trig_c, trig_s) = _trig_derivative(order, phi, d_p)
+        block = theta_part[order:, order, :][:, inv] * np.sqrt(2.0)
+        cols_c = np.array([l * l + l + order for l in range(order, degree + 1)])
+        cols_s = np.array([l * l + l - order for l in range(order, degree + 1)])
+        mat[:, cols_c] = (factor * block * trig_c[None, :]).T
+        mat[:, cols_s] = (factor * block * trig_s[None, :]).T
+    return mat
 
 
 # ---------------------------------------------------------------------------
@@ -489,114 +445,3 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
     t[:, 1, 1, 0] = mixed
     t[:, 1, 1, 1] = d2_h_pp + 2.0 * cot * h_tp
     return t
-
-
-# ---------------------------------------------------------------------------
-# evaluation at arbitrary directions
-# ---------------------------------------------------------------------------
-
-
-def directions_to_angles(dimension: int, directions: np.ndarray):
-    directions = np.asarray(directions, dtype=float)
-    if dimension == 1:
-        return np.arctan2(directions[:, 1], directions[:, 0]) % (2.0 * np.pi), None
-    z = np.clip(directions[:, 2], -1.0, 1.0)
-    theta = np.arccos(z)
-    phi = np.arctan2(directions[:, 1], directions[:, 0]) % (2.0 * np.pi)
-    return theta, phi
-
-
-def evaluate(field: SpectralField, directions: np.ndarray) -> np.ndarray:
-    """Point values of the field at arbitrary unit directions."""
-    grid = field.grid
-    theta, phi = directions_to_angles(grid.dimension, directions)
-    mats = _partial_matrices(grid.dimension, grid.degree, theta, phi, [(0, 0)])
-    return mats[(0, 0)] @ field.coefficients
-
-
-@dataclass(frozen=True)
-class DirectionalState:
-    """Value/gradient/Hessian data at arbitrary directions.
-
-    ``gradient_ambient`` is the tangential gradient as vectors in R^(n+1);
-    ``hessian_frame`` holds covariant Hessian components in ``frames`` (one
-    orthonormal tangent frame per direction, possibly chart-rotated near the
-    poles, shape (P, n, n+1)).
-    """
-
-    values: np.ndarray
-    gradient_ambient: np.ndarray
-    hessian_frame: np.ndarray
-    frames: np.ndarray
-
-
-def directional_state(field: SpectralField, directions: np.ndarray) -> DirectionalState:
-    """Evaluate value, gradient, and Hessian at arbitrary unit directions.
-
-    Directions too close to a pole (|sin theta| < 1e-2) are handled by
-    resampling the field under a fixed chart rotation; outputs are expressed
-    in a valid tangent frame either way.
-    """
-    grid = field.grid
-    directions = np.asarray(directions, dtype=float)
-    theta, phi = directions_to_angles(grid.dimension, directions)
-    if grid.dimension == 1:
-        return DirectionalState(*_state_at_angles(field, theta, phi))
-
-    near_pole = np.abs(np.sin(theta)) < _POLE_SIN_MIN
-    vals = np.empty(directions.shape[0])
-    grad = np.empty((directions.shape[0], 3))
-    hess = np.empty((directions.shape[0], 2, 2))
-    frames = np.empty((directions.shape[0], 2, 3))
-
-    safe = ~near_pole
-    if np.any(safe):
-        v, g, h, f = _state_at_angles(field, theta[safe], phi[safe])
-        vals[safe], grad[safe], hess[safe], frames[safe] = v, g, h, f
-    if np.any(near_pole):
-        # chart rotation about the y-axis takes both poles to the equator
-        q = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
-        rotated = rotate_field(field, q)
-        dirs_rot = directions[near_pole] @ q.T
-        th_r, ph_r = directions_to_angles(2, dirs_rot)
-        v, g, h, f = _state_at_angles(rotated, th_r, ph_r)
-        vals[near_pole] = v
-        grad[near_pole] = g @ q
-        hess[near_pole] = h
-        frames[near_pole] = f @ q
-    return DirectionalState(vals, grad, hess, frames)
-
-
-def _state_at_angles(field, theta, phi):
-    """Value, ambient gradient, frame Hessian and frames at angles off the poles."""
-    dimension = field.grid.dimension
-    orders = [(0, 0), *_STATE_ORDERS[dimension]]
-    mats = _partial_matrices(dimension, field.grid.degree, theta, phi, orders)
-    c = field.coefficients
-    grad_frame, hess = _derivatives(dimension, theta, lambda *order: mats[order], c)
-    frames = _frames_from_angles(dimension, theta, phi)
-    grad = np.einsum("pa,pax->px", grad_frame, frames)
-    return mats[(0, 0)] @ c, grad, hess, frames
-
-
-# ---------------------------------------------------------------------------
-# rotations
-# ---------------------------------------------------------------------------
-
-
-def rotate_field(field: SpectralField, rotation: np.ndarray) -> SpectralField:
-    """Coefficients of u -> field(R^T u); exact for band-limited fields."""
-    grid = field.grid
-    rotation = np.asarray(rotation, dtype=float)
-    rotated_values = evaluate(field, grid.nodes @ rotation)
-    return SpectralField(grid, analyze(grid, rotated_values))
-
-
-def random_rotation(rng: np.random.Generator, ambient_dim: int) -> np.ndarray:
-    """Haar-ish random rotation matrix with determinant +1."""
-    a = rng.standard_normal((ambient_dim, ambient_dim))
-    q, r = np.linalg.qr(a)
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q

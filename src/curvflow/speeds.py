@@ -74,8 +74,13 @@ class Speed:
     k: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ValueError("speed exponent alpha must exceed 1")
+        if not 1.0 < self.alpha < np.inf:
+            raise ValueError("speed exponent alpha must be a finite number above 1")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float64(self.dimension) ** self.alpha):
+                raise ValueError(f"speed exponent alpha={self.alpha:g} overflows n**alpha")
+        if not self.delta0 > 0.0:
+            raise ValueError("cone threshold delta0 must be positive")
         if self.kind == "ek":
             if self.k is None or not 1 <= self.k <= self.dimension:
                 raise ValueError(f"pow_Ek degree k must lie in 1..{self.dimension}")

@@ -528,9 +528,8 @@ def tso_monitor(
             abort_index = i
             abort_witness = (worst, float(denom[worst]))
             break
-        f_vals = speed.value(snap.curv.kappa)
         times.append(snap.time)
-        q_max.append(float(np.max(f_vals / denom)))
+        q_max.append(float(np.max(snap.speed_values / denom)))
         dt = snap.time - t0
         decay = np.inf if dt <= 0.0 else decay_front * dt ** (-alpha / (1.0 + alpha))
         bound.append(max(flat_bound, decay))
@@ -599,8 +598,7 @@ def smoczyk_monitor(
     for j, i in enumerate(range(t0_index, len(snaps))):
         snap = snaps[i]
         stilde = snap.body.values - snap.body.grid.nodes @ point
-        f_vals = trajectory.speed.value(snap.curv.kappa)
-        margins[j] = float(np.min(stilde + (1.0 + alpha) * (snap.time - t0) * f_vals))
+        margins[j] = float(np.min(stilde + (1.0 + alpha) * (snap.time - t0) * snap.speed_values))
     return SmoczykReport(t0_index=t0_index, point=point, times=times, margins=margins)
 
 
@@ -632,7 +630,7 @@ def speed_lowerbound_fit(
         estimate = estimate_collapse(trajectory)
 
     times = trajectory.times()
-    f_min = np.array([float(speed.value(s.curv.kappa).min()) for s in trajectory.snapshots])
+    f_min = np.array([float(s.speed_values.min()) for s in trajectory.snapshots])
     count = max(int(np.ceil(tail_fraction * times.size)), 1)
     keep = np.zeros(times.size, dtype=bool)
     keep[-count:] = True
@@ -696,7 +694,7 @@ def curve_evolution_residual(
         curv = snap.curv
         kappa = curv.kappa[:, 0]
         r = 1.0 / kappa
-        f_vals = speed.value(curv.kappa)
+        f_vals = snap.speed_values
         f_theta = tangential_derivatives(field_from_values(grid, f_vals))[0][:, 0]
         inner = f_theta / r
         f_ss = tangential_derivatives(field_from_values(grid, inner))[0][:, 0] / r
@@ -755,7 +753,7 @@ def volume_decay_check(trajectory: Trajectory) -> VolumeDecayReport:
         raise ValueError("need at least three snapshots for a central difference")
     times = trajectory.times()
     volumes = np.array([s.volumes.canonical[-1] for s in snaps])
-    rates = np.array([-volume_decay_rate(s.body, trajectory.speed, s.curv) for s in snaps])
+    rates = np.array([-volume_decay_rate(s.body, s.curv, s.speed_values) for s in snaps])
     out_t, measured, predicted = [], [], []
     for i in range(1, len(snaps) - 1):
         w0, w1, w2 = _three_point_weights(times[i - 1], times[i], times[i + 1])
@@ -814,7 +812,6 @@ def diagnostics_record(
     roundest body of the run) for surfaces; curves have none.
     """
     snaps = trajectory.snapshots
-    speed = trajectory.speed
 
     pinching = pinching_monitors(trajectory, sigma, sigma0, eps_grid)
     tso = tso_monitor(trajectory, t0_index)
@@ -822,12 +819,8 @@ def diagnostics_record(
     fit = speed_lowerbound_fit(trajectory)
 
     count = len(snaps)
-    f_min = np.empty(count)
-    f_max = np.empty(count)
-    for i, snap in enumerate(snaps):
-        f_vals = speed.value(snap.curv.kappa)
-        f_min[i] = f_vals.min()
-        f_max[i] = f_vals.max()
+    f_min = np.array([snap.speed_values.min() for snap in snaps])
+    f_max = np.array([snap.speed_values.max() for snap in snaps])
 
     q_max = np.full(count, np.nan)
     q_bound = np.full(count, np.nan)

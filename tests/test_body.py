@@ -5,7 +5,6 @@ from curvflow.body import (
     ConvexityLostError,
     CurvatureField,
     curvature,
-    curvature_at,
     embed,
     load_snapshot,
     pinching_status,
@@ -75,35 +74,34 @@ def test_kappa_sorted_ascending():
     assert np.all(curv.kappa[:, 0] <= curv.kappa[:, 1] + 1e-15)
 
 
-# Principal curvatures of an axis-aligned ellipsoid at the endpoint of the
-# a-axis are a/b^2 and a/c^2 (oracle: curvature of the osculating conics).
+def _ellipsoid_kappa(nodes, semi_axes):
+    """Principal curvatures of an ellipsoid at the given unit normals.
+
+    With h(x) = |A x| the 1-homogeneous support function, P D^2h P
+    (P = I - u u^T) has the principal radii as its nonzero eigenvalues.
+    """
+    a2 = np.asarray(semi_axes, dtype=float) ** 2
+    h = np.sqrt(nodes**2 @ a2)
+    w = nodes * a2
+    d2h = np.diag(a2) / h[:, None, None] - np.einsum("px,py->pxy", w, w) / h[:, None, None] ** 3
+    proj = np.eye(len(a2)) - np.einsum("px,py->pxy", nodes, nodes)
+    radii = np.linalg.eigvalsh(proj @ d2h @ proj)[:, 1:]  # drop the normal's 0
+    return np.sort(1.0 / radii, axis=1)
+
+
+# Reference: the closed-form curvature of the ellipsoid on every grid node.
 def test_ellipsoid_axis_curvatures():
     grid = standard_grid(2, 32)
     ell = make_ellipsoid(grid, (1.0, 1.0, 1.2))
-    dirs = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0],
-            [1.0, 0.0, 0.0],
-            [-1.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0],
-        ]
-    )
-    curv = curvature_at(ell, dirs)
-    polar = sorted([1.2 / 1.0**2, 1.2 / 1.0**2])
-    equatorial = sorted([1.0 / 1.0**2, 1.0 / 1.2**2])
-    expected = np.array([polar, polar] + [equatorial] * 4)
-    np.testing.assert_allclose(curv.kappa, expected, rtol=1e-6)
+    expected = _ellipsoid_kappa(grid.nodes, (1.0, 1.0, 1.2))
+    np.testing.assert_allclose(curvature(ell).kappa, expected, rtol=1e-6)
 
 
 def test_ellipse_axis_curvatures_n1():
     grid = standard_grid(1, 32)
     ell = make_ellipsoid(grid, (1.0, 1.3))
-    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    curv = curvature_at(ell, dirs)
-    expected = np.array([1.0 / 1.3**2, 1.3, 1.0 / 1.3**2, 1.3])[:, None]
-    np.testing.assert_allclose(curv.kappa, expected, rtol=1e-8)
+    expected = _ellipsoid_kappa(grid.nodes, (1.0, 1.3))
+    np.testing.assert_allclose(curvature(ell).kappa, expected, rtol=1e-8)
 
 
 def test_pinching_ratio_value():

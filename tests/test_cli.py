@@ -7,6 +7,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvflow import cli, flow, geometry
 from curvflow.body import load_snapshot
@@ -16,12 +18,14 @@ from curvflow.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PRECONDITION,
+    EXIT_TRUNCATED,
     ExperimentConfig,
     load_trajectory,
     main,
 )
 from curvflow.shapes import parse_shape
 from curvflow.spectral import standard_grid
+from curvflow.speeds import Speed, parse_speed
 from curvflow.verify import diagnostics_record
 
 
@@ -95,6 +99,10 @@ def test_shape_nonconvex_truncation_is_a_precondition_failure(capsys):
 def test_shape_bad_spec_is_a_precondition_failure(capsys):
     assert main(["shape", "pyramid 1", "--dimension", "2"]) == EXIT_PRECONDITION
     capsys.readouterr()
+    assert main(["shape", "sphere nan", "--dimension", "2"]) == EXIT_PRECONDITION
+    assert "non-finite" in capsys.readouterr().err
+    assert main(["shape", "sphere 1", "--speed", "pow_mean,alpha=inf"]) == EXIT_PRECONDITION
+    assert "alpha" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +245,26 @@ def test_simulate_negative_step_safety_is_a_precondition_failure(tmp_path, capsy
     assert not out.exists()
 
 
+def test_simulate_infinite_alpha_is_a_precondition_failure(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", speed="pow_mean,alpha=inf", output=str(out))
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_step_limit_is_a_truncated_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", degree=6, max_steps=1, output=str(out))
+    assert main(["simulate", str(path)]) == EXIT_TRUNCATED
+    assert "max_steps" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["stop_reason"] == "max_steps"
+    assert summary["steps"] == 1
+    assert (out / "series.csv").is_file()
+    assert len(list((out / "snapshots").glob("snap_*.json"))) == summary["snapshot_count"] == 2
+
+
 def test_simulate_jobs_fan_out(tmp_path, capsys):
     paths = []
     for tag in ("a", "b"):
@@ -336,6 +364,20 @@ def test_verify_flow_clean_run(ellipsoid_dir, capsys):
     assert "volume decay identity: ok" in out
 
 
+def test_verify_flow_computes_each_speed_value_once(ellipsoid_dir, monkeypatch, capsys):
+    calls = []
+    value = Speed.value
+
+    def counted(self, kappa):
+        calls.append(1)
+        return value(self, kappa)
+
+    monkeypatch.setattr(Speed, "value", counted)
+    assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == len(list((ellipsoid_dir / "snapshots").glob("snap_*.json")))
+
+
 def test_verify_flow_missing_dir(tmp_path, capsys):
     assert main(["verify", "flow", str(tmp_path / "nope")]) == EXIT_IO
     capsys.readouterr()
@@ -395,3 +437,53 @@ def test_thread_cap_respects_existing_settings(monkeypatch):
     cli._cap_threads()
     assert os.environ["OMP_NUM_THREADS"] == "1"
     assert os.environ["MKL_NUM_THREADS"] == "8"  # setdefault never overrides
+
+
+# ---------------------------------------------------------------------------
+# shape and speed grammars: a ValueError or a finite result, never NaN or inf
+
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "-0", "0", "1e400", "-1e400", "1", "1.1", "0.05"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+
+
+@st.composite
+def _shape_text(draw):
+    if draw(st.booleans()):
+        return "ellipsoid " + " ".join(draw(st.lists(_NUMBER, min_size=2, max_size=3)))
+    terms = [
+        f"Y({draw(st.integers(0, 5))},{draw(st.integers(-5, 5))})*{draw(_NUMBER)}"
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    return " + ".join([f"sphere {draw(_NUMBER)}"] + terms)
+
+
+@st.composite
+def _speed_text(draw):
+    head = draw(st.sampled_from(["pow_mean", "pow_norm", "pow_gauss", "pow_Ek:1", "pow_Ek:2"]))
+    names = draw(st.lists(st.sampled_from(["alpha", "delta0"]), max_size=2))
+    return ",".join([head] + [f"{name}={draw(_NUMBER)}" for name in names])
+
+
+@settings(deadline=None)
+@given(text=_shape_text())
+def test_shape_grammar_gives_finite_bodies(text):
+    try:
+        body = parse_shape(text, standard_grid(2, 4))
+    except ValueError:
+        return
+    assert np.all(np.isfinite(body.coefficients))
+    assert np.all(np.isfinite(body.values))
+
+
+@settings(deadline=None)
+@given(text=_speed_text(), dimension=st.sampled_from([1, 2]))
+def test_speed_grammar_gives_finite_speeds(text, dimension):
+    try:
+        speed = parse_speed(text, dimension)
+    except ValueError:
+        return
+    assert 1.0 < speed.alpha < np.inf
+    assert speed.delta0 > 0.0
+    assert np.isfinite(speed.value(np.ones(dimension)))

@@ -167,14 +167,14 @@ def test_fine_grid_operators_built_once_across_runs(monkeypatch):
     body = make_ellipsoid(grid, (1.0, 1.0, 1.1))
     speed = make_speed("mean", 2)
     built = []
-    original = spectral._partial_matrices
+    original = spectral._partial_matrix
 
-    def counting(dimension, degree, theta, phi, orders):
-        if theta is fine.theta:
-            built.extend(orders)
-        return original(dimension, degree, theta, phi, orders)
+    def counting(grid, degree, d_theta, d_phi):
+        if grid is fine:
+            built.append((d_theta, d_phi))
+        return original(grid, degree, d_theta, d_phi)
 
-    monkeypatch.setattr(spectral, "_partial_matrices", counting)
+    monkeypatch.setattr(spectral, "_partial_matrix", counting)
     first = run_flow(body, speed, max_steps=3)
     first_builds = len(built)
     second = run_flow(body, speed, max_steps=3)

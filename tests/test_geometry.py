@@ -114,15 +114,16 @@ def test_direct_radii_ellipse_n1():
 def test_direct_radii_against_dense_sampling():
     # LP over grid directions vs brute force over a 10x denser direction set
     grid = standard_grid(2, 16)
-    body, _ = recenter(make_perturbed_sphere(grid, 1.0, [(4, 0, 0.05)]))
+    body, shift = recenter(make_perturbed_sphere(grid, 1.0, [(4, 0, 0.05)]))
     est = direct_radii(body)
 
     rng = np.random.default_rng(0)
     dense = rng.standard_normal((20000, 3))
     dense /= np.linalg.norm(dense, axis=1, keepdims=True)
-    from curvflow.spectral import evaluate
-
-    s_dense = evaluate(body.field, dense)
+    # closed form of 1 + 0.05 Y_40, moved by the recentering shift
+    z = dense[:, 2]
+    y40 = np.sqrt(9.0 / (4.0 * np.pi)) * (35.0 * z**4 - 30.0 * z**2 + 3.0) / 8.0
+    s_dense = 1.0 + 0.05 * y40 - dense @ shift
     # inscribed ball about the LP incenter must fit under the dense support
     dense_r_in = float(np.min(s_dense - dense @ est.incenter))
     assert est.r_minus >= dense_r_in - 1e-9
@@ -224,6 +225,8 @@ def test_volume_decay_rate_on_spheres():
         grid = standard_grid(n, degree)
         speed = make_speed("mean", n, alpha=2.0)
         for radius in (1.0, 0.5):
-            rate = volume_decay_rate(make_sphere(grid, radius), speed)
+            ball = make_sphere(grid, radius)
+            curv = curvature(ball)
+            rate = volume_decay_rate(ball, curv, speed.value(curv.kappa))
             expected = (n + 1) * n**2.0 * radius ** (n - 2.0)
             assert rate == pytest.approx(expected, rel=1e-10)

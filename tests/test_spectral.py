@@ -1,21 +1,20 @@
 """Checks for the spectral basis, quadrature, and tangential derivatives."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
 from curvflow.spectral import (
     SphereGrid,
     TruncatedEvaluator,
     analyze,
     coefficient_count,
-    directional_state,
-    evaluate,
     field_from_coefficients,
     field_from_values,
-    random_rotation,
-    rotate_field,
     sphere_area,
     standard_grid,
     synthesize,
@@ -56,13 +55,6 @@ def test_affine_support_closed_form():
     vals = 2.0 + 0.1 * grid.nodes[:, 2]
     f = field_from_values(grid, vals)
     np.testing.assert_allclose(f.values, vals, rtol=0, atol=1e-12)
-
-    rng = np.random.default_rng(3)
-    dirs = rng.standard_normal((40, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    np.testing.assert_allclose(
-        evaluate(f, dirs), 2.0 + 0.1 * dirs[:, 2], rtol=0, atol=1e-12
-    )
 
 
 def test_parseval_pairing():
@@ -129,102 +121,94 @@ def test_divergence_identity(dimension):
 
 
 # ---------------------------------------------------------------------------
-# rotation equivariance
+# closed-form references: restrictions of ambient polynomials
+#
+# A polynomial G of degree d on R^(n+1), restricted to the unit sphere, is a
+# field of band limit d.  In an orthonormal tangent frame e its covariant
+# derivatives follow from the ambient ones: the gradient is DG(e), the Hessian
+# D^2G(e, e) - DG(u) g, and the third derivative
+# D^3G(X,Y,Z) - <X,Y> D^2G(u,Z) - <X,Z> D^2G(u,Y) - (D^2G(u,X) + DG(X)) <Y,Z>.
 # ---------------------------------------------------------------------------
 
 
-def _ambient_hessian(hess_frame, frames):
-    return np.einsum("pab,pax,pby->pxy", hess_frame, frames, frames)
+class _AmbientPolynomial:
+    """Random polynomial on R^dim, composed with a rotation: G(x) = F(Q x)."""
+
+    def __init__(self, rng, degree, rotation):
+        dim = rotation.shape[0]
+        self.exponents = np.array(
+            [e for e in product(range(degree + 1), repeat=dim) if sum(e) <= degree], dtype=float
+        )
+        self.coefficients = rng.standard_normal(len(self.exponents))
+        self.rotation = rotation
+
+    def _derivative(self, x, axes):
+        """d/dy_axes F at the points y = Q x, shape (P,)."""
+        exps = self.exponents.copy()
+        factor = np.ones(len(exps))
+        for a in axes:
+            factor = factor * exps[:, a]
+            exps[:, a] = np.maximum(exps[:, a] - 1.0, 0.0)
+        y = x @ self.rotation.T
+        return np.prod(y[:, None, :] ** exps, axis=-1) @ (factor * self.coefficients)
+
+    def derivatives(self, x, order):
+        """Ambient derivative tensor of G of the given order at the points x."""
+        dim = self.rotation.shape[0]
+        out = np.empty((x.shape[0],) + (dim,) * order)
+        for axes in product(range(dim), repeat=order):
+            out[(slice(None),) + axes] = self._derivative(x, axes)
+        for _ in range(order):  # D^kG = D^kF(Q., ..., Q.)
+            out = np.tensordot(out, self.rotation, axes=([1], [0]))
+        return out
+
+
+def _frame_derivatives(poly, grid):
+    """Closed-form value, frame gradient, Hessian and third derivative."""
+    u, e = grid.nodes, grid.frames()
+    n = grid.dimension
+    value = poly.derivatives(u, 0)
+    d1, d2, d3 = (poly.derivatives(u, k) for k in (1, 2, 3))
+    g = np.eye(n)
+    radial = np.einsum("px,px->p", d1, u)
+    d2_u = np.einsum("pxy,px,pay->pa", d2, u, e)  # D^2G(u, e_a)
+    grad = np.einsum("px,pax->pa", d1, e)
+    hess = np.einsum("pxy,pax,pby->pab", d2, e, e) - radial[:, None, None] * g
+    third = (
+        np.einsum("pxyz,pax,pby,pcz->pabc", d3, e, e, e)
+        - np.einsum("ab,pc->pabc", g, d2_u)
+        - np.einsum("ac,pb->pabc", g, d2_u)
+        - np.einsum("pa,bc->pabc", d2_u + grad, g)
+    )
+    return value, grad, hess, third
 
 
 def test_rotation_commutes_with_differentiation():
+    # rotating an ambient polynomial rotates its derivatives along with it
     grid = standard_grid(2, 10)
     rng = np.random.default_rng(17)
-    f = field_from_coefficients(grid, rng.standard_normal(grid.coefficient_count))
-    for _ in range(10):
-        rot = random_rotation(rng, 3)
-        rotated = rotate_field(f, rot)
-
-        # route 1: rotate coefficients, differentiate on the grid
-        grad_frame, hess_frame = tangential_derivatives(rotated)
-        frames = grid.frames()
-        grad1 = np.einsum("pa,pax->px", grad_frame, frames)
-        hess1 = _ambient_hessian(hess_frame, frames)
-
-        # route 2: differentiate the original at rotated points, rotate back
-        state = directional_state(f, grid.nodes @ rot)
-        grad2 = state.gradient_ambient @ rot.T
-        hess2 = np.einsum(
-            "xy,pyz,wz->pxw", rot, _ambient_hessian(state.hessian_frame, state.frames), rot
-        )
-
-        np.testing.assert_allclose(rotated.values, evaluate(f, grid.nodes @ rot), atol=1e-8)
-        np.testing.assert_allclose(grad1, grad2, atol=1e-8)
-        np.testing.assert_allclose(hess1, hess2, atol=1e-8)
+    for rot in Rotation.random(10, rng=rng).as_matrix():
+        poly = _AmbientPolynomial(np.random.default_rng(17), 6, rot)
+        value, grad, hess, _ = _frame_derivatives(poly, grid)
+        f = field_from_values(grid, value)
+        grad_frame, hess_frame = tangential_derivatives(f)
+        np.testing.assert_allclose(f.values, value, atol=1e-8)
+        np.testing.assert_allclose(grad_frame, grad, atol=1e-8)
+        np.testing.assert_allclose(hess_frame, hess, atol=1e-8)
 
 
 def test_circle_rotation_commutes():
     grid = standard_grid(1, 10)
     rng = np.random.default_rng(23)
-    f = field_from_coefficients(grid, rng.standard_normal(grid.coefficient_count))
     ang = rng.uniform(0, 2 * np.pi)
     rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-    rotated = rotate_field(f, rot)
-    np.testing.assert_allclose(rotated.values, evaluate(f, grid.nodes @ rot), atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# pole handling
-# ---------------------------------------------------------------------------
-
-
-def test_pole_state_is_chart_independent():
-    grid = standard_grid(2, 8)
-    rng = np.random.default_rng(29)
-    f = field_from_coefficients(grid, rng.standard_normal(grid.coefficient_count))
-
-    dirs = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [0.0, 0.0, -1.0],
-            [1e-3, 0.0, np.sqrt(1 - 1e-6)],
-        ]
-    )
-    state = directional_state(f, dirs)
-
-    # same invariants computed in an unrelated chart: rotate the whole problem
-    rot = random_rotation(rng, 3)
-    f_rot = rotate_field(f, rot.T)  # f_rot(v) = f(rot v)
-    state_rot = directional_state(f_rot, dirs @ rot)  # v = rot^T u
-
-    np.testing.assert_allclose(state.values, state_rot.values, atol=1e-9)
-    np.testing.assert_allclose(
-        np.linalg.norm(state.gradient_ambient, axis=1),
-        np.linalg.norm(state_rot.gradient_ambient, axis=1),
-        atol=1e-8,
-    )
-    ev1 = np.sort(np.linalg.eigvalsh(state.hessian_frame), axis=1)
-    ev2 = np.sort(np.linalg.eigvalsh(state_rot.hessian_frame), axis=1)
-    np.testing.assert_allclose(ev1, ev2, atol=1e-8)
-
-    # frames returned near the pole are genuine orthonormal tangent frames
-    for i in range(len(dirs)):
-        fr = state.frames[i]
-        np.testing.assert_allclose(fr @ fr.T, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(fr @ dirs[i], 0.0, atol=1e-12)
-
-
-def test_zonal_field_pole_values():
-    # f = u_z^2: at the poles the gradient vanishes and the Hessian is -2 I
-    # (from f = cos^2 theta, Hessian eigenvalues -2 cos 2t and -2 cos^2 t).
-    grid = standard_grid(2, 8)
-    f = field_from_values(grid, grid.nodes[:, 2] ** 2)
-    state = directional_state(f, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-    np.testing.assert_allclose(state.values, 1.0, atol=1e-10)
-    np.testing.assert_allclose(state.gradient_ambient, 0.0, atol=1e-9)
-    np.testing.assert_allclose(
-        state.hessian_frame, np.broadcast_to(-2.0 * np.eye(2), (2, 2, 2)), atol=1e-9
-    )
+    poly = _AmbientPolynomial(rng, 8, rot)
+    value, grad, hess, _ = _frame_derivatives(poly, grid)
+    f = field_from_values(grid, value)
+    grad_frame, hess_frame = tangential_derivatives(f)
+    np.testing.assert_allclose(f.values, value, atol=1e-9)
+    np.testing.assert_allclose(grad_frame, grad, atol=1e-9)
+    np.testing.assert_allclose(hess_frame, hess, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -233,42 +217,15 @@ def test_zonal_field_pole_values():
 
 
 def test_third_derivative_against_finite_differences():
+    # reference: the closed form of an ambient polynomial on every node, which
+    # replaces centred differences of the Hessian off the grid
     grid = standard_grid(2, 8)
     rng = np.random.default_rng(31)
-    f = field_from_coefficients(grid, rng.standard_normal(grid.coefficient_count))
-    t = third_derivatives(f)
-
-    # interior nodes only; compare against centered differences of the
-    # Hessian component functions over the (theta, phi) chart
-    mask = (grid.theta > 0.4) & (grid.theta < np.pi - 0.4)
-    idx = np.flatnonzero(mask)[::17]
-    theta, phi = grid.theta[idx], grid.phi[idx]
-    h = 1e-5
-
-    def hess_at(th, ph):
-        dirs = np.column_stack(
-            [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]
-        )
-        return directional_state(f, dirs).hessian_frame
-
-    d1_fd = (hess_at(theta + h, phi) - hess_at(theta - h, phi)) / (2 * h)
-    d2_fd = (hess_at(theta, phi + h) - hess_at(theta, phi - h)) / (
-        2 * h * np.sin(theta)[:, None, None]
-    )
-
-    _, hess = tangential_derivatives(f)
-    hess = hess[idx]
-    cot = (np.cos(theta) / np.sin(theta))[:, None, None]
+    poly = _AmbientPolynomial(rng, 8, Rotation.random(rng=rng).as_matrix())
+    value, _, _, expect = _frame_derivatives(poly, grid)
+    t = third_derivatives(field_from_values(grid, value))
     scale = np.max(np.abs(t))
-
-    np.testing.assert_allclose(t[idx, 0], d1_fd, atol=1e-5 * scale)
-    # undo the connection correction to recover the raw frame derivative
-    corr = np.empty_like(hess)
-    corr[:, 0, 0] = -2 * cot[:, 0, 0] * hess[:, 0, 1]
-    corr[:, 0, 1] = cot[:, 0, 0] * (hess[:, 0, 0] - hess[:, 1, 1])
-    corr[:, 1, 0] = corr[:, 0, 1]
-    corr[:, 1, 1] = 2 * cot[:, 0, 0] * hess[:, 0, 1]
-    np.testing.assert_allclose(t[idx, 1] - corr, d2_fd, atol=1e-5 * scale)
+    np.testing.assert_allclose(t, expect, atol=1e-5 * scale)
 
 
 def test_third_derivative_vanishes_for_linear_field():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
-from curvflow.body import SupportFunction, curvature
+from curvflow.body import curvature, support_from_values
 from curvflow.flow import run_flow, sphere_lifetime
-from curvflow.shapes import make_ellipsoid, make_perturbed_sphere, make_sphere
+from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.spectral import (
     field_from_values,
-    random_rotation,
-    rotate_field,
     standard_grid,
     tangential_derivatives,
 )
@@ -174,11 +173,16 @@ def test_gradient_terms_match_spectral_mean_curvature_route():
 
 
 def test_gradient_terms_rotation_invariant_integrals():
+    # s = 1 + eps P(u) and its rotation 1 + eps P(Q u), with P a degree-4
+    # polynomial, so both are exact on the degree-32 nodes
+    def support(x):
+        x, y, z = x.T
+        return 1.0 + 0.05 * (x * z + 1.5 * x * y * z + 0.05 * (35 * z**4 - 30 * z**2 + 3))
+
     grid = standard_grid(2, 32)
-    body = make_perturbed_sphere(grid, 1.0, [(2, 1, 0.05), (3, -2, 0.03), (4, 0, 0.02)])
-    rotated = SupportFunction(
-        grid, rotate_field(body.field, random_rotation(np.random.default_rng(7), 3))
-    )
+    rot = Rotation.random(rng=np.random.default_rng(7)).as_matrix()
+    body = support_from_values(grid, support(grid.nodes))
+    rotated = support_from_values(grid, support(grid.nodes @ rot.T))
     for a, b in zip(_gradient_terms(body), _gradient_terms(rotated)):
         ia = float(np.sum(grid.weights * a))
         ib = float(np.sum(grid.weights * b))
