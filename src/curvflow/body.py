@@ -92,6 +92,8 @@ class SupportFunction:
 
 
 def support_from_values(grid: SphereGrid, values: np.ndarray) -> SupportFunction:
+    if not np.all(np.isfinite(values)):
+        raise ValueError("support function is non-finite on some node")
     return SupportFunction(grid, SpectralField(grid, analyze(grid, values)))
 
 

@@ -533,6 +533,8 @@ def cmd_verify(args) -> int:
 
     if args.scope == "speeds":
         try:
+            if args.dimension < 2:
+                raise ValueError("verify speeds needs --dimension 2 or more (two principal curvatures)")
             speed = parse_speed(args.speed, args.dimension)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ __all__ = [
 
 def default_cone_threshold(dimension: int) -> float:
     """Default pinching-cone threshold; curves are unconstrained."""
+    if dimension < 1:
+        raise ValueError(f"dimension must be at least 1, got {dimension}")
     if dimension == 1:
         return np.inf
     return 0.9 / (dimension * (dimension - 1))
@@ -158,6 +160,8 @@ _HARMONIC_TERM = re.compile(
 )
 
 
+# huge numbers overflow while the body is built; the final check rejects them
+@np.errstate(over="ignore", invalid="ignore")
 def parse_shape(text: str, grid: SphereGrid) -> SupportFunction:
     """Build a body from a shape description.
 

@@ -15,10 +15,15 @@ Key concepts
   two band-limited fields - spherical polynomials up to degree ``2L`` - are
   integrated exactly.  On the circle the analogue is a ``2L + 2``-point
   trapezoid rule, exact for trigonometric degree ``2L + 1``.
+- Transforms are separable (Schaeffer 2013, arXiv:1202.6522): synthesis sums
+  colatitude factors over ``l`` on each ring of equispaced longitudes, then
+  makes one real inverse FFT along the rings (the circle is one ring);
+  projection is the reverse.  Longitude derivatives multiply the ring
+  spectra by ``(i m)**b``.
 - Tangential derivatives are assembled in the orthonormal frame
-  ``(e_theta, e_phi)`` from analytic derivatives of the basis functions;
-  second and third colatitude derivatives come from the associated Legendre
-  ODE rather than finite differences.
+  ``(e_theta, e_phi)`` from angle partials of the field; second and third
+  colatitude derivatives of the Legendre factors come from the associated
+  Legendre ODE rather than finite differences.
 - Fields are evaluated only at the quadrature nodes.  The frame degenerates
   at the poles, which the Gauss-Legendre rings never touch.
 """
@@ -60,11 +65,13 @@ def coefficient_count(dimension: int, degree: int) -> int:
 
 
 class SphereGrid:
-    """Quadrature grid plus cached basis operators for one (dimension, degree).
+    """Quadrature grid plus cached transform tables for one (dimension, degree).
 
-    ``partial_matrix`` is the one store of basis matrices on the nodes, keyed
-    by (band, d_theta, d_phi): synthesis uses the grid's own degree and
-    ``TruncatedEvaluator`` a lower one.  The matrices live as long as the grid.
+    The grid keeps one transform record per band, for as long as it lives:
+    synthesis uses the grid's own degree and ``TruncatedEvaluator`` a lower
+    one.  On the sphere a band-S record holds the normalized colatitude factors
+    and their first three colatitude derivatives on each ring, 4 (L+1) (S+1)^2
+    numbers; on the circle only O(S) multipliers.
 
     Attributes
     ----------
@@ -81,6 +88,9 @@ class SphereGrid:
     weights : ndarray, shape (M,)
         Quadrature weights summing to the sphere area; exact for spherical
         polynomials up to the design degree 2L.
+    ring_size : int
+        Equispaced nodes per longitude ring (the whole circle for n=1), 2L + 2;
+        nodes are stored ring by ring.
     """
 
     def __init__(self, dimension: int, degree: int):
@@ -90,19 +100,17 @@ class SphereGrid:
             raise ValueError("degree must be >= 1")
         self.dimension = dimension
         self.degree = degree
-        self.design_degree = 2 * degree
+        self.ring_size = n_phi = 2 * degree + 2
 
         if dimension == 1:
-            m = 2 * degree + 2
-            self.theta = 2.0 * np.pi * np.arange(m) / m
+            self.theta = 2.0 * np.pi * np.arange(n_phi) / n_phi
             self.phi = None
             self.nodes = np.column_stack([np.cos(self.theta), np.sin(self.theta)])
-            self.weights = np.full(m, 2.0 * np.pi / m)
+            self.weights = np.full(n_phi, 2.0 * np.pi / n_phi)
         else:
             x, w = roots_legendre(degree + 1)
             theta_rings = np.arccos(x[::-1])  # ascending colatitude
             w_rings = w[::-1]
-            n_phi = 2 * degree + 2
             phi_ring = 2.0 * np.pi * np.arange(n_phi) / n_phi
             theta = np.repeat(theta_rings, n_phi)
             phi = np.tile(phi_ring, degree + 1)
@@ -119,19 +127,12 @@ class SphereGrid:
             arr.flags.writeable = False
         if self.phi is not None:
             self.phi.flags.writeable = False
-        self._partials: dict[tuple[int, int, int], np.ndarray] = {}
+        self._bands: dict[int, _Band] = {}
 
-    # -- basis operator matrices -------------------------------------------
-
-    def partial_matrix(self, d_theta: int, d_phi: int = 0, degree: int | None = None) -> np.ndarray:
-        """(M, K) matrix mapping band-``degree`` coefficients (by default the
-        grid's degree) to the partial derivative d^a/dtheta^a d^b/dphi^b of
-        the synthesized field at the grid nodes."""
-        band = self.degree if degree is None else degree
-        key = (band, d_theta, d_phi)
-        if key not in self._partials:
-            self._partials[key] = _partial_matrix(self, band, d_theta, d_phi)
-        return self._partials[key]
+    def _band(self, band: int) -> _Band:
+        if band not in self._bands:
+            self._bands[band] = _build_band(self, band)
+        return self._bands[band]
 
     def frames(self) -> np.ndarray:
         """Orthonormal tangent frame at each node, shape (M, n, n+1)."""
@@ -149,9 +150,7 @@ class SphereGrid:
         This is the finest scale a degree-L field resolves and feeds the
         parabolic time-step heuristic.
         """
-        if self.dimension == 1:
-            return float(self.theta[1] - self.theta[0])
-        rings = np.unique(np.round(self.theta, 14))
+        rings = self.theta if self.dimension == 1 else self.theta[:: self.ring_size]
         return float(np.min(np.diff(rings)))
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -160,7 +159,7 @@ class SphereGrid:
 
 @lru_cache(maxsize=32)
 def standard_grid(dimension: int, degree: int) -> SphereGrid:
-    """Shared grid instances so basis operators are built once per (n, L, band)."""
+    """Shared grid instances so transform tables are built once per (n, L, band)."""
     return SphereGrid(dimension, degree)
 
 
@@ -170,18 +169,13 @@ class SpectralField:
 
     grid: SphereGrid
     coefficients: np.ndarray
-    values: np.ndarray = field(default=None)  # type: ignore[assignment]
+    values: np.ndarray = field(init=False)
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=float)
-        if coeffs.shape != (self.grid.coefficient_count,):
-            raise ValueError(
-                f"coefficient vector has shape {coeffs.shape}, expected "
-                f"({self.grid.coefficient_count},)"
-            )
         object.__setattr__(self, "coefficients", coeffs)
-        if self.values is None:
-            object.__setattr__(self, "values", synthesize(self.grid, coeffs))
+        # synthesis rejects a coefficient vector of the wrong shape
+        object.__setattr__(self, "values", synthesize(self.grid, coeffs))
         for arr in (self.coefficients, self.values):
             arr.flags.writeable = False
 
@@ -192,23 +186,16 @@ def analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     Exact (up to rounding) whenever the sampled function is band-limited to
     the grid's design margin, by quadrature exactness.
     """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.node_count,):
-        raise ValueError(
-            f"value vector has shape {values.shape}, expected ({grid.node_count},)"
-        )
-    return grid.partial_matrix(0, 0).T @ (grid.weights * values)
+    return _project(grid, grid.degree, values)
 
 
 def synthesize(grid: SphereGrid, coefficients: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector at the grid nodes."""
-    coefficients = np.asarray(coefficients, dtype=float)
-    return grid.partial_matrix(0, 0) @ coefficients
+    return _synthesize(grid, grid.degree, coefficients, ((0, 0),))[0]
 
 
 def field_from_values(grid: SphereGrid, values: np.ndarray) -> SpectralField:
-    coeffs = analyze(grid, values)
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, analyze(grid, values))
 
 
 def field_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> SpectralField:
@@ -216,89 +203,105 @@ def field_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> Spect
 
 
 # ---------------------------------------------------------------------------
-# basis construction
+# the separable transform
 # ---------------------------------------------------------------------------
 
 
-def _partial_matrix(grid: SphereGrid, degree: int, d_theta: int, d_phi: int) -> np.ndarray:
-    """(M, K) matrix of band-``degree`` basis partials d^a/dtheta^a d^b/dphi^b
-    at the grid nodes."""
+@dataclass(frozen=True, eq=False)
+class _Band:
+    """Transform record of one band S on one grid.
+
+    ``cos_index``/``sin_index`` give the coefficient slot of the cosine and
+    sine part of each (m, l) on the sphere, or of each k on the circle, with
+    ``count`` (one past the end) where there is none.  ``table[a, m, ring, l]``
+    is the a-th colatitude derivative of the normalized colatitude factor of
+    Y_lm; on the circle ``table[k]`` is the basis normalization.  ``synth[b]``
+    maps a ring spectrum to the ``irfft`` input of its b-th (circle: a-th) derivative.
+    """
+
+    count: int
+    cos_index: np.ndarray
+    sin_index: np.ndarray
+    table: np.ndarray
+    synth: np.ndarray
+
+
+def _build_band(grid: SphereGrid, band: int) -> _Band:
+    count = coefficient_count(grid.dimension, band)
+    m = np.arange(band + 1)
+    # unscaled irfft(X)[k] = X_0 + 2 Re sum_m X_m exp(i m phi_k) for 0 < m < N/2
+    weight = np.where(m == 0, 1.0, 0.5)
     if grid.dimension == 1:
-        return _circle_partial(degree, grid.theta, d_theta, d_phi)
-    return _sphere_partial(degree, grid.theta, grid.phi, d_theta, d_phi)
+        table = np.where(m == 0, 1.0 / np.sqrt(2.0 * np.pi), 1.0 / np.sqrt(np.pi))
+        weight = weight * table
+        cos_index = np.maximum(2 * m - 1, 0)
+        sin_index = np.where(m == 0, count, 2 * m)
+    else:
+        mm, l = np.meshgrid(m, m, indexing="ij")
+        cos_index = np.where(l >= mm, l * l + l + mm, count)
+        sin_index = np.where((l >= mm) & (mm > 0), l * l + l - mm, count)
+        table = _colatitude_table(grid.theta[:: grid.ring_size], band)
+    synth = np.stack([weight * 1j**b * m**b for b in range(4)])
+    return _Band(count, cos_index, sin_index, table, synth)
 
 
-def _trig_derivative(k, angle, order):
-    """k**order and (dc, ds): d^order/dt^order (cos kt, sin kt) / k**order."""
-    c, s = np.cos(k * angle), np.sin(k * angle)
-    # derivative cycle: cos -> -sin -> -cos -> sin -> cos
-    cycle = ((c, s), (-s, c), (-c, -s), (s, -c))
-    return float(k) ** order, cycle[order % 4]
-
-
-def _circle_partial(degree, theta, d_t, d_p):
-    if d_p:
-        raise ValueError("circle fields have no longitude derivative")
-    inv_sqrt_pi = 1.0 / np.sqrt(np.pi)
-    mat = np.zeros((theta.shape[0], 2 * degree + 1))
-    if d_t == 0:
-        mat[:, 0] = 1.0 / np.sqrt(2.0 * np.pi)
-    for k in range(1, degree + 1):
-        factor, (dc, ds) = _trig_derivative(k, theta, d_t)
-        mat[:, 2 * k - 1] = factor * dc * inv_sqrt_pi
-        mat[:, 2 * k] = factor * ds * inv_sqrt_pi
-    return mat
-
-
-def _sphere_partial(degree, theta, phi, d_t, d_p):
-    theta_u, inv = np.unique(theta, return_inverse=True)
-    st_u, ct_u = np.sin(theta_u), np.cos(theta_u)
+def _colatitude_table(theta, degree):
+    """(4, m, ring, l) colatitude derivatives 0..3 of the normalized factor
+    sqrt(2 - [m = 0]) * Pbar_lm(cos theta) / sqrt(2 pi) at ring colatitudes."""
+    st, ct = np.sin(theta), np.cos(theta)
     # Normalized associated Legendre values and z-derivative; theta derivatives
     # beyond the first follow from the Legendre ODE, which is better
     # conditioned than repeated d/dz near the ends of the interval.
-    if d_t == 0:
-        p_all = assoc_legendre_p_all(degree, degree, ct_u, norm=True)[0]
-    else:
-        p_all, dp_all = assoc_legendre_p_all(degree, degree, ct_u, norm=True, diff_n=1)
-    # reindex to [l, m, point] with m >= 0 and fold in the 1/sqrt(2*pi)
-    # longitude normalization so columns are orthonormal on the sphere
-    d_theta = [p_all[:, : degree + 1, :] / np.sqrt(2.0 * np.pi)]
-    if d_t >= 1:
-        dp = dp_all[:, : degree + 1, :] / np.sqrt(2.0 * np.pi)
-        d_theta.append(-st_u[None, None, :] * dp)
-    if d_t >= 2:
-        ls = np.arange(degree + 1)[:, None, None].astype(float)
-        ms = np.arange(degree + 1)[None, :, None].astype(float)
-        lam = ls * (ls + 1.0)
-        inv_s2 = 1.0 / st_u**2
-        cot = ct_u / st_u
-        d_theta.append(
-            -cot[None, None, :] * d_theta[1]
-            + (ms**2 * inv_s2[None, None, :] - lam) * d_theta[0]
-        )
-        if d_t >= 3:
-            d_theta.append(
-                inv_s2[None, None, :] * d_theta[1]
-                - cot[None, None, :] * d_theta[2]
-                - 2.0 * ms**2 * (ct_u / st_u**3)[None, None, :] * d_theta[0]
-                + (ms**2 * inv_s2[None, None, :] - lam) * d_theta[1]
-            )
+    p_all, dp_all = assoc_legendre_p_all(degree, degree, ct, norm=True, diff_n=1)
+    ms = np.arange(degree + 1)
+    scale = (np.where(ms == 0, 1.0, np.sqrt(2.0)) / np.sqrt(2.0 * np.pi))[:, None, None]
+    d0 = p_all[:, : degree + 1].transpose(1, 2, 0) * scale
+    s = st[:, None]
+    d1 = -s * dp_all[:, : degree + 1].transpose(1, 2, 0) * scale
+    cot = (ct / st)[:, None]
+    m2_s2 = (ms**2)[:, None, None] / s**2
+    lam = ms * (ms + 1.0)
+    d2 = -cot * d1 + (m2_s2 - lam) * d0
+    d3 = d1 / s**2 - cot * d2 - 2.0 * m2_s2 * cot * d0 + (m2_s2 - lam) * d1
+    return np.stack([d0, d1, d2, d3])
 
-    mat = np.zeros((theta.shape[0], (degree + 1) ** 2))
-    theta_part = d_theta[d_t]
-    for order in range(degree + 1):
-        if order == 0:
-            cols = np.array([l * l + l for l in range(degree + 1)])
-            if d_p == 0:
-                mat[:, cols] = theta_part[:, 0, :][:, inv].T
-            continue
-        factor, (trig_c, trig_s) = _trig_derivative(order, phi, d_p)
-        block = theta_part[order:, order, :][:, inv] * np.sqrt(2.0)
-        cols_c = np.array([l * l + l + order for l in range(order, degree + 1)])
-        cols_s = np.array([l * l + l - order for l in range(order, degree + 1)])
-        mat[:, cols_c] = (factor * block * trig_c[None, :]).T
-        mat[:, cols_s] = (factor * block * trig_s[None, :]).T
-    return mat
+
+def _synthesize(grid, band, coefficients, orders):
+    """Rows of node values of the partials d^a/dtheta^a d^b/dphi^b, one per
+    (a, b) in ``orders``, of band-``band`` coefficients (circle: b = 0)."""
+    t = grid._band(band)
+    c = np.asarray(coefficients, dtype=float)
+    if c.shape != (t.count,):
+        raise ValueError(f"coefficient vector has shape {c.shape}, expected ({t.count},)")
+    padded = np.append(c, 0.0)
+    spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
+    a, b = (list(x) for x in zip(*orders))
+    if grid.dimension == 1:
+        spectra = spectrum * t.synth[a]
+    else:
+        # the l-sums as real matmuls batched over m: far faster than einsum
+        ring = t.table[: max(a) + 1] @ np.stack([spectrum.real, spectrum.imag], axis=-1)
+        ring = ring[..., 0] + 1j * ring[..., 1]
+        spectra = ring[a].swapaxes(1, 2) * t.synth[b, None]
+    return np.fft.irfft(spectra, n=grid.ring_size, norm="forward").reshape(len(orders), -1)
+
+
+def _project(grid, band, values):
+    """Band-``band`` coefficients of node ``values`` by quadrature."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.node_count,):
+        raise ValueError(f"value vector has shape {values.shape}, expected ({grid.node_count},)")
+    t = grid._band(band)
+    rings = np.fft.rfft((grid.weights * values).reshape(-1, grid.ring_size))[:, : band + 1]
+    if grid.dimension == 1:
+        h = rings[0] * t.table
+    else:
+        h = t.table[0].swapaxes(1, 2) @ np.stack([rings.real.T, rings.imag.T], axis=-1)
+        h = h[..., 0] + 1j * h[..., 1]
+    c = np.empty(t.count + 1)
+    c[t.cos_index] = h.real
+    c[t.sin_index] = -h.imag
+    return c[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +319,8 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
     hessian : ndarray, shape (M, n, n)
         Covariant Hessian with respect to the round metric, same frame.
     """
-    grid = field.grid
-    return _derivatives(grid.dimension, grid.theta, grid.partial_matrix, field.coefficients)
+    grid, orders = field.grid, _STATE_ORDERS[field.grid.dimension]
+    return _derivatives(grid, _synthesize(grid, grid.degree, field.coefficients, orders))
 
 
 # angle partials (d_theta, d_phi) that _derivatives reads, per dimension; for
@@ -325,13 +328,12 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
 _STATE_ORDERS = {1: ((1, 0), (2, 0)), 2: ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
 
 
-def _derivatives(dimension, theta, partial, c):
-    """Frame gradient and covariant Hessian of coefficients ``c`` at angles
-    ``theta``; ``partial(d_theta, d_phi)`` returns the basis-partial matrix."""
-    p = [partial(*order) @ c for order in _STATE_ORDERS[dimension]]
-    if dimension == 1:
+def _derivatives(grid, p):
+    """Frame gradient and covariant Hessian at the grid nodes from the angle
+    partials ``p``, in the order of ``_STATE_ORDERS``."""
+    if grid.dimension == 1:
         return p[0][:, None], p[1][:, None, None]
-    return _assemble_surface_state(theta, *p)
+    return _assemble_surface_state(grid.theta, *p)
 
 
 def _assemble_surface_state(theta, p10, p01, p20, p11, p02):
@@ -352,37 +354,26 @@ class TruncatedEvaluator:
 
     Evolving degree-S coefficients while sampling the (nonlinear) speed on a
     grid of roughly twice the band limit keeps the projected right-hand side
-    alias-free.  Only the leading K(S) basis columns are built on the fine
-    nodes, which is what makes production band limits affordable: the full
-    fine-grid operator cache would be an order of magnitude larger.
+    alias-free.
 
-    It holds no matrices: it reads band S from the fine grid's
-    ``partial_matrix`` cache, so evaluators sharing a grid build them once.
+    It holds no tables: it reads band S from the fine grid's transform
+    cache, so evaluators sharing a grid build them once.
     """
 
     def __init__(self, grid: SphereGrid, source_degree: int):
         if source_degree > grid.degree:
-            raise ValueError(
-                f"source degree {source_degree} exceeds grid degree {grid.degree}"
-            )
+            raise ValueError(f"source degree {source_degree} exceeds grid degree {grid.degree}")
         self.grid = grid
         self.source_degree = source_degree
         self.source_count = coefficient_count(grid.dimension, source_degree)
-        for order in ((0, 0), *_STATE_ORDERS[grid.dimension]):
-            self._partial(*order)
-
-    def _partial(self, d_theta: int, d_phi: int = 0) -> np.ndarray:
-        return self.grid.partial_matrix(d_theta, d_phi, self.source_degree)
+        grid._band(source_degree)
 
     def state(self, coefficients: np.ndarray):
         """Values, frame gradient, and covariant Hessian at the fine nodes."""
-        c = np.asarray(coefficients, dtype=float)
-        if c.shape != (self.source_count,):
-            raise ValueError(
-                f"coefficient vector has shape {c.shape}, expected ({self.source_count},)"
-            )
-        grad, hess = _derivatives(self.grid.dimension, self.grid.theta, self._partial, c)
-        return self._partial(0) @ c, grad, hess
+        orders = ((0, 0), *_STATE_ORDERS[self.grid.dimension])
+        p = _synthesize(self.grid, self.source_degree, coefficients, orders)
+        grad, hess = _derivatives(self.grid, p[1:])
+        return p[0], grad, hess
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Leading source-degree coefficients of a fine-grid node vector.
@@ -391,8 +382,7 @@ class TruncatedEvaluator:
         grid's design margin; the quadratic curvature nonlinearity stays
         inside that budget when the fine degree is twice the source degree.
         """
-        values = np.asarray(values, dtype=float)
-        return self._partial(0).T @ (self.grid.weights * values)
+        return _project(self.grid, self.source_degree, values)
 
 
 def third_derivatives(field: SpectralField) -> np.ndarray:
@@ -404,14 +394,12 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
     grid = field.grid
     c = field.coefficients
     if grid.dimension == 1:
-        return (grid.partial_matrix(3) @ c)[:, None, None, None]
+        return _synthesize(grid, grid.degree, c, ((3, 0),))[0][:, None, None, None]
 
     st, ct = np.sin(grid.theta), np.cos(grid.theta)
     cot = ct / st
-    p = {
-        order: grid.partial_matrix(*order) @ c
-        for order in _STATE_ORDERS[2] + ((3, 0), (2, 1), (1, 2), (0, 3))
-    }
+    orders = _STATE_ORDERS[2] + ((3, 0), (2, 1), (1, 2), (0, 3))
+    p = dict(zip(orders, _synthesize(grid, grid.degree, c, orders)))
     _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _STATE_ORDERS[2]))
     h_tt, h_tp, h_pp = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
 

@@ -74,6 +74,8 @@ class Speed:
     k: int | None = None
 
     def __post_init__(self):
+        if self.dimension < 1:
+            raise ValueError(f"speed dimension must be at least 1, got {self.dimension}")
         if not 1.0 < self.alpha < np.inf:
             raise ValueError("speed exponent alpha must be a finite number above 1")
         with np.errstate(over="ignore"):

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,12 @@ def test_shape_bad_spec_is_a_precondition_failure(capsys):
     assert "non-finite" in capsys.readouterr().err
     assert main(["shape", "sphere 1", "--speed", "pow_mean,alpha=inf"]) == EXIT_PRECONDITION
     assert "alpha" in capsys.readouterr().err
+    for spec in ("ellipsoid 1 1 inf", "sphere 1e308"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would reach stderr
+            assert main(["shape", spec, "--dimension", "2"]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +360,12 @@ def test_verify_speeds_passes(capsys):
 def test_verify_speeds_bad_grammar(capsys):
     assert main(["verify", "speeds", "pow_bogus,alpha=2"]) == EXIT_PRECONDITION
     capsys.readouterr()
+    for dimension in ("0", "1", "-1"):
+        argv = ["verify", "speeds", "pow_mean", "--dimension", dimension, "--samples", "8"]
+        assert main(argv) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 def test_verify_flow_clean_run(ellipsoid_dir, capsys):

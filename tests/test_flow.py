@@ -167,18 +167,18 @@ def test_fine_grid_operators_built_once_across_runs(monkeypatch):
     body = make_ellipsoid(grid, (1.0, 1.0, 1.1))
     speed = make_speed("mean", 2)
     built = []
-    original = spectral._partial_matrix
+    original = spectral._build_band
 
-    def counting(grid, degree, d_theta, d_phi):
+    def counting(grid, band):
         if grid is fine:
-            built.append((d_theta, d_phi))
-        return original(grid, degree, d_theta, d_phi)
+            built.append(band)
+        return original(grid, band)
 
-    monkeypatch.setattr(spectral, "_partial_matrix", counting)
+    monkeypatch.setattr(spectral, "_build_band", counting)
     first = run_flow(body, speed, max_steps=3)
     first_builds = len(built)
     second = run_flow(body, speed, max_steps=3)
-    assert first_builds <= 6  # none if another run already used this grid
+    assert first_builds <= 1  # none if another run already used this grid
     assert len(built) == first_builds
     np.testing.assert_array_equal(second.final.body.coefficients, first.final.body.coefficients)
 

@@ -1,5 +1,6 @@
 """Checks for the spectral basis, quadrature, and tangential derivatives."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -275,6 +276,19 @@ def test_truncated_project_recovers_leading_coefficients(dimension):
     np.testing.assert_allclose(
         projected, fine_coeffs[: coarse.coefficient_count], rtol=0, atol=1e-12
     )
+
+
+def test_truncated_evaluator_memory_stays_small():
+    # dense basis matrices of band 24 on the degree-48 grid needed 144 MB
+    tracemalloc.start()
+    try:
+        ev = TruncatedEvaluator(SphereGrid(2, 48), 24)
+        values, _, _ = ev.state(np.ones(ev.source_count))
+        ev.project(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_truncated_rejects_bad_shapes():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvflow.speeds import (
     check_conditions,
@@ -59,26 +61,32 @@ def test_gauss_is_top_degree_ek():
     np.testing.assert_allclose(gauss.gradient(kappa), ek.gradient(kappa), rtol=1e-13)
 
 
-def test_homogeneity():
-    rng = np.random.default_rng(1)
-    for n in (2, 3):
-        kappa = in_cone_samples(rng, n, 40)
-        for alpha in (1.5, 2.0, 3.0):
-            for speed in all_speeds(n, alpha):
-                np.testing.assert_allclose(
-                    speed.value(1.7 * kappa), 1.7**alpha * speed.value(kappa), rtol=1e-12
-                )
+@st.composite
+def _speed_and_curvatures(draw):
+    n = draw(st.integers(1, 4), label="dimension")
+    kind = draw(st.sampled_from(["mean", "norm", "ek"]), label="kind")
+    k = draw(st.integers(1, n), label="k") if kind == "ek" else None
+    alpha = draw(st.floats(1.0, 6.0, exclude_min=True), label="alpha")
+    kappa = draw(st.lists(st.floats(1e-2, 1e2), min_size=n, max_size=n), label="kappa")
+    return make_speed(kind, n, alpha=alpha, k=k), np.array(kappa)
 
 
-def test_euler_identity():
+@settings(deadline=None)
+@given(case=_speed_and_curvatures(), scale=st.floats(0.1, 10.0))
+def test_homogeneity(case, scale):
+    speed, kappa = case
+    np.testing.assert_allclose(
+        speed.value(scale * kappa), scale**speed.alpha * speed.value(kappa), rtol=1e-12
+    )
+
+
+@settings(deadline=None)
+@given(case=_speed_and_curvatures())
+def test_euler_identity(case):
     # degree-alpha homogeneity: sum kappa_i df/dkappa_i = alpha f
-    rng = np.random.default_rng(2)
-    for n in (2, 3):
-        kappa = in_cone_samples(rng, n, 40)
-        for alpha in (1.5, 2.0, 3.0):
-            for speed in all_speeds(n, alpha):
-                lhs = np.sum(kappa * speed.gradient(kappa), axis=-1)
-                np.testing.assert_allclose(lhs, alpha * speed.value(kappa), rtol=1e-12)
+    speed, kappa = case
+    lhs = np.sum(kappa * speed.gradient(kappa), axis=-1)
+    np.testing.assert_allclose(lhs, speed.alpha * speed.value(kappa), rtol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
@@ -136,6 +144,11 @@ def test_parse_speed_errors():
     ):
         with pytest.raises(ValueError):
             parse_speed(bad, 2)
+    for dimension in (0, -1):
+        with pytest.raises(ValueError, match="dimension"):
+            parse_speed("pow_mean", dimension)
+        with pytest.raises(ValueError, match="dimension"):
+            make_speed("mean", dimension, delta0=0.5)
 
 
 def test_estimate_mu_quadratic_speeds():
