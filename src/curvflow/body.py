@@ -145,23 +145,28 @@ def _curvature_from_radii_data(dimension, s, hess, convexity_tol):
             traceless_norm2=np.zeros(m),
         )
 
-    r00 = hess[:, 0, 0] + s
-    r01 = hess[:, 0, 1]
-    r11 = hess[:, 1, 1] + s
+    # the radii matrix in units of a power of two at the body's scale, so that
+    # its squares cannot overflow; scaling by a power of two is exact, so every
+    # result below equals the unscaled formula's bit for bit
+    unit = np.ldexp(1.0, np.frexp(scale)[1])
+    inv = 1.0 / unit
+    r00 = (hess[:, 0, 0] + s) * inv
+    r01 = hess[:, 0, 1] * inv
+    r11 = (hess[:, 1, 1] + s) * inv
     half_tr = 0.5 * (r00 + r11)
     det = r00 * r11 - r01 * r01
     disc = np.sqrt(np.maximum((0.5 * (r00 - r11)) ** 2 + r01 * r01, 0.0))
     r_small = half_tr - disc
-    bad = ~(r_small > convexity_tol * scale)
+    bad = ~(r_small > convexity_tol * scale * inv)
     if np.any(bad):
         i = int(np.argmin(r_small))
-        raise ConvexityLostError(i, float(r_small[i]), scale)
+        raise ConvexityLostError(i, float(r_small[i] * unit), scale)
     r_large = half_tr + disc
 
-    kappa = np.column_stack([1.0 / r_large, 1.0 / r_small])  # ascending
-    sigma = np.column_stack([np.ones(m), 2.0 * half_tr, det])
-    mean = 2.0 * half_tr / det  # sum of curvatures
-    gauss = 1.0 / det
+    kappa = np.column_stack([inv / r_large, inv / r_small])  # ascending
+    sigma = np.column_stack([np.ones(m), half_tr * (2.0 * unit), det * (unit * unit)])
+    mean = half_tr / det * (2.0 * inv)  # sum of curvatures
+    gauss = (inv * inv) / det
     norm2 = mean * mean - 2.0 * gauss
     traceless = norm2 - 0.5 * mean * mean
     elementary = np.column_stack([np.ones(m), 0.5 * mean, gauss])

@@ -46,7 +46,7 @@ from .body import (
     save_snapshot,
 )
 from .flow import FlowSnapshot, Trajectory, estimate_collapse, run_flow
-from .geometry import diskant_bounds, geombound_check
+from .geometry import RadiiSolver, diskant_bounds, geombound_check
 from .shapes import default_cone_threshold, parse_shape
 from .spectral import standard_grid
 from .speeds import (
@@ -109,12 +109,38 @@ _CONFIG_DEFAULTS = {
 def _positive_numbers(items, kind, name: str) -> tuple:
     """A config list or a split command-line list as a tuple of positive ``kind``s."""
     try:
+        if isinstance(items, (str, dict)) or any(isinstance(x, bool) for x in items):
+            raise TypeError
         numbers = tuple(kind(x) for x in items)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValueError(f"{name} must be a list of numbers, got {items!r}") from None
     if not all(x > 0 for x in numbers):
         raise ValueError(f"{name} entries must be positive, got {numbers}")
     return numbers
+
+
+def _config_integer(value, name: str) -> int:
+    """An integer config value; an integral float counts, a bool does not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _config_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of range, got {value!r}") from None
+
+
+def _config_string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -144,26 +170,33 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """Validate a parsed JSON config; any bad value raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {data!r}")
         unknown = set(data) - set(_CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         merged = {**_CONFIG_DEFAULTS, **data}
+
+        def optional(name, parse):
+            return None if merged[name] is None else parse(merged[name], name)
+
         config = cls(
-            dimension=int(merged["dimension"]),
-            shape=str(merged["shape"]),
-            speed=str(merged["speed"]),
-            degree=int(merged["degree"]),
-            c_safe=float(merged["c_safe"]),
-            stop_fraction=float(merged["stop_fraction"]),
-            snapshot_every=int(merged["snapshot_every"]),
-            max_steps=int(merged["max_steps"]),
-            sigma=None if merged["sigma"] is None else float(merged["sigma"]),
-            sigma0=None if merged["sigma0"] is None else float(merged["sigma0"]),
-            t0_anchor=float(merged["t0_anchor"]),
+            dimension=_config_integer(merged["dimension"], "dimension"),
+            shape=_config_string(merged["shape"], "shape"),
+            speed=_config_string(merged["speed"], "speed"),
+            degree=_config_integer(merged["degree"], "degree"),
+            c_safe=_config_number(merged["c_safe"], "c_safe"),
+            stop_fraction=_config_number(merged["stop_fraction"], "stop_fraction"),
+            snapshot_every=_config_integer(merged["snapshot_every"], "snapshot_every"),
+            max_steps=_config_integer(merged["max_steps"], "max_steps"),
+            sigma=optional("sigma", _config_number),
+            sigma0=optional("sigma0", _config_number),
+            t0_anchor=_config_number(merged["t0_anchor"], "t0_anchor"),
             eps_grid=_positive_numbers(merged["eps_grid"], float, "eps_grid"),
             rho_grid=_positive_numbers(merged["rho_grid"], float, "rho_grid"),
-            seed=int(merged["seed"]),
-            output=None if merged["output"] is None else str(merged["output"]),
+            seed=_config_integer(merged["seed"], "seed"),
+            output=optional("output", _config_string),
         )
         if config.dimension not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
@@ -313,8 +346,10 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     """Rebuild a trajectory from a simulation output directory.
 
     A snapshot solves its radii linear programs only when its radii are
-    first read (the programs are deterministic); the speed and stop
-    metadata come from the stored config and summary.
+    first read, warm-started by the one solver that the loaded snapshots
+    share; the radii are the programs' optimal values and the centres
+    canonical, so they do not depend on the order of reads beyond rounding.
+    The speed and stop metadata come from the stored config and summary.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -327,10 +362,13 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
         json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.is_file() else {}
     )
     speed = parse_speed(config.speed, config.dimension)
+    solver = RadiiSolver()
     snapshots = []
     for i, file in enumerate(files):
         body, time = load_snapshot(file)
-        snapshots.append(FlowSnapshot(step=i, time=time, body=body, speed=speed))
+        snapshots.append(
+            FlowSnapshot(step=i, time=time, body=body, speed=speed, radii_solver=solver)
+        )
     trajectory = Trajectory(
         speed=speed,
         snapshots=tuple(snapshots),
@@ -411,29 +449,29 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
     try:
         config = ExperimentConfig.load(config_path)
     except OSError as exc:
-        return EXIT_IO, f"{config_path}: {exc}"
+        return EXIT_IO, f"error: {config_path}: {exc}"
     except ValueError as exc:
-        return EXIT_PRECONDITION, f"{config_path}: bad config: {exc}"
+        return EXIT_PRECONDITION, f"error: {config_path}: bad config: {exc}"
     if config.output is None:
-        return EXIT_PRECONDITION, f"{config_path}: config needs an 'output' directory"
+        return EXIT_PRECONDITION, f"error: {config_path}: config needs an 'output' directory"
 
     try:
         grid = standard_grid(config.dimension, config.degree)
         speed = parse_speed(config.speed, config.dimension)
         body = parse_shape(config.shape, grid)
     except OSError as exc:
-        return EXIT_IO, f"{config_path}: {exc}"
+        return EXIT_IO, f"error: {config_path}: {exc}"
     except ValueError as exc:
-        return EXIT_PRECONDITION, f"{config_path}: {exc}"
+        return EXIT_PRECONDITION, f"error: {config_path}: {exc}"
 
     try:
         status = pinching_status(body, speed.delta0)
     except ConvexityLostError as exc:
-        return EXIT_PRECONDITION, f"{config_path}: shape not convex: {exc}"
+        return EXIT_PRECONDITION, f"error: {config_path}: shape not convex: {exc}"
     if not status.in_cone:
         return (
             EXIT_PRECONDITION,
-            f"{config_path}: initial shape outside the pinching cone "
+            f"error: {config_path}: initial shape outside the pinching cone "
             f"(ratio {status.max_ratio:.3e} >= {speed.delta0:.3e} at node {status.argmax_node})",
         )
 
@@ -447,7 +485,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
             max_steps=config.max_steps,
         )
     except ConvexityLostError as exc:
-        return EXIT_NUMERICAL, f"{config_path}: {exc}"
+        return EXIT_NUMERICAL, f"error: {config_path}: {exc}"
 
     sigma, sigma0 = _resolve_sigma(config, trajectory)
     t0_index = _anchor_index(trajectory, config.t0_anchor)
@@ -489,7 +527,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
             config.dimension,
         )
     except OSError as exc:
-        return EXIT_IO, f"{config_path}: {exc}"
+        return EXIT_IO, f"error: {config_path}: {exc}"
 
     code = {
         "target_radius": EXIT_OK,

@@ -25,7 +25,7 @@ from .body import (
     pinching_status,
     support_from_coefficients,
 )
-from .geometry import DirectRadii, MixedVolumes, direct_radii, mixed_volumes
+from .geometry import DirectRadii, MixedVolumes, RadiiSolver, direct_radii, mixed_volumes
 from .speeds import Speed
 from .spectral import TruncatedEvaluator, standard_grid
 
@@ -52,17 +52,20 @@ class FlowSnapshot:
 
     The radii, curvature, speed values and mixed volumes are computed the
     first time they are read and kept on the snapshot, so every monitor,
-    writer and check that reads them shares one computation.
+    writer and check that reads them shares one computation.  The snapshots
+    of one run share ``radii_solver``, which warm-starts each radii solve
+    from the previous one.
     """
 
     step: int
     time: float
     body: SupportFunction
     speed: Speed
+    radii_solver: RadiiSolver
 
     @cached_property
     def radii(self) -> DirectRadii:
-        return direct_radii(self.body)
+        return direct_radii(self.body, self.radii_solver)
 
     @cached_property
     def curv(self) -> CurvatureField:
@@ -183,7 +186,8 @@ def run_flow(
     steps = 0
     total_retries = 0
 
-    snapshots = [FlowSnapshot(0, 0.0, body, speed)]
+    solver = RadiiSolver()
+    snapshots = [FlowSnapshot(0, 0.0, body, speed, solver)]
     target = stop_fraction * snapshots[0].radii.r_minus
     stop_reason = None
 
@@ -220,13 +224,17 @@ def run_flow(
             stop_reason = "cone_exit"
             break
         if steps % snapshot_every == 0:
-            snap = FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs), speed)
+            snap = FlowSnapshot(
+                steps, time, support_from_coefficients(grid, coeffs), speed, solver
+            )
             snapshots.append(snap)
             if snap.radii.r_minus <= target:
                 stop_reason = "target_radius"
 
     if snapshots[-1].step != steps:
-        snapshots.append(FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs), speed))
+        snapshots.append(
+            FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs), speed, solver)
+        )
 
     return Trajectory(
         speed=speed,

@@ -12,7 +12,15 @@ pipeline:
 
 Inradius and circumradius come from small linear programs over the sampled
 support values, and Diskant-type bounds sandwich them using only the mixed
-volumes.
+volumes.  Both programs read max t subject to <c, u_i> + t <= b_i at every
+node u_i, with b = s for the inradius and b = -s for the circumradius
+(r_+ = -t, circumcentre -c).  A dense dual simplex solves them: a basis is
+dual-feasible exactly when the origin lies in the convex hull of its nodes,
+which depends on the grid alone, so ``RadiiSolver`` starts each snapshot of a
+run from the previous snapshot's optimal basis.  The centre it reports is
+canonical, whatever vertex the pivots reach: with t fixed at its optimum,
+each coordinate in turn is the midpoint of its range over the optimal
+centres that share the coordinates fixed before it.
 """
 
 from __future__ import annotations
@@ -21,7 +29,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .body import CurvatureField, SupportFunction, curvature
 
@@ -31,6 +38,7 @@ __all__ = [
     "mixed_volumes_support",
     "mixed_volumes",
     "DirectRadii",
+    "RadiiSolver",
     "direct_radii",
     "DiskantBounds",
     "diskant_bounds",
@@ -151,47 +159,178 @@ class DirectRadii:
         return self.r_plus / self.r_minus
 
 
-def direct_radii(body: SupportFunction) -> DirectRadii:
+# a constraint violated by less than this, relative to the largest |b_i| or
+# |z_k|, counts as satisfied: rounding of the residuals stays below it
+_FEAS_TOL = 1e-13
+_PIVOT_TOL = 1e-11  # smallest entry the ratio test pivots on
+_TIE_TOL = 1e-13  # ratios closer than this tie in the ratio test
+_DUAL_TOL = 1e-9  # a dual value below -_DUAL_TOL marks a basis as not dual-feasible
+# a basis whose condition estimate exceeds this is replaced by the cold start:
+# its rounding would swamp _FEAS_TOL (the radii runs' bases stay below 200)
+_MAX_CONDITION = 1e6
+# pivots without progress in the objective before Bland's rule takes over
+_STALL_PIVOTS = 8
+# pivots one program may take before it counts as failed
+_MAX_PIVOTS = 10_000
+# relative slack of the optimal face whose coordinate ranges fix the centre
+_FACE_SLACK = 1e-12
+# the centre's box, in units of the largest face bound; the face never reaches it
+_BOX = 1e3
+
+# vertices of a regular simplex about the origin, keyed by ambient dimension
+_SIMPLEX = {
+    2: np.array([[0.0, 1.0], [-0.5 * np.sqrt(3.0), -0.5], [0.5 * np.sqrt(3.0), -0.5]]),
+    3: np.array([[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]])
+    / np.sqrt(3.0),
+}
+
+
+def _usable_inverse(sub: np.ndarray, g: np.ndarray) -> np.ndarray | None:
+    """Inverse of a basis matrix, or None when it is singular, ill-conditioned
+    or not dual-feasible for the objective g (rounding allowed for)."""
+    try:
+        inv = np.linalg.inv(sub)
+    except np.linalg.LinAlgError:
+        return None
+    condition = np.abs(sub).sum(axis=1).max() * np.abs(inv).sum(axis=1).max()
+    if not (condition <= _MAX_CONDITION and (inv.T @ g).min() >= -_DUAL_TOL):
+        return None
+    return inv
+
+
+class RadiiSolver:
+    """Dual simplex for the radii programs of one run, warm-started across calls.
+
+    Each program is max g.z subject to A z <= b.  Whether a basis is
+    dual-feasible depends on A and g only, that is on the grid, so the optimal
+    basis of one call, kept with its inverse, is a valid start for the next
+    call on the same grid, and a solve takes a few pivots.  The cold start for
+    a radius takes the nodes nearest a regular simplex's vertices; for a
+    centre range it takes the centre's box.  A singular, ill-conditioned or
+    dual-infeasible basis is replaced by the cold start, and Bland's rule takes
+    over once the objective stalls.  The bases are kept for the last grid seen
+    and belong to this object alone; ``pivots`` and ``restarts`` count its work.
+    """
+
+    def __init__(self):
+        self._grid = None
+        self._bases: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.pivots = 0
+        self.restarts = 0
+
+    def _set_grid(self, grid) -> None:
+        nodes = grid.nodes
+        m, d = nodes.shape
+        self._grid = grid
+        self._bases = {}
+        self._ball_rows = np.column_stack([nodes, np.ones(m)])
+        self._ball_objective = np.eye(d + 1)[d]
+        self._ball_cold = np.argmax(nodes @ _SIMPLEX[d].T, axis=0)
+        # centre ranges: the nodes, then the box rows e_0..e_{d-1}, -e_0..-e_{d-1};
+        # the lower end of coordinate j maximizes -c_j, the upper end c_j
+        self._face_rows = np.vstack([nodes, np.eye(d), -np.eye(d)])
+        self._face_programs = []
+        for j in range(d):
+            for side, row in ((0, m + d + j), (1, m + j)):
+                cold = np.array([row] + [m + k for k in range(d) if k != j])
+                self._face_programs.append((j, side, self._face_rows[row], cold))
+
+    def radii(self, body: SupportFunction) -> DirectRadii:
+        if body.grid is not self._grid:
+            self._set_grid(body.grid)
+        s = body.values
+        if not np.all(np.isfinite(s)):
+            raise RuntimeError("inradius LP failed: non-finite support values")
+        t_in, c_in = self._program("inradius", s)
+        if not t_in >= 0.0:
+            raise RuntimeError(f"inradius LP failed: the node half-spaces hold no ball (t = {t_in})")
+        t_out, c_out = self._program("circumradius", -s)
+        return DirectRadii(r_minus=t_in, r_plus=-t_out, incenter=c_in, circumcenter=-c_out)
+
+    def _program(self, label: str, b: np.ndarray) -> tuple[float, np.ndarray]:
+        """Optimal t and canonical centre of max t s.t. <c, u_i> + t <= b_i."""
+        m, d = self._grid.nodes.shape
+        scale = float(np.max(np.abs(b))) or 1.0
+        z = self._simplex(
+            label, (label,), self._ball_rows, b, self._ball_objective, self._ball_cold, scale
+        )
+        t = float(z[d])
+
+        # the optimal centres, thickened by a slack that a translation keeps;
+        # each coordinate in turn is the midpoint of its range within the
+        # slice the earlier ones fix, so the centre is itself optimal
+        slack = max(_FACE_SLACK * abs(t), 2.0 * _FEAS_TOL * scale)
+        face = b - t + slack
+        face = np.concatenate([face, np.full(2 * d, _BOX * float(np.max(np.abs(face))))])
+        ends = np.empty((2, d))
+        for j, side, g, cold in self._face_programs:
+            key = (label, j, side)
+            z = self._simplex(label, key, self._face_rows, face, g, cold, scale)
+            basis = self._bases[key][0]
+            if np.any((basis[basis >= m] - m) % d >= j):  # the box of a coordinate not yet fixed
+                raise RuntimeError(f"{label} LP failed: the optimal centres are unbounded")
+            ends[side, j] = z[j]
+            if side == 1:
+                middle = 0.5 * (ends[0, j] + ends[1, j])
+                face[m + j], face[m + d + j] = middle + slack, slack - middle
+        return t, 0.5 * (ends[0] + ends[1])
+
+    def _simplex(self, label, key, rows, b, g, cold, scale) -> np.ndarray:
+        """Maximize g.z subject to rows z <= b, from the stored basis for
+        ``key`` or else ``cold``; stores the optimal basis, returns z.  A
+        constraint counts as violated beyond rounding of the larger of
+        ``scale`` and the entries of z."""
+        basis, inv = self._bases.get(key, (cold, None))
+        best, stall, bland = np.inf, 0, False
+        for _ in range(_MAX_PIVOTS):
+            if inv is None:
+                inv = _usable_inverse(rows[basis], g)
+                if inv is None:
+                    if np.array_equal(basis, cold):
+                        raise RuntimeError(f"{label} LP failed: the cold-start basis is unusable")
+                    basis = cold
+                    best, stall, bland = np.inf, 0, False
+                    self.restarts += 1
+                    continue
+            z = inv @ b[basis]
+            residual = b - rows @ z
+            residual[basis] = 0.0  # tight by construction, whatever the rounding
+            tol = _FEAS_TOL * max(scale, float(np.max(np.abs(z))))
+            violated = np.flatnonzero(residual < -tol)
+            if violated.size == 0:
+                self._bases[key] = (basis, inv)
+                return z
+            value = float(g @ z)
+            stall = 0 if value < best - tol else stall + 1
+            best = min(best, value)
+            bland = bland or stall >= _STALL_PIVOTS
+            enter = violated[0] if bland else violated[np.argmin(residual[violated])]
+            w = inv.T @ rows[enter]
+            eligible = np.flatnonzero(w > _PIVOT_TOL)
+            if eligible.size == 0:
+                raise RuntimeError(f"{label} LP failed: the program is infeasible")
+            ratio = np.maximum((inv.T @ g)[eligible], 0.0) / w[eligible]
+            ties = eligible[ratio <= ratio.min() + _TIE_TOL]
+            leave = ties[np.argmin(basis[ties])] if bland else ties[np.argmax(w[ties])]
+            basis = basis.copy()
+            basis[leave] = enter
+            inv = None
+            self.pivots += 1
+        raise RuntimeError(f"{label} LP failed: no optimal basis after {_MAX_PIVOTS} pivots")
+
+
+def direct_radii(body: SupportFunction, solver: RadiiSolver | None = None) -> DirectRadii:
     """Largest inscribed and smallest enclosing ball via linear programs.
 
     Sampling the support constraint at the grid nodes only, the inradius is
     a slight overestimate and the circumradius a slight underestimate; both
-    converge at the grid's resolution.  The solver is deterministic, so
-    repeated calls are bit-identical.
+    converge at the grid's resolution.  ``solver`` carries warm-start bases
+    from earlier calls on the same grid; without one the programs start cold.
+    The radii are the programs' optimal values and the centres canonical, so
+    any start gives the same result up to rounding, and the same sequence of
+    calls gives bit-identical results.
     """
-    nodes = body.grid.nodes
-    s = body.values
-    m, d = nodes.shape
-    free = [(None, None)] * d + [(0.0, None)]
-
-    # inradius: max t with <c, u> + t <= s(u) at all nodes
-    res_in = linprog(
-        c=np.append(np.zeros(d), -1.0),
-        A_ub=np.column_stack([nodes, np.ones(m)]),
-        b_ub=s,
-        bounds=free,
-        method="highs",
-    )
-    if not res_in.success:
-        raise RuntimeError(f"inradius LP failed: {res_in.message}")
-
-    # circumradius: min t with s(u) - <c, u> <= t at all nodes
-    res_out = linprog(
-        c=np.append(np.zeros(d), 1.0),
-        A_ub=np.column_stack([-nodes, -np.ones(m)]),
-        b_ub=-s,
-        bounds=free,
-        method="highs",
-    )
-    if not res_out.success:
-        raise RuntimeError(f"circumradius LP failed: {res_out.message}")
-
-    return DirectRadii(
-        r_minus=float(res_in.x[-1]),
-        r_plus=float(res_out.x[-1]),
-        incenter=res_in.x[:-1].copy(),
-        circumcenter=res_out.x[:-1].copy(),
-    )
+    return (solver if solver is not None else RadiiSolver()).radii(body)
 
 
 @dataclass(frozen=True)

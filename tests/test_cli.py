@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvflow import cli, flow, geometry
@@ -104,12 +104,16 @@ def test_shape_bad_spec_is_a_precondition_failure(capsys):
     assert "non-finite" in capsys.readouterr().err
     assert main(["shape", "sphere 1", "--speed", "pow_mean,alpha=inf"]) == EXIT_PRECONDITION
     assert "alpha" in capsys.readouterr().err
-    for spec in ("ellipsoid 1 1 inf", "sphere 1e308"):
+    for spec, reason in [
+        ("ellipsoid 1 1 inf", "non-finite"),
+        ("sphere 1e308", "non-finite"),
+        ("sphere 1 + Y(2,0)*1e300", "not convex"),
+    ]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would reach stderr
             assert main(["shape", spec, "--dimension", "2"]) == EXIT_PRECONDITION
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-finite" in err and err.count("\n") == 1
+        assert err.startswith("error:") and reason in err and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +153,25 @@ def test_config_rejects_bad_values():
         ("eps_grid", [0.01, 0.0]),
         ("rho_grid", [-0.05]),
         ("rho_grid", ["abc"]),
+        ("rho_grid", [True]),
         ("t0_anchor", nan),
+        ("snapshot_every", inf),
+        ("max_steps", inf),
+        ("dimension", [2]),
+        ("degree", 6.7),
+        ("degree", True),
+        ("seed", 0.5),
+        ("c_safe", 10**400),
+        ("sigma", "1"),
+        ("shape", 1),
     ]:
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict({key: value})
+    for data in ([], None, "sphere 1", 2):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_dict(data)
+    # an integral float is an integer
+    assert ExperimentConfig.from_dict({"degree": 12.0}).degree == 12
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +271,18 @@ def test_simulate_negative_step_safety_is_a_precondition_failure(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "null", '{"snapshot_every": 1e400}', '{"dimension": [2]}', '{"degree": 6.7}'],
+)
+def test_simulate_bad_config_grammar_is_a_precondition_failure(text, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "bad config" in err and err.count("\n") == 1
+
+
 def test_simulate_infinite_alpha_is_a_precondition_failure(tmp_path, capsys):
     out = tmp_path / "out"
     path = write_config(tmp_path / "c.json", speed="pow_mean,alpha=inf", output=str(out))
@@ -301,8 +332,8 @@ def test_load_trajectory_round_trip(ellipsoid_dir):
 
 
 def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
-    # every radii LP goes through geometry.linprog; FlowSnapshot computes its
-    # curvature through flow.curvature
+    # every radii LP goes through RadiiSolver._program; FlowSnapshot computes
+    # its curvature through flow.curvature
     calls = {"lp": 0, "curvature": 0}
 
     def counting(name, fn):
@@ -312,7 +343,9 @@ def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(geometry, "linprog", counting("lp", geometry.linprog))
+    monkeypatch.setattr(
+        geometry.RadiiSolver, "_program", counting("lp", geometry.RadiiSolver._program)
+    )
     monkeypatch.setattr(flow, "curvature", counting("curvature", flow.curvature))
     trajectory, summary = load_trajectory(ellipsoid_dir)
     assert calls["lp"] == 0
@@ -500,3 +533,51 @@ def test_speed_grammar_gives_finite_speeds(text, dimension):
     assert 1.0 < speed.alpha < np.inf
     assert speed.delta0 > 0.0
     assert np.isfinite(speed.value(np.ones(dimension)))
+
+
+# ---------------------------------------------------------------------------
+# config grammar: any JSON value is a config or a ValueError, and simulate
+# exits 2 on it (no config here names an output directory)
+
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.just(10**400),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+    ),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+_PLAUSIBLE = st.one_of(
+    _JSON,
+    st.sampled_from([1, 2, 3, 6, 6.0, 6.7, 0.2, 0.5, 1.2, -1, 0, 1e400, "sphere 1", "pow_mean,alpha=2"]),
+    st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.booleans()), max_size=3),
+)
+
+
+@st.composite
+def _config_json(draw):
+    if draw(st.booleans()):
+        return draw(_JSON)
+    keys = sorted(set(cli._CONFIG_DEFAULTS) - {"output"}) + ["bogus"]
+    names = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
+    return {name: draw(_PLAUSIBLE) for name in names}
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_config_json())
+def test_config_grammar_gives_value_errors(data, tmp_path, capsys):
+    try:
+        ExperimentConfig.from_dict(data)
+    except ValueError:
+        pass
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1

@@ -1,7 +1,11 @@
 """Every name a curvflow module exports in ``__all__`` exists."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +23,15 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(f"curvflow.{name}")
     missing = [item for item in module.__all__ if not hasattr(module, item)]
     assert not missing, f"curvflow.{name}.__all__ names missing attributes: {missing}"
+
+
+def test_runtime_does_not_import_scipy_optimize():
+    # the radii come from curvflow's own simplex; scipy.special still serves spectral
+    source_root = str(Path(curvflow.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
+    probe = "import sys, curvflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
