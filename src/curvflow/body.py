@@ -281,7 +281,13 @@ def snapshot_from_text(text: str) -> tuple[SupportFunction, float]:
         raise ValueError(f"unsupported snapshot version {record.get('version')!r}")
     grid = standard_grid(int(record["dimension"]), int(record["degree"]))
     coeffs = np.asarray(record["coefficients"], dtype=float)
-    return support_from_coefficients(grid, coeffs), float(record["time"])
+    time = float(record["time"])
+    # json reads NaN and Infinity, and overflows a number such as 1e400 to inf
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("snapshot has non-finite coefficients")
+    if not np.isfinite(time):
+        raise ValueError(f"snapshot has non-finite time {time!r}")
+    return support_from_coefficients(grid, coeffs), time
 
 
 def save_snapshot(body: SupportFunction, time: float, path) -> None:

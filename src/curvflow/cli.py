@@ -5,9 +5,9 @@ round-trip form), CSVs always use "\\n" newlines, and JSON keys are sorted,
 so rerunning a command over the same inputs reproduces files byte for byte.
 
 Exit codes: 0 success, 2 failed precondition (bad config, shape outside the
-cone), 3 the flow left the pinching cone, 4 a numerical failure or a
-verification violation, 5 an I/O problem, 6 a run cut off by ``max_steps``
-(its outputs are written).
+cone, malformed run files), 3 the flow left the pinching cone, 4 a numerical
+failure or a verification violation, 5 an I/O problem, 6 a run cut off by
+``max_steps`` (its outputs are written).
 """
 
 import os
@@ -33,7 +33,6 @@ _cap_threads()
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -545,6 +544,9 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
 
 def cmd_simulate(args) -> int:
     if args.jobs > 1 and len(args.configs) > 1:
+        # imported here: multiprocessing costs every other command its start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_simulate_one, args.configs))
     else:
@@ -593,9 +595,12 @@ def cmd_verify(args) -> int:
     # scope == "flow"
     try:
         trajectory, summary = load_trajectory(args.directory)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
     sigma = float(summary.get("sigma") or 0.0)
     if sigma <= 0.0:
@@ -660,9 +665,12 @@ def cmd_analyze(args) -> int:
         return EXIT_PRECONDITION
     try:
         trajectory, summary = load_trajectory(args.directory)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
 
     n = trajectory.dimension
     rows = []

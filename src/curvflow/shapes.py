@@ -160,7 +160,16 @@ _HARMONIC_TERM = re.compile(
 )
 
 
-# huge numbers overflow while the body is built; the final check rejects them
+# The body's scale (its mean support value, read off the degree-0
+# coefficient: half the mean width, a sphere's radius) must lie in
+# [2^-500, 2^500], about 3e-151 to 3e150, so that the scale squared and its
+# reciprocal squared fit the float range with room to spare: the radii product
+# of a surface and its reciprocal, the Gauss curvature, and for a curve the
+# squared curvature that the pinching ratio divides by.
+_SCALE_RANGE = (2.0**-500, 2.0**500)
+
+
+# huge numbers overflow while the body is built; the final checks reject them
 @np.errstate(over="ignore", invalid="ignore")
 def parse_shape(text: str, grid: SphereGrid) -> SupportFunction:
     """Build a body from a shape description.
@@ -172,8 +181,8 @@ def parse_shape(text: str, grid: SphereGrid) -> SupportFunction:
         snapshot PATH
 
     A description whose support function is not finite on every node (a
-    NaN or infinite number, or one so large that the body overflows) is
-    rejected with ValueError.
+    NaN or infinite number, or one so large that the body overflows), or
+    whose scale lies outside ``_SCALE_RANGE``, is rejected with ValueError.
     """
     text = text.strip()
     head, _, rest = text.partition(" ")
@@ -205,4 +214,11 @@ def parse_shape(text: str, grid: SphereGrid) -> SupportFunction:
         raise ValueError(f"unknown shape {head!r}; expected sphere, ellipsoid, or snapshot")
     if not (np.all(np.isfinite(body.coefficients)) and np.all(np.isfinite(body.values))):
         raise ValueError(f"shape {text!r} has a non-finite support function")
+    scale = abs(body.coefficients[0]) / np.sqrt(grid.sphere_area)
+    low, high = _SCALE_RANGE
+    if not low <= scale <= high:
+        raise ValueError(
+            f"shape {text!r} has scale {scale:.6g} outside [2^-500, 2^500]; "
+            "its radii product or that product's reciprocal would overflow"
+        )
     return body

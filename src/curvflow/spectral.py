@@ -10,11 +10,16 @@ Fields are stored as coefficient vectors over real orthonormal bases:
 
 Key concepts
 ------------
-- The quadrature grid pairs Gauss-Legendre colatitudes (``L + 1`` nodes, which
-  never touch the poles) with ``2L + 2`` equispaced longitudes, so products of
-  two band-limited fields - spherical polynomials up to degree ``2L`` - are
-  integrated exactly.  On the circle the analogue is a ``2L + 2``-point
-  trapezoid rule, exact for trigonometric degree ``2L + 1``.
+- The quadrature grid pairs Gauss-Legendre colatitudes (``L + 1`` nodes from
+  ``numpy.polynomial.legendre.leggauss``, which never touch the poles) with
+  ``2L + 2`` equispaced longitudes, so products of two band-limited fields -
+  spherical polynomials up to degree ``2L`` - are integrated exactly.  On the
+  circle the analogue is a ``2L + 2``-point trapezoid rule, exact for
+  trigonometric degree ``2L + 1``.
+- The colatitude factors are fully normalized associated Legendre functions,
+  built on the rings by the sectoral recurrence in m and the three-term
+  recurrence in l (Holmes & Featherstone 2002), vectorized over orders and
+  rings; their first colatitude derivative couples neighbouring orders.
 - Transforms are separable (Schaeffer 2013, arXiv:1202.6522): synthesis sums
   colatitude factors over ``l`` on each ring of equispaced longitudes, then
   makes one real inverse FFT along the rings (the circle is one ring);
@@ -34,7 +39,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import assoc_legendre_p_all, roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "SphereGrid",
@@ -108,7 +113,7 @@ class SphereGrid:
             self.nodes = np.column_stack([np.cos(self.theta), np.sin(self.theta)])
             self.weights = np.full(n_phi, 2.0 * np.pi / n_phi)
         else:
-            x, w = roots_legendre(degree + 1)
+            x, w = leggauss(degree + 1)
             theta_rings = np.arccos(x[::-1])  # ascending colatitude
             w_rings = w[::-1]
             phi_ring = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -247,17 +252,53 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
 
 def _colatitude_table(theta, degree):
     """(4, m, ring, l) colatitude derivatives 0..3 of the normalized factor
-    sqrt(2 - [m = 0]) * Pbar_lm(cos theta) / sqrt(2 pi) at ring colatitudes."""
+    sqrt(2 - [m = 0]) * Pbar_lm(cos theta) / sqrt(2 pi) at ring colatitudes.
+
+    Pbar_lm are the fully normalized associated Legendre functions (the
+    integral of Pbar_lm^2 over [-1, 1] is 1) with the Condon-Shortley phase,
+    from the standard recurrences (Holmes & Featherstone 2002, J. Geodesy 76,
+    279-299): the sectoral seeds Pbar_mm = -sqrt((2m + 1) / 2m) sin(theta)
+    Pbar_{m-1,m-1} from Pbar_00 = 1/sqrt(2), then for all orders and rings at
+    once the three-term recurrence in l,
+
+        Pbar_lm = a_lm (cos(theta) Pbar_{l-1,m} - b_lm Pbar_{l-2,m}),
+        a_lm = sqrt((4l^2 - 1) / (l^2 - m^2)),
+        b_lm = sqrt(((l - 1)^2 - m^2) / (4 (l - 1)^2 - 1)),
+
+    so the table takes O(L) array operations.  The first derivative couples
+    neighbouring orders and needs no division by sin(theta):
+
+        2 dPbar_lm/dtheta = sqrt((l - m)(l + m + 1)) Pbar_{l,m+1}
+                            - sqrt((l + m)(l - m + 1)) Pbar_{l,m-1},
+
+    with Pbar_{l,-1} = -Pbar_{l,1}.  The second and third derivatives follow
+    from the associated Legendre ODE, which is better conditioned than
+    repeated d/dz near the ends of the interval.
+    """
     st, ct = np.sin(theta), np.cos(theta)
-    # Normalized associated Legendre values and z-derivative; theta derivatives
-    # beyond the first follow from the Legendre ODE, which is better
-    # conditioned than repeated d/dz near the ends of the interval.
-    p_all, dp_all = assoc_legendre_p_all(degree, degree, ct, norm=True, diff_n=1)
+    # p[l + 1, m] holds Pbar_lm on every ring; the row l = -1 and the column
+    # m = degree + 1 stay zero, the recurrences' missing neighbours
+    p = np.zeros((degree + 2, degree + 2, theta.shape[0]))
+    k = np.arange(1.0, degree + 1.0)
+    steps = -np.sqrt((2.0 * k + 1.0) / (2.0 * k))[:, None] * st
     ms = np.arange(degree + 1)
+    p[ms + 1, ms] = np.cumprod(np.vstack([np.full_like(st, np.sqrt(0.5)), steps]), axis=0)
+    for n in range(1, degree + 1):
+        m2 = ms[:n] ** 2
+        a = np.sqrt((4.0 * n * n - 1.0) / (n * n - m2))[:, None]
+        b = np.sqrt(((n - 1.0) ** 2 - m2) / (4.0 * (n - 1.0) ** 2 - 1.0))[:, None]
+        p[n + 1, :n] = a * (ct * p[n, :n] - b * p[n - 1, :n])
+
+    pbar = np.ascontiguousarray(p[1:].transpose(1, 2, 0))  # (m, ring, l), m to degree + 1
+    l = ms[None, None, :]
+    m = ms[:, None, None]
+    up = np.sqrt(np.maximum((l - m) * (l + m + 1), 0))
+    down = np.sqrt(np.maximum((l + m) * (l - m + 1), 0))
+    lower = np.concatenate([-pbar[1:2], pbar[:degree]])  # Pbar_{l,m-1}
     scale = (np.where(ms == 0, 1.0, np.sqrt(2.0)) / np.sqrt(2.0 * np.pi))[:, None, None]
-    d0 = p_all[:, : degree + 1].transpose(1, 2, 0) * scale
+    d0 = pbar[: degree + 1] * scale
+    d1 = 0.5 * (up * pbar[1:] - down * lower) * scale
     s = st[:, None]
-    d1 = -s * dp_all[:, : degree + 1].transpose(1, 2, 0) * scale
     cot = (ct / st)[:, None]
     m2_s2 = (ms**2)[:, None, None] / s**2
     lam = ms * (ms + 1.0)

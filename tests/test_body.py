@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvflow.body import (
     ConvexityLostError,
@@ -205,6 +209,45 @@ def test_snapshot_round_trip(tmp_path):
 def test_snapshot_rejects_other_json():
     with pytest.raises(ValueError):
         snapshot_from_text('{"format": "something-else", "version": 1}')
+
+
+@pytest.mark.parametrize(
+    "key, token",
+    [("coefficients", "NaN"), ("coefficients", "1e400"), ("time", "Infinity"), ("time", "-Infinity")],
+)
+def test_snapshot_rejects_non_finite_values(key, token):
+    # json reads these tokens, and 1e400 overflows to inf; the loader refuses them
+    record = json.loads(snapshot_to_text(make_sphere(standard_grid(2, 4), 1.0), 0.5))
+    if key == "coefficients":
+        record["coefficients"][3] = "@"
+    else:
+        record["time"] = "@"
+    text = json.dumps(record).replace('"@"', token)
+    with pytest.raises(ValueError, match=f"non-finite {key}"):
+        snapshot_from_text(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_snapshot_text_round_trips_bit_for_bit(data):
+    dimension = data.draw(st.sampled_from([1, 2]), label="dimension")
+    degree = data.draw(st.integers(1, 16), label="degree")
+    grid = standard_grid(dimension, degree)
+    finite = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]),
+    )
+    coeffs = np.array(
+        data.draw(st.lists(finite, min_size=grid.coefficient_count, max_size=grid.coefficient_count)),
+        dtype=float,
+    )
+    time = data.draw(finite, label="time")
+    with np.errstate(all="ignore"):  # node values of huge coefficients overflow
+        body = support_from_coefficients(grid, coeffs)
+        back, t = snapshot_from_text(snapshot_to_text(body, time))
+    assert back.grid is grid
+    assert back.coefficients.tobytes() == coeffs.tobytes()
+    assert np.float64(t).tobytes() == np.float64(time).tobytes()
 
 
 def test_resample_pads_exactly():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import warnings
 
 import numpy as np
@@ -108,12 +109,27 @@ def test_shape_bad_spec_is_a_precondition_failure(capsys):
         ("ellipsoid 1 1 inf", "non-finite"),
         ("sphere 1e308", "non-finite"),
         ("sphere 1 + Y(2,0)*1e300", "not convex"),
+        ("sphere 1e200", "scale 1e+200"),
+        ("sphere 1e-200", "scale 1e-200"),
     ]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would reach stderr
             assert main(["shape", spec, "--dimension", "2"]) == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert err.startswith("error:") and reason in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("radius", ["1e150", "1e-150"])
+def test_shape_accepts_spheres_at_extreme_scales(dimension, radius, capsys):
+    # a round sphere is perfectly pinched at any scale whose curvature fits a float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["shape", f"sphere {radius}", "--dimension", str(dimension)])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.err == ""
+    ratio = float(captured.out.split("max pinching ratio:")[1].split()[0])
+    assert ratio < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +486,21 @@ def test_analyze_bad_grid_is_a_precondition_failure(ellipsoid_dir, option, capsy
 def test_analyze_missing_dir(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nope")]) == EXIT_IO
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["verify", "flow"]])
+def test_non_finite_snapshot_is_a_precondition_failure(ellipsoid_dir, tmp_path, command, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(ellipsoid_dir, run)
+    snap = sorted((run / "snapshots").glob("snap_*.json"))[1]
+    record = json.loads(snap.read_text(encoding="utf-8"))
+    record["coefficients"][0] = float("nan")
+    snap.write_text(json.dumps(record), encoding="utf-8")
+    assert main([*command, str(run)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "non-finite" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,16 @@ def test_exported_names_resolve(name):
     assert not missing, f"curvflow.{name}.__all__ names missing attributes: {missing}"
 
 
-def test_runtime_does_not_import_scipy_optimize():
-    # the radii come from curvflow's own simplex; scipy.special still serves spectral
+def test_runtime_imports_neither_scipy_nor_multiprocessing():
+    # the radii come from curvflow's own simplex and the Gauss rule and the
+    # Legendre tables from numpy; a process pool is imported only for --jobs
     source_root = str(Path(curvflow.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [source_root, env.get("PYTHONPATH")]))
-    probe = "import sys, curvflow.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    probe = (
+        "import sys, curvflow.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

@@ -3,11 +3,14 @@
 import tracemalloc
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 from scipy.spatial.transform import Rotation
+from scipy.special import assoc_legendre_p_all
 
 from curvflow.spectral import (
     SphereGrid,
@@ -68,6 +71,78 @@ def test_parseval_pairing():
         v1, v2 = synthesize(grid, c1), synthesize(grid, c2)
         quad = np.sum(grid.weights * v1 * v2)
         assert abs(quad - np.dot(c1, c2)) < 1e-10 * max(1.0, abs(np.dot(c1, c2)))
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Legendre rule and the colatitude tables
+# ---------------------------------------------------------------------------
+
+
+def _gauss_legendre_reference(n):
+    """Nodes and weights of the n-point rule to 40 digits, by Newton's method
+    on the three-term recurrence, nodes ascending."""
+    with mpmath.workdps(40):
+
+        def legendre(x):
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            return p, n * (x * p - p_prev) / (x * x - 1)
+
+        nodes, weights = [], []
+        for i in range(1, n + 1):
+            x = mpmath.cos(mpmath.pi * (i - mpmath.mpf(0.25)) / (n + mpmath.mpf(0.5)))
+            for _ in range(100):
+                p, dp = legendre(x)
+                x -= p / dp
+                if abs(p / dp) < mpmath.mpf(10) ** -38:
+                    break
+            else:
+                raise AssertionError(f"Newton did not converge on root {i} of P_{n}")
+            _, dp = legendre(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes[::-1], weights[::-1]
+
+
+@pytest.mark.parametrize("n", [2, 7, 13, 25, 49, 65, 129])
+def test_gauss_rule_matches_mpmath_reference(n):
+    x, w = leggauss(n)
+    ref_x, ref_w = _gauss_legendre_reference(n)
+    with mpmath.workdps(40):
+        node_error = max(abs(mpmath.mpf(a) - b) for a, b in zip(x, ref_x))
+        weight_error = max(abs(mpmath.mpf(a) - b) for a, b in zip(w, ref_w))
+    assert node_error < 2.3e-16
+    assert weight_error < 1e-14
+    # the grid's rings are this rule, in ascending colatitude
+    grid = SphereGrid(2, n - 1)
+    np.testing.assert_array_equal(grid.theta[:: grid.ring_size], np.arccos(x[::-1]))
+    np.testing.assert_array_equal(grid.weights[:: grid.ring_size], w[::-1] * (np.pi / n))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 12, 128])
+def test_colatitude_table_matches_scipy(degree):
+    # values and first colatitude derivatives of every (l, m) through the degree
+    grid = SphereGrid(2, degree)
+    theta = grid.theta[:: grid.ring_size]
+    table = grid._band(degree).table
+    p, dp = assoc_legendre_p_all(degree, degree, np.cos(theta), norm=True, diff_n=1)
+    m = np.arange(degree + 1)
+    scale = (np.where(m == 0, 1.0, np.sqrt(2.0)) / np.sqrt(2.0 * np.pi))[:, None, None]
+    values = p[:, : degree + 1].transpose(1, 2, 0) * scale
+    d_theta = -np.sin(theta)[:, None] * dp[:, : degree + 1].transpose(1, 2, 0) * scale
+    for ours, ref in ((table[0], values), (table[1], d_theta)):
+        assert np.max(np.abs(ours - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("degree", [12, 24, 48])
+def test_quadrature_gram_matrix_is_identity(degree):
+    # column k of the Gram matrix of the real harmonics is the projection of
+    # the k-th harmonic's node values
+    grid = SphereGrid(2, degree)
+    eye = np.eye(grid.coefficient_count)
+    gram = np.array([analyze(grid, synthesize(grid, e)) for e in eye])
+    assert np.max(np.abs(gram - eye)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
