@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .spectral import (
     SpectralField,
     analyze,
     field_from_coefficients,
+    radii_rows,
     standard_grid,
     tangential_derivatives,
 )
@@ -105,82 +108,89 @@ def support_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> Sup
 class CurvatureField:
     """Pointwise curvature data of a support function at the grid nodes.
 
-    ``kappa`` holds principal curvatures sorted ascending per node.
-    ``radii_sigma[:, k]`` is the k-th elementary symmetric function of the
-    principal radii (so ``radii_sigma[:, n]`` is the Gauss-chart area
-    element det R).  ``elementary[:, k]`` is the normalized mean
-    E_k = sigma_k(kappa) / C(n, k), so E_k = 1 on the unit sphere.
+    ``kappa`` holds principal curvatures sorted ascending per node; it is
+    the field's only state.  The symmetric functions are computed from it on
+    first read and kept, so a caller that needs only ``kappa`` (a
+    Runge-Kutta stage) never pays for them.  ``radii_sigma[:, k]`` is the
+    k-th elementary symmetric function of the principal radii (so
+    ``radii_sigma[:, n]`` is the Gauss-chart area element det R).
+    ``elementary[:, k]`` is the normalized mean E_k = sigma_k(kappa) / C(n, k),
+    so E_k = 1 on the unit sphere.
     """
 
     kappa: np.ndarray
-    radii_sigma: np.ndarray
-    elementary: np.ndarray
-    mean: np.ndarray
-    traceless_norm2: np.ndarray
+
+    # kappa is (M, n) with n <= 2: working on whole columns avoids numpy's
+    # slow loops over a short last axis
+    @cached_property
+    def radii_sigma(self) -> np.ndarray:
+        return np.column_stack(_elementary_symmetric(1.0 / self.kappa))
+
+    @cached_property
+    def elementary(self) -> np.ndarray:
+        n = self.kappa.shape[1]
+        sigma = _elementary_symmetric(self.kappa)
+        return np.column_stack([sigma_k / comb(n, k) for k, sigma_k in enumerate(sigma)])
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        """Sum of the principal curvatures."""
+        return sum(self.kappa.T)
+
+    @cached_property
+    def traceless_norm2(self) -> np.ndarray:
+        """Squared norm of the traceless part of the second fundamental form."""
+        average = self.mean / self.kappa.shape[1]
+        return sum((k - average) ** 2 for k in self.kappa.T)
 
     @property
     def area_element(self) -> np.ndarray:
         return self.radii_sigma[:, -1]
 
 
-def _curvature_from_radii_data(dimension, s, hess, convexity_tol):
-    """Assemble a CurvatureField given support values and frame Hessians."""
-    m = s.shape[0]
+def _elementary_symmetric(x):
+    """Columns sigma_0 .. sigma_n of the elementary symmetric functions of
+    the n columns of ``x``."""
+    sigma = [np.ones(x.shape[0])]
+    for column in x.T:
+        sigma = [sigma[0], *(a + column * b for a, b in zip(sigma[1:], sigma)), column * sigma[-1]]
+    return sigma
+
+
+def _curvature_from_radii_data(rows, convexity_tol):
+    """CurvatureField from node rows (s, radii-matrix entries), laid out as
+    ``spectral.radii_rows`` gives them: (s, r) or (s, R_00, R_01, R_11)."""
+    s = rows[0]
     scale = max(float(np.mean(np.abs(s))), np.finfo(float).tiny)
-    if dimension == 1:
-        r = hess[:, 0, 0] + s
+    if len(rows) == 2:
+        r = rows[1]
         bad = ~(r > convexity_tol * scale)  # NaN radii count as lost convexity
         if np.any(bad):
             i = int(np.argmin(r))
             raise ConvexityLostError(i, float(r[i]), scale)
-        kappa = (1.0 / r)[:, None]
-        sigma = np.column_stack([np.ones(m), r])
-        elementary = np.column_stack([np.ones(m), kappa[:, 0]])
-        mean = kappa[:, 0]
-        return CurvatureField(
-            kappa=kappa,
-            radii_sigma=sigma,
-            elementary=elementary,
-            mean=mean,
-            traceless_norm2=np.zeros(m),
-        )
+        return CurvatureField((1.0 / r)[:, None])
 
     # the radii matrix in units of a power of two at the body's scale, so that
     # its squares cannot overflow; scaling by a power of two is exact, so every
     # result below equals the unscaled formula's bit for bit
     unit = np.ldexp(1.0, np.frexp(scale)[1])
     inv = 1.0 / unit
-    r00 = (hess[:, 0, 0] + s) * inv
-    r01 = hess[:, 0, 1] * inv
-    r11 = (hess[:, 1, 1] + s) * inv
+    r00, r01, r11 = rows[1:] * inv
     half_tr = 0.5 * (r00 + r11)
-    det = r00 * r11 - r01 * r01
-    disc = np.sqrt(np.maximum((0.5 * (r00 - r11)) ** 2 + r01 * r01, 0.0))
+    disc = np.sqrt((0.5 * (r00 - r11)) ** 2 + r01 * r01)
     r_small = half_tr - disc
     bad = ~(r_small > convexity_tol * scale * inv)
     if np.any(bad):
         i = int(np.argmin(r_small))
         raise ConvexityLostError(i, float(r_small[i] * unit), scale)
-    r_large = half_tr + disc
-
-    kappa = np.column_stack([inv / r_large, inv / r_small])  # ascending
-    sigma = np.column_stack([np.ones(m), half_tr * (2.0 * unit), det * (unit * unit)])
-    mean = half_tr / det * (2.0 * inv)  # sum of curvatures
-    gauss = (inv * inv) / det
-    norm2 = mean * mean - 2.0 * gauss
-    traceless = norm2 - 0.5 * mean * mean
-    elementary = np.column_stack([np.ones(m), 0.5 * mean, gauss])
-    return CurvatureField(
-        kappa=kappa,
-        radii_sigma=sigma,
-        elementary=elementary,
-        mean=mean,
-        traceless_norm2=np.maximum(traceless, 0.0),
-    )
+    return CurvatureField(np.column_stack([inv / (half_tr + disc), inv / r_small]))  # ascending
 
 
 def curvature(body: SupportFunction, convexity_tol: float = DEFAULT_CONVEXITY_TOL) -> CurvatureField:
     """Principal curvatures and derived symmetric functions at the grid nodes.
+
+    The radii matrix comes from ``spectral.radii_rows``, the synthesis the
+    flow's stepper makes on its fine grid, here at the body's own degree.
 
     Raises
     ------
@@ -188,8 +198,7 @@ def curvature(body: SupportFunction, convexity_tol: float = DEFAULT_CONVEXITY_TO
         If the smallest radii eigenvalue at any node falls below
         ``convexity_tol`` times the body scale.
     """
-    _, hess = tangential_derivatives(body.field)
-    return _curvature_from_radii_data(body.dimension, body.values, hess, convexity_tol)
+    return _curvature_from_radii_data(radii_rows(body.field), convexity_tol)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,11 +1,15 @@
 """Contraction of convex bodies by curvature-driven speeds.
 
 The state is the coefficient vector of the support function at band limit L.
-Each right-hand side evaluation synthesizes the state on a grid of twice the
-band limit, forms principal curvatures there, applies the speed, and projects
-back to degree L; the margin keeps the quadratic part of the curvature map
-alias-free and damps the smooth remainder spectrally.  Time stepping is
-classic fourth-order Runge-Kutta under a parabolic step-size heuristic.
+Each right-hand side evaluation synthesizes the support values and the
+entries of the radii matrix ``Hess s + s id`` on a grid of twice the band
+limit, takes the principal curvatures there as its inverse eigenvalues,
+applies the speed, and projects back to degree L; the margin keeps the
+quadratic part of the curvature map alias-free and damps the smooth
+remainder spectrally.  The speeds depend on the principal curvatures alone,
+so a Runge-Kutta stage builds nothing else; the symmetric functions that the
+pinching test reads are computed for accepted states only.  Time stepping
+is classic fourth-order Runge-Kutta under a parabolic step-size heuristic.
 """
 
 from __future__ import annotations
@@ -131,9 +135,8 @@ class _Stepper:
 
     def evaluate(self, coefficients: np.ndarray):
         """Curvature on the fine nodes and the projected speed deficit."""
-        values, _, hess = self.evaluator.state(coefficients)
         curv = _curvature_from_radii_data(
-            self.grid.dimension, values, hess, self.convexity_tol
+            self.evaluator.state(coefficients), self.convexity_tol
         )
         f = self.speed.value(curv.kappa)
         return -self.evaluator.project(f), curv
@@ -166,7 +169,10 @@ def run_flow(
     valid state and ``convexity_lost``.
 
     The initial body must be strictly convex; a non-convex input raises
-    ConvexityLostError directly.
+    ConvexityLostError directly.  A ``stop_fraction`` outside (0, 1), a
+    negative or non-finite ``convexity_tol``, a non-positive or non-finite
+    ``c_safe``, a ``snapshot_every`` below 1 or a negative ``max_steps``
+    raises ValueError.
     """
     if body.dimension != speed.dimension:
         raise ValueError(
@@ -176,6 +182,14 @@ def run_flow(
         raise ValueError("snapshot_every must be positive")
     if not 0.0 < c_safe < np.inf:
         raise ValueError("c_safe must be a positive finite number")
+    if not 0.0 < stop_fraction < 1.0:
+        raise ValueError(f"stop_fraction must lie in (0, 1), got {stop_fraction!r}")
+    if not 0.0 <= convexity_tol < np.inf:
+        raise ValueError(
+            f"convexity_tol must be a non-negative finite number, got {convexity_tol!r}"
+        )
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be non-negative, got {max_steps!r}")
     grid = body.grid
     stepper = _Stepper(grid, speed, convexity_tol)
     h_min = grid.min_spacing()

@@ -25,10 +25,17 @@ Key concepts
   makes one real inverse FFT along the rings (the circle is one ring);
   projection is the reverse.  Longitude derivatives multiply the ring
   spectra by ``(i m)**b``.
-- Tangential derivatives are assembled in the orthonormal frame
-  ``(e_theta, e_phi)`` from angle partials of the field; second and third
-  colatitude derivatives of the Legendre factors come from the associated
-  Legendre ODE rather than finite differences.
+- The radii matrix ``R = Hess s + s id`` of a support function s, in the
+  orthonormal frame ``(e_theta, e_phi)``, is built in ring-spectral space:
+  the per-ring Legendre sums of s and its first two colatitude derivatives
+  are combined with per-ring factors (``cot theta``, ``1/sin theta``) and
+  ``(i m)**b`` multipliers, and one inverse FFT gives the rows of s and of
+  the three distinct entries of R (on the circle ``r = s + s''`` is one
+  ``1 - m**2`` multiplier).  General tangential derivatives (the gradient,
+  the Hessian and the third covariant derivative) are assembled at the
+  nodes from angle partials.  Second and third colatitude derivatives of
+  the Legendre factors come from the associated Legendre ODE rather than
+  finite differences.
 - Fields are evaluated only at the quadrature nodes.  The frame degenerates
   at the poles, which the Gauss-Legendre rings never touch.
 """
@@ -52,6 +59,7 @@ __all__ = [
     "field_from_coefficients",
     "coefficient_count",
     "tangential_derivatives",
+    "radii_rows",
     "third_derivatives",
 ]
 
@@ -221,7 +229,9 @@ class _Band:
     ``count`` (one past the end) where there is none.  ``table[a, m, ring, l]``
     is the a-th colatitude derivative of the normalized colatitude factor of
     Y_lm; on the circle ``table[k]`` is the basis normalization.  ``synth[b]``
-    maps a ring spectrum to the ``irfft`` input of its b-th (circle: a-th) derivative.
+    maps a ring spectrum to the ``irfft`` input of its b-th (circle: a-th)
+    derivative.  ``ring`` holds ``cot theta``, ``1/sin theta`` and
+    ``1/sin(theta)**2`` per ring as (3, rings, 1) columns (None on the circle).
     """
 
     count: int
@@ -229,6 +239,7 @@ class _Band:
     sin_index: np.ndarray
     table: np.ndarray
     synth: np.ndarray
+    ring: np.ndarray | None
 
 
 def _build_band(grid: SphereGrid, band: int) -> _Band:
@@ -241,13 +252,17 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
         weight = weight * table
         cos_index = np.maximum(2 * m - 1, 0)
         sin_index = np.where(m == 0, count, 2 * m)
+        ring = None
     else:
         mm, l = np.meshgrid(m, m, indexing="ij")
         cos_index = np.where(l >= mm, l * l + l + mm, count)
         sin_index = np.where((l >= mm) & (mm > 0), l * l + l - mm, count)
-        table = _colatitude_table(grid.theta[:: grid.ring_size], band)
+        theta = grid.theta[:: grid.ring_size]
+        table = _colatitude_table(theta, band)
+        csc = 1.0 / np.sin(theta)
+        ring = np.stack([np.cos(theta) * csc, csc, csc * csc])[:, :, None]
     synth = np.stack([weight * 1j**b * m**b for b in range(4)])
-    return _Band(count, cos_index, sin_index, table, synth)
+    return _Band(count, cos_index, sin_index, table, synth, ring)
 
 
 def _colatitude_table(theta, degree):
@@ -307,24 +322,62 @@ def _colatitude_table(theta, degree):
     return np.stack([d0, d1, d2, d3])
 
 
-def _synthesize(grid, band, coefficients, orders):
-    """Rows of node values of the partials d^a/dtheta^a d^b/dphi^b, one per
-    (a, b) in ``orders``, of band-``band`` coefficients (circle: b = 0)."""
+def _ring_spectra(grid, band, coefficients, count):
+    """The band record and the ring spectra of band-``band`` coefficients:
+    on the sphere those of their first ``count`` colatitude derivatives,
+    shape (count, rings, m); on the circle the one spectrum, shape (m,)."""
     t = grid._band(band)
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (t.count,):
         raise ValueError(f"coefficient vector has shape {c.shape}, expected ({t.count},)")
     padded = np.append(c, 0.0)
     spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
-    a, b = (list(x) for x in zip(*orders))
     if grid.dimension == 1:
-        spectra = spectrum * t.synth[a]
-    else:
-        # the l-sums as real matmuls batched over m: far faster than einsum
-        ring = t.table[: max(a) + 1] @ np.stack([spectrum.real, spectrum.imag], axis=-1)
-        ring = ring[..., 0] + 1j * ring[..., 1]
-        spectra = ring[a].swapaxes(1, 2) * t.synth[b, None]
-    return np.fft.irfft(spectra, n=grid.ring_size, norm="forward").reshape(len(orders), -1)
+        return t, spectrum
+    # the l-sums as real matmuls batched over m: far faster than einsum
+    ring = t.table[:count] @ np.stack([spectrum.real, spectrum.imag], axis=-1)
+    return t, (ring[..., 0] + 1j * ring[..., 1]).swapaxes(1, 2)
+
+
+def _irfft(grid, spectra):
+    """Node rows of a stack of ``irfft`` inputs, one row per leading index."""
+    return np.fft.irfft(spectra, n=grid.ring_size, norm="forward").reshape(len(spectra), -1)
+
+
+def _synthesize(grid, band, coefficients, orders):
+    """Rows of node values of the partials d^a/dtheta^a d^b/dphi^b, one per
+    (a, b) in ``orders``, of band-``band`` coefficients (circle: b = 0)."""
+    a, b = (list(x) for x in zip(*orders))
+    t, spectra = _ring_spectra(grid, band, coefficients, max(a) + 1)
+    if grid.dimension == 1:
+        return _irfft(grid, spectra * t.synth[a])
+    return _irfft(grid, spectra[a] * t.synth[b, None])
+
+
+def _radii_rows(grid, band, coefficients):
+    """Node rows of a band-``band`` support function s and of its radii
+    matrix R = Hess s + s id in the frame (e_theta[, e_phi]): (s, r) on the
+    circle, (s, R_00, R_01, R_11) on the sphere.
+
+    With p_ab the partial d^a/dtheta^a d^b/dphi^b of s,
+
+        R_00 = p_20 + s,
+        R_01 = (p_11 - cot(theta) p_01) / sin(theta),
+        R_11 = p_02 / sin(theta)**2 + cot(theta) p_10 + s,
+
+    and on the circle r = p_2 + s.  The theta factors are constant on each
+    ring, so they scale the ring spectra of s, p_10 and p_20 before the one
+    inverse FFT, and each phi-derivative is an (i m)**b multiplier.
+    """
+    t, spectra = _ring_spectra(grid, band, coefficients, 3)
+    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
+    if grid.dimension == 1:
+        return _irfft(grid, spectra * np.stack([w, w + w_m2]))
+    s, s_t, s_tt = spectra
+    cot, csc, csc2 = t.ring
+    r01 = (s_t - cot * s) * csc * w_im
+    r11 = (s + cot * s_t) * w + s * csc2 * w_m2
+    return _irfft(grid, np.stack([s * w, (s_tt + s) * w, r01, r11]))
 
 
 def _project(grid, band, values):
@@ -360,21 +413,24 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
     hessian : ndarray, shape (M, n, n)
         Covariant Hessian with respect to the round metric, same frame.
     """
-    grid, orders = field.grid, _STATE_ORDERS[field.grid.dimension]
-    return _derivatives(grid, _synthesize(grid, grid.degree, field.coefficients, orders))
-
-
-# angle partials (d_theta, d_phi) that _derivatives reads, per dimension; for
-# surfaces in the argument order of _assemble_surface_state
-_STATE_ORDERS = {1: ((1, 0), (2, 0)), 2: ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-
-
-def _derivatives(grid, p):
-    """Frame gradient and covariant Hessian at the grid nodes from the angle
-    partials ``p``, in the order of ``_STATE_ORDERS``."""
+    grid = field.grid
+    p = _synthesize(grid, grid.degree, field.coefficients, _FRAME_ORDERS[grid.dimension])
     if grid.dimension == 1:
         return p[0][:, None], p[1][:, None, None]
     return _assemble_surface_state(grid.theta, *p)
+
+
+def radii_rows(field: SpectralField) -> np.ndarray:
+    """Node rows of a support function s and of its radii matrix
+    R = Hess s + s id, shape (2, M) rows (s, r) on the circle and (4, M)
+    rows (s, R_00, R_01, R_11) on the sphere, in the orthonormal frame
+    (e_theta[, e_phi])."""
+    return _radii_rows(field.grid, field.grid.degree, field.coefficients)
+
+
+# angle partials (d_theta, d_phi) of the frame gradient and Hessian, per
+# dimension; for surfaces in the argument order of _assemble_surface_state
+_FRAME_ORDERS = {1: ((1, 0), (2, 0)), 2: ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
 
 
 def _assemble_surface_state(theta, p10, p01, p20, p11, p02):
@@ -409,12 +465,14 @@ class TruncatedEvaluator:
         self.source_count = coefficient_count(grid.dimension, source_degree)
         grid._band(source_degree)
 
-    def state(self, coefficients: np.ndarray):
-        """Values, frame gradient, and covariant Hessian at the fine nodes."""
-        orders = ((0, 0), *_STATE_ORDERS[self.grid.dimension])
-        p = _synthesize(self.grid, self.source_degree, coefficients, orders)
-        grad, hess = _derivatives(self.grid, p[1:])
-        return p[0], grad, hess
+    def state(self, coefficients: np.ndarray) -> np.ndarray:
+        """Support values and radii-matrix entries at the fine nodes.
+
+        Rows as in ``radii_rows``: (s, r) on the circle, (s, R_00, R_01,
+        R_11) on the sphere, synthesized in ring-spectral space by one
+        inverse FFT.
+        """
+        return _radii_rows(self.grid, self.source_degree, coefficients)
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Leading source-degree coefficients of a fine-grid node vector.
@@ -439,9 +497,9 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
 
     st, ct = np.sin(grid.theta), np.cos(grid.theta)
     cot = ct / st
-    orders = _STATE_ORDERS[2] + ((3, 0), (2, 1), (1, 2), (0, 3))
+    orders = _FRAME_ORDERS[2] + ((3, 0), (2, 1), (1, 2), (0, 3))
     p = dict(zip(orders, _synthesize(grid, grid.degree, c, orders)))
-    _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _STATE_ORDERS[2]))
+    _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _FRAME_ORDERS[2]))
     h_tt, h_tp, h_pp = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
 
     # frame derivatives D_a of the Hessian components (product rule on the

@@ -110,13 +110,11 @@ def test_ellipse_axis_curvatures_n1():
 
 def test_pinching_ratio_value():
     # kappa = (0.5, 1.5): mean 2, traceless norm^2 = 0.5, ratio 1/8
-    curv = CurvatureField(
-        kappa=np.array([[0.5, 1.5]]),
-        radii_sigma=np.array([[1.0, 8.0 / 3.0, 4.0 / 3.0]]),
-        elementary=np.array([[1.0, 1.0, 0.75]]),
-        mean=np.array([2.0]),
-        traceless_norm2=np.array([0.5]),
-    )
+    curv = CurvatureField(kappa=np.array([[0.5, 1.5]]))
+    np.testing.assert_allclose(curv.radii_sigma, [[1.0, 8.0 / 3.0, 4.0 / 3.0]], rtol=1e-15)
+    np.testing.assert_allclose(curv.elementary, [[1.0, 1.0, 0.75]], rtol=1e-15)
+    np.testing.assert_allclose(curv.mean, [2.0], rtol=1e-15)
+    np.testing.assert_allclose(curv.traceless_norm2, [0.5], rtol=1e-15)
     status = pinching_status(curv, delta0=0.45)
     assert status.max_ratio == pytest.approx(0.125, abs=1e-15)
     assert status.in_cone

@@ -161,6 +161,69 @@ def test_run_flow_rejects_bad_step_safety(c_safe):
         run_flow(body, make_speed("mean", 2), c_safe=c_safe)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [
+        ("stop_fraction", 1.5),
+        ("stop_fraction", 1.0),
+        ("stop_fraction", 0.0),
+        ("stop_fraction", -1.0),
+        ("stop_fraction", float("nan")),
+        ("convexity_tol", -1.0),
+        ("convexity_tol", float("nan")),
+        ("convexity_tol", float("inf")),
+        ("max_steps", -1),
+    ],
+)
+def test_run_flow_rejects_bad_inputs(option, value):
+    # a bad value must not end as a clean target_radius, run to max_steps,
+    # or pass as a convexity failure
+    body = make_sphere(standard_grid(2, 6), 1.0)
+    options = {"max_steps": 3, option: value}
+    with pytest.raises(ValueError, match=option):
+        run_flow(body, make_speed("mean", 2), **options)
+
+
+def test_run_flow_accepts_edge_inputs():
+    body = make_sphere(standard_grid(2, 6), 1.0)
+    speed = make_speed("mean", 2)
+    assert run_flow(body, speed, convexity_tol=0.0, max_steps=3).steps == 3
+    assert run_flow(body, speed, max_steps=0).stop_reason == "max_steps"
+
+
+def test_stages_compute_only_kappa(monkeypatch):
+    # only accepted states (the initial one and one per step) feed
+    # pinching_status; the Runge-Kutta stages read kappa alone
+    from functools import cached_property
+
+    from curvflow import body as body_module
+
+    touched = []
+    for name in ("radii_sigma", "elementary", "mean", "traceless_norm2"):
+        original = body_module.CurvatureField.__dict__[name].func
+
+        def counting(self, original=original):
+            touched.append(self)
+            return original(self)
+
+        prop = cached_property(counting)
+        prop.__set_name__(body_module.CurvatureField, name)
+        monkeypatch.setattr(body_module.CurvatureField, name, prop)
+    built = []
+    original_init = body_module.CurvatureField.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(body_module.CurvatureField, "__init__", counting_init)
+    body = make_ellipsoid(standard_grid(2, 6), (1.0, 1.0, 1.1))
+    traj = run_flow(body, make_speed("mean", 2), max_steps=5, snapshot_every=100)
+    assert traj.steps == 5 and traj.retries == 0
+    assert len(built) == 4 * traj.steps + 1
+    assert len({id(curv) for curv in touched}) == traj.steps + 1
+
+
 def test_fine_grid_operators_built_once_across_runs(monkeypatch):
     grid = standard_grid(2, 6)
     fine = standard_grid(2, 12)

@@ -351,13 +351,7 @@ def test_geombound_thresholds():
 
 def test_ek_margin_value():
     # kappa = (0.5, 1.5): E_1 = 1, E_2 = 0.75, margin = 1 - 1.1 sqrt(0.75)
-    curv = CurvatureField(
-        kappa=np.array([[0.5, 1.5]]),
-        radii_sigma=np.array([[1.0, 8.0 / 3.0, 4.0 / 3.0]]),
-        elementary=np.array([[1.0, 1.0, 0.75]]),
-        mean=np.array([2.0]),
-        traceless_norm2=np.array([0.5]),
-    )
+    curv = CurvatureField(kappa=np.array([[0.5, 1.5]]))
     margin = ek_comparison_margin(curv, 1, 2, 0.1)
     assert margin == pytest.approx(1.0 - 1.1 * np.sqrt(0.75), rel=1e-12)
     with pytest.raises(ValueError):

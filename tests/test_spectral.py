@@ -19,6 +19,7 @@ from curvflow.spectral import (
     coefficient_count,
     field_from_coefficients,
     field_from_values,
+    radii_rows,
     sphere_area,
     standard_grid,
     synthesize,
@@ -319,6 +320,16 @@ def test_third_derivative_vanishes_for_linear_field():
 # ---------------------------------------------------------------------------
 
 
+def _radii_from_hessian(field):
+    """Rows (s, R_00[, R_01, R_11]) of R = Hess s + s id from the node
+    Hessian of ``tangential_derivatives``."""
+    _, hess = tangential_derivatives(field)
+    s = field.values
+    if field.grid.dimension == 1:
+        return np.stack([s, hess[:, 0, 0] + s])
+    return np.stack([s, hess[:, 0, 0] + s, hess[:, 0, 1], hess[:, 1, 1] + s])
+
+
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_truncated_state_matches_padded_field(dimension):
     from curvflow.shapes import resample
@@ -330,13 +341,16 @@ def test_truncated_state_matches_padded_field(dimension):
     coeffs[0] += 3.0
 
     ev = TruncatedEvaluator(fine, 6)
-    values, grad, hess = ev.state(coeffs)
+    rows = ev.state(coeffs)
 
     padded = resample(field_from_coefficients(coarse, coeffs), fine)
-    ref_grad, ref_hess = tangential_derivatives(padded)
-    np.testing.assert_allclose(values, padded.values, rtol=0, atol=1e-11)
-    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(hess, ref_hess, rtol=0, atol=1e-8)
+    expected = _radii_from_hessian(padded)
+    assert rows.shape == (2 * dimension, fine.node_count)
+    np.testing.assert_allclose(rows[0], padded.values, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(rows[1:], expected[1:], rtol=0, atol=1e-8)
+    np.testing.assert_array_equal(
+        radii_rows(padded.field), TruncatedEvaluator(fine, 12).state(padded.coefficients)
+    )
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -358,7 +372,7 @@ def test_truncated_evaluator_memory_stays_small():
     tracemalloc.start()
     try:
         ev = TruncatedEvaluator(SphereGrid(2, 48), 24)
-        values, _, _ = ev.state(np.ones(ev.source_count))
+        values = ev.state(np.ones(ev.source_count))[0]
         ev.project(values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -378,6 +392,8 @@ def test_truncated_rejects_bad_shapes():
 def test_one_grid_serves_two_bands():
     # the degree-12 grid is both a body grid and the fine grid for band 6;
     # its cache must keep the two bands apart whatever the call order
+    from curvflow.shapes import resample
+
     shared = standard_grid(2, 12)
     rng = np.random.default_rng(5)
     body_coeffs = rng.standard_normal(shared.coefficient_count)
@@ -385,19 +401,20 @@ def test_one_grid_serves_two_bands():
 
     state = TruncatedEvaluator(shared, 6).state(band_coeffs)
     values = synthesize(shared, body_coeffs)
-    grad, hess = tangential_derivatives(field_from_coefficients(shared, body_coeffs))
+    rows = radii_rows(field_from_coefficients(shared, body_coeffs))
     state_again = TruncatedEvaluator(shared, 6).state(band_coeffs)
     projected = TruncatedEvaluator(shared, 6).project(values)
 
     body_grid = SphereGrid(2, 12)
-    ref_grad, ref_hess = tangential_derivatives(field_from_coefficients(body_grid, body_coeffs))
+    body_field = field_from_coefficients(body_grid, body_coeffs)
     np.testing.assert_array_equal(values, synthesize(body_grid, body_coeffs))
-    np.testing.assert_array_equal(grad, ref_grad)
-    np.testing.assert_array_equal(hess, ref_hess)
+    np.testing.assert_array_equal(rows, radii_rows(body_field))
+    np.testing.assert_allclose(rows, _radii_from_hessian(body_field), rtol=0, atol=1e-8)
     ref_ev = TruncatedEvaluator(SphereGrid(2, 12), 6)
-    for got in (state, state_again):
-        for a, b in zip(got, ref_ev.state(band_coeffs)):
-            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(state, ref_ev.state(band_coeffs))
+    np.testing.assert_array_equal(state_again, state)
+    padded = resample(field_from_coefficients(standard_grid(2, 6), band_coeffs), shared)
+    np.testing.assert_allclose(state, _radii_from_hessian(padded), rtol=0, atol=1e-8)
     np.testing.assert_array_equal(projected, ref_ev.project(values))
 
 
@@ -421,5 +438,5 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ev = TruncatedEvaluator(fine, source)
     coeffs = np.random.default_rng(seed).standard_normal(ev.source_count)
-    values, _, _ = ev.state(coeffs)
+    values = ev.state(coeffs)[0]
     np.testing.assert_allclose(ev.project(values), coeffs, rtol=0, atol=1e-11)
