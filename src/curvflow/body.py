@@ -231,6 +231,9 @@ def pinching_status(body_or_curv, delta0: float) -> PinchingStatus:
     mean_positive = bool(np.all(curv.mean > 0.0))
     if not mean_positive:
         return PinchingStatus(np.inf, int(np.argmin(curv.mean)), False, False)
+    if curv.kappa.shape[1] == 1 and np.max(curv.mean) < np.inf:
+        # a curve's one curvature has no traceless part: the ratio is 0 everywhere
+        return PinchingStatus(0.0, 0, True, 0.0 < delta0)
     ratio = curv.traceless_norm2 / curv.mean**2
     i = int(np.argmax(ratio))
     max_ratio = float(ratio[i])

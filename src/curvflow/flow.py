@@ -41,9 +41,7 @@ __all__ = [
     "estimate_collapse",
     "collapse_radius",
     "rescaled_profile",
-    "limit_point_error",
     "sphere_lifetime",
-    "sphere_radius_law",
 ]
 
 DEFAULT_SAFETY = 0.2
@@ -58,7 +56,10 @@ class FlowSnapshot:
     first time they are read and kept on the snapshot, so every monitor,
     writer and check that reads them shares one computation.  The snapshots
     of one run share ``radii_solver``, which warm-starts each radii solve
-    from the previous one.
+    from the previous one.  Reading ``radii`` solves the two radius
+    programs only; its ``incenter`` and ``circumcenter`` are solved when
+    first read, so the snapshots whose centres nobody reads never pay for
+    them.
     """
 
     step: int
@@ -321,20 +322,6 @@ def rescaled_profile(snapshot: FlowSnapshot, estimate: CollapseEstimate) -> np.n
     return (body.values - shift) / collapse_radius(estimate, snapshot.time)
 
 
-def limit_point_error(
-    trajectory: Trajectory, estimate: CollapseEstimate, tail_fraction: float = 0.2
-) -> np.ndarray:
-    """Distance of each tail incenter from the collapse point, in units of
-    the comparison radius at that snapshot's time."""
-    return np.array(
-        [
-            float(np.linalg.norm(snap.radii.incenter - estimate.point))
-            / collapse_radius(estimate, snap.time)
-            for snap in _tail(trajectory, tail_fraction)
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact laws for spheres
 # ---------------------------------------------------------------------------
@@ -343,12 +330,3 @@ def limit_point_error(
 def sphere_lifetime(radius: float, speed: Speed) -> float:
     """Collapse time of a sphere: r**(1+alpha) / ((1+alpha) f(1,...,1))."""
     return radius ** (1.0 + speed.alpha) / ((1.0 + speed.alpha) * speed.normalization)
-
-
-def sphere_radius_law(radius: float, time: float, speed: Speed) -> float:
-    """Radius of an initially round sphere after flowing for ``time``."""
-    a, c = speed.alpha, speed.normalization
-    remaining = radius ** (1.0 + a) - (1.0 + a) * c * time
-    if remaining < 0.0:
-        raise ValueError(f"time {time} exceeds the sphere lifetime")
-    return float(remaining ** (1.0 / (1.0 + a)))

@@ -20,17 +20,21 @@ which depends on the grid alone, so ``RadiiSolver`` starts each snapshot of a
 run from the previous snapshot's optimal basis.  The centre it reports is
 canonical, whatever vertex the pivots reach: with t fixed at its optimum,
 each coordinate in turn is the midpoint of its range over the optimal
-centres that share the coordinates fixed before it.
+centres that share the coordinates fixed before it.  Those centre ranges
+take 2d programs against the radius's one, and most readers want only the
+radii, so a centre is solved the first time it is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 
 from .body import CurvatureField, SupportFunction, curvature
+from .spectral import SphereGrid
 
 __all__ = [
     "MixedVolumes",
@@ -147,18 +151,6 @@ def mixed_volumes(
     return mv
 
 
-@dataclass(frozen=True)
-class DirectRadii:
-    r_minus: float
-    r_plus: float
-    incenter: np.ndarray
-    circumcenter: np.ndarray
-
-    @property
-    def ratio(self) -> float:
-        return self.r_plus / self.r_minus
-
-
 # a constraint violated by less than this, relative to the largest |b_i| or
 # |z_k|, counts as satisfied: rounding of the residuals stays below it
 _FEAS_TOL = 1e-13
@@ -210,6 +202,11 @@ class RadiiSolver:
     dual-infeasible basis is replaced by the cold start, and Bland's rule takes
     over once the objective stalls.  The bases are kept for the last grid seen
     and belong to this object alone; ``pivots`` and ``restarts`` count its work.
+
+    ``radii`` runs the two radius programs only.  The 2d centre-range programs
+    of each centre run when the returned ``DirectRadii`` is first asked for
+    that centre, on whatever grid the solver has moved to since: a read on
+    another grid moves the solver back, as ``radii`` would.
     """
 
     def __init__(self):
@@ -236,25 +233,34 @@ class RadiiSolver:
                 self._face_programs.append((j, side, self._face_rows[row], cold))
 
     def radii(self, body: SupportFunction) -> DirectRadii:
+        """Both radii of ``body``; its centres are solved on first read."""
         if body.grid is not self._grid:
             self._set_grid(body.grid)
         s = body.values
         if not np.all(np.isfinite(s)):
             raise RuntimeError("inradius LP failed: non-finite support values")
-        t_in, c_in = self._program("inradius", s)
+        t_in = self._program("inradius", s)
         if not t_in >= 0.0:
             raise RuntimeError(f"inradius LP failed: the node half-spaces hold no ball (t = {t_in})")
-        t_out, c_out = self._program("circumradius", -s)
-        return DirectRadii(r_minus=t_in, r_plus=-t_out, incenter=c_in, circumcenter=-c_out)
+        t_out = self._program("circumradius", -s)
+        return DirectRadii(r_minus=t_in, r_plus=-t_out, solver=self, grid=body.grid, support=s)
 
-    def _program(self, label: str, b: np.ndarray) -> tuple[float, np.ndarray]:
-        """Optimal t and canonical centre of max t s.t. <c, u_i> + t <= b_i."""
-        m, d = self._grid.nodes.shape
+    def _program(self, label: str, b: np.ndarray) -> float:
+        """Optimal t of max t s.t. <c, u_i> + t <= b_i."""
+        d = self._grid.nodes.shape[1]
         scale = float(np.max(np.abs(b))) or 1.0
         z = self._simplex(
             label, (label,), self._ball_rows, b, self._ball_objective, self._ball_cold, scale
         )
-        t = float(z[d])
+        return float(z[d])
+
+    def _centre(self, label: str, grid, b: np.ndarray, t: float) -> np.ndarray:
+        """Canonical centre of the program ``_program(label, b)`` solved with
+        optimum ``t`` on ``grid``; read-only."""
+        if grid is not self._grid:
+            self._set_grid(grid)
+        m, d = grid.nodes.shape
+        scale = float(np.max(np.abs(b))) or 1.0
 
         # the optimal centres, thickened by a slack that a translation keeps;
         # each coordinate in turn is the midpoint of its range within the
@@ -273,7 +279,9 @@ class RadiiSolver:
             if side == 1:
                 middle = 0.5 * (ends[0, j] + ends[1, j])
                 face[m + j], face[m + d + j] = middle + slack, slack - middle
-        return t, 0.5 * (ends[0] + ends[1])
+        centre = 0.5 * (ends[0] + ends[1])
+        centre.flags.writeable = False
+        return centre
 
     def _simplex(self, label, key, rows, b, g, cold, scale) -> np.ndarray:
         """Maximize g.z subject to rows z <= b, from the stored basis for
@@ -319,6 +327,39 @@ class RadiiSolver:
         raise RuntimeError(f"{label} LP failed: no optimal basis after {_MAX_PIVOTS} pivots")
 
 
+@dataclass(frozen=True, eq=False)
+class DirectRadii:
+    """Inradius and circumradius of one body, with their canonical centres.
+
+    The radii are solved when the record is made.  Each centre is solved the
+    first time it is read, by ``solver`` from ``grid`` and the read-only
+    ``support`` values the radii came from, and kept, so a reader of the
+    radii alone never pays for the centres.  A centre read therefore raises
+    the "optimal centres are unbounded" RuntimeError that an eager solve
+    would have raised with the radii.
+    """
+
+    r_minus: float
+    r_plus: float
+    solver: RadiiSolver = field(repr=False)
+    grid: SphereGrid = field(repr=False)
+    support: np.ndarray = field(repr=False)
+
+    @property
+    def ratio(self) -> float:
+        return self.r_plus / self.r_minus
+
+    @cached_property
+    def incenter(self) -> np.ndarray:
+        return self.solver._centre("inradius", self.grid, self.support, self.r_minus)
+
+    @cached_property
+    def circumcenter(self) -> np.ndarray:
+        centre = -self.solver._centre("circumradius", self.grid, -self.support, -self.r_plus)
+        centre.flags.writeable = False
+        return centre
+
+
 def direct_radii(body: SupportFunction, solver: RadiiSolver | None = None) -> DirectRadii:
     """Largest inscribed and smallest enclosing ball via linear programs.
 
@@ -329,6 +370,11 @@ def direct_radii(body: SupportFunction, solver: RadiiSolver | None = None) -> Di
     The radii are the programs' optimal values and the centres canonical, so
     any start gives the same result up to rounding, and the same sequence of
     calls gives bit-identical results.
+
+    Only the radii are solved here; each centre is solved on its first read
+    (see ``DirectRadii``).  A body whose node half-spaces hold no ball raises
+    RuntimeError at once; unbounded optimal centres raise it on the first
+    read of that centre.
     """
     return (solver if solver is not None else RadiiSolver()).radii(body)
 

@@ -65,6 +65,24 @@ def _sigma_without_pair(kappa: np.ndarray, k: int, i: int, j: int) -> np.ndarray
     return elementary_symmetric(kappa[..., others], k)
 
 
+def _add(columns) -> np.ndarray:
+    """Sum of a sequence of equal-shaped arrays, added left to right.
+
+    The curvature arrays are (M, n) with n small; numpy loops slowly over a
+    short last axis, so the speeds add whole columns instead.  For n < 8 the
+    result equals ``np.sum(..., axis=-1)`` bit for bit, which adds in the
+    same order.
+    """
+    total = columns[0]
+    for column in columns[1:]:
+        total = total + column
+    return total
+
+
+def _columns(kappa: np.ndarray) -> list[np.ndarray]:
+    return [kappa[..., i] for i in range(kappa.shape[-1])]
+
+
 @dataclass(frozen=True)
 class Speed:
     kind: str  # "mean" | "ek" | "norm"
@@ -109,9 +127,9 @@ class Speed:
         kappa = np.asarray(kappa, dtype=float)
         n, a = self.dimension, self.alpha
         if self.kind == "mean":
-            return np.sum(kappa, axis=-1) ** a
+            return _add(_columns(kappa)) ** a
         if self.kind == "norm":
-            return n ** (a / 2.0) * np.sum(kappa**2, axis=-1) ** (a / 2.0)
+            return n ** (a / 2.0) * _add(_columns(kappa**2)) ** (a / 2.0)
         k = self.k
         ek = elementary_symmetric(kappa, k) / comb(n, k)
         return (float(n) ** k * ek) ** (a / k)
@@ -122,26 +140,27 @@ class Speed:
         These are the eigenvalues of the linearized operator, so ellipticity
         on the cone is exactly their positivity.
         """
-        kappa = np.asarray(kappa, dtype=float)
+        return np.stack(self._gradient_columns(np.asarray(kappa, dtype=float)), axis=-1)
+
+    def trace_gradient(self, kappa: np.ndarray) -> np.ndarray:
+        """Sum of the partial derivatives of f."""
+        return _add(self._gradient_columns(np.asarray(kappa, dtype=float)))
+
+    def _gradient_columns(self, kappa: np.ndarray) -> list[np.ndarray]:
+        """The n partial derivatives of f, one array each."""
         n, a = self.dimension, self.alpha
         if self.kind == "mean":
-            h = np.sum(kappa, axis=-1)
-            return np.repeat((a * h ** (a - 1.0))[..., None], n, axis=-1)
+            h = _add(_columns(kappa))
+            return [a * h ** (a - 1.0)] * n
         if self.kind == "norm":
-            q = np.sum(kappa**2, axis=-1)
+            q = _add(_columns(kappa**2))
             front = n ** (a / 2.0) * a * q ** (a / 2.0 - 1.0)
-            return front[..., None] * kappa
+            return [front * column for column in _columns(kappa)]
         k = self.k
         scaled = float(n) ** k / comb(n, k)
         base = scaled * elementary_symmetric(kappa, k)  # = n^k E_k
         front = (a / k) * base ** (a / k - 1.0) * scaled
-        grad = np.empty_like(kappa)
-        for i in range(n):
-            grad[..., i] = front * _sigma_without(kappa, k - 1, i)
-        return grad
-
-    def trace_gradient(self, kappa: np.ndarray) -> np.ndarray:
-        return np.sum(self.gradient(kappa), axis=-1)
+        return [front * _sigma_without(kappa, k - 1, i) for i in range(n)]
 
     def hessian(self, kappa: np.ndarray) -> np.ndarray:
         """Second partials of f in the principal curvatures, shape (..., n, n)."""

@@ -108,6 +108,17 @@ def test_ellipse_axis_curvatures_n1():
     np.testing.assert_allclose(curvature(ell).kappa, expected, rtol=1e-8)
 
 
+@pytest.mark.parametrize("delta0", [1e-300, 0.5])
+def test_curve_pinching_status_matches_the_general_formula(delta0):
+    curv = CurvatureField(kappa=curvature(make_ellipsoid(standard_grid(1, 32), (1.0, 1.3))).kappa)
+    ratio = curv.traceless_norm2 / curv.mean**2  # the surfaces' formula, 0 on a curve
+    i = int(np.argmax(ratio))
+    expected = (float(ratio[i]), i, True, float(ratio[i]) < delta0)
+    status = pinching_status(curv, delta0)
+    assert tuple(vars(status).values()) == expected
+    assert type(status.max_ratio) is float
+
+
 def test_pinching_ratio_value():
     # kappa = (0.5, 1.5): mean 2, traceless norm^2 = 0.5, ratio 1/8
     curv = CurvatureField(kappa=np.array([[0.5, 1.5]]))

@@ -348,9 +348,10 @@ def test_load_trajectory_round_trip(ellipsoid_dir):
 
 
 def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
-    # every radii LP goes through RadiiSolver._program; FlowSnapshot computes
-    # its curvature through flow.curvature
-    calls = {"lp": 0, "curvature": 0}
+    # every radius LP goes through RadiiSolver._program and every centre LP
+    # through RadiiSolver._centre; FlowSnapshot computes its curvature
+    # through flow.curvature
+    calls = {"lp": 0, "centre": 0, "curvature": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -362,9 +363,12 @@ def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
     monkeypatch.setattr(
         geometry.RadiiSolver, "_program", counting("lp", geometry.RadiiSolver._program)
     )
+    monkeypatch.setattr(
+        geometry.RadiiSolver, "_centre", counting("centre", geometry.RadiiSolver._centre)
+    )
     monkeypatch.setattr(flow, "curvature", counting("curvature", flow.curvature))
     trajectory, summary = load_trajectory(ellipsoid_dir)
-    assert calls["lp"] == 0
+    assert calls["lp"] == 0 and calls["centre"] == 0
     record = diagnostics_record(
         trajectory, sigma=summary["sigma"], sigma0=summary["sigma0"], t0_index=summary["t0_index"]
     )

@@ -8,16 +8,35 @@ from curvflow.flow import (
     MAX_STEP_RETRIES,
     collapse_radius,
     estimate_collapse,
-    limit_point_error,
     rescaled_profile,
     run_flow,
     sphere_lifetime,
-    sphere_radius_law,
 )
-from curvflow.geometry import mixed_volumes
+from curvflow.geometry import RadiiSolver, mixed_volumes
 from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.speeds import Speed, make_speed
 from curvflow.spectral import standard_grid
+
+
+def sphere_radius_law(radius, time, speed):
+    """Radius of an initially round sphere after flowing for ``time``."""
+    a, c = speed.alpha, speed.normalization
+    remaining = radius ** (1.0 + a) - (1.0 + a) * c * time
+    if remaining < 0.0:
+        raise ValueError(f"time {time} exceeds the sphere lifetime")
+    return float(remaining ** (1.0 / (1.0 + a)))
+
+
+def limit_point_error(trajectory, estimate, tail_fraction=0.2):
+    """Distance of each tail incenter from the collapse point, in units of
+    the comparison radius at that snapshot's time."""
+    return np.array(
+        [
+            float(np.linalg.norm(snap.radii.incenter - estimate.point))
+            / collapse_radius(estimate, snap.time)
+            for snap in flow_module._tail(trajectory, tail_fraction)
+        ]
+    )
 
 
 def test_sphere_follows_exact_law():
@@ -222,6 +241,33 @@ def test_stages_compute_only_kappa(monkeypatch):
     assert traj.steps == 5 and traj.retries == 0
     assert len(built) == 4 * traj.steps + 1
     assert len({id(curv) for curv in touched}) == traj.steps + 1
+
+
+def test_snapshots_solve_radii_now_and_centres_on_first_read(monkeypatch):
+    calls = []
+
+    def counting(name):
+        original = getattr(RadiiSolver, name)
+
+        def counted(self, label, *args):
+            calls.append((name, label))
+            return original(self, label, *args)
+
+        monkeypatch.setattr(RadiiSolver, name, counted)
+
+    counting("_program")
+    counting("_centre")
+    body = make_ellipsoid(standard_grid(1, 16), (1.0, 1.2))
+    traj = run_flow(body, make_speed("mean", 1), stop_fraction=0.5, snapshot_every=5)
+    assert traj.stop_reason == "target_radius"  # every snapshot's radii were read
+    assert calls == [("_program", "inradius"), ("_program", "circumradius")] * len(
+        traj.snapshots
+    )
+    calls.clear()
+    estimate = estimate_collapse(traj)
+    assert calls == [("_centre", "inradius")]
+    np.testing.assert_array_equal(estimate.point, traj.final.radii.incenter)
+    assert len(calls) == 1  # the centre is kept
 
 
 def test_fine_grid_operators_built_once_across_runs(monkeypatch):

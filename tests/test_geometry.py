@@ -12,6 +12,7 @@ from curvflow.body import (
     curvature,
     recenter,
     support_from_coefficients,
+    support_from_values,
     translate,
 )
 from curvflow.geometry import (
@@ -246,6 +247,40 @@ def test_warm_and_cold_solves_agree():
     # each warm solve starts from the previous body's optimal bases
     assert warm.pivots < cold_pivots / 3
     assert warm.restarts == 0
+
+
+def test_centres_read_out_of_order_match_cold_solves():
+    warm = RadiiSolver()
+    bodies = list(_drifting_ellipsoids())
+    solved = [warm.radii(body) for body in bodies]
+    for i in (7, 3, 11, 0, 7):
+        _assert_same_radii(solved[i], RadiiSolver().radii(bodies[i]))
+
+
+def test_centre_read_on_a_moved_solver_is_unchanged():
+    body = make_ellipsoid(standard_grid(2, 12), (1.0, 1.1, 1.3))
+    other = make_ellipsoid(standard_grid(2, 8), (1.2, 1.0, 1.1))
+    solver = RadiiSolver()
+    est = solver.radii(body)
+    other_est = solver.radii(other)  # the solver moves to the degree-8 grid
+    reference = RadiiSolver().radii(body)
+    np.testing.assert_array_equal(est.incenter, reference.incenter)
+    np.testing.assert_array_equal(est.circumcenter, reference.circumcenter)
+    # and back again, for the body on the degree-8 grid
+    np.testing.assert_array_equal(other_est.incenter, RadiiSolver().radii(other).incenter)
+
+
+def test_a_body_holding_no_ball_fails_before_any_centre_read():
+    grid = standard_grid(2, 8)
+    with pytest.raises(RuntimeError, match="hold no ball"):
+        direct_radii(support_from_values(grid, np.full(grid.nodes.shape[0], -1.0)))
+
+
+def test_centres_are_read_only():
+    est = direct_radii(next(_drifting_ellipsoids(1)))
+    for centre in (est.incenter, est.circumcenter):
+        with pytest.raises(ValueError):
+            centre[0] = 1.0
 
 
 def test_bland_rule_path_matches_highs(monkeypatch):

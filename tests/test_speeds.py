@@ -28,6 +28,31 @@ def in_cone_samples(rng, dimension, count):
     return 1.0 + 0.4 * rng.uniform(-1.0, 1.0, size=(count, dimension))
 
 
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_column_sums_equal_numpy_sums(dimension):
+    # value, gradient and trace_gradient add kappa's columns; the formulas
+    # they replace summed over the last axis with np.sum
+    kappa = 0.5 + np.random.default_rng(dimension).random((257, dimension))
+    for speed in all_speeds(dimension, alpha=2.5):
+        n, a = speed.dimension, speed.alpha
+        gradient = speed.gradient(kappa)
+        if speed.kind == "mean":
+            h = np.sum(kappa, axis=-1)
+            value = h**a
+            np.testing.assert_array_equal(
+                gradient, np.repeat((a * h ** (a - 1.0))[..., None], n, axis=-1)
+            )
+        elif speed.kind == "norm":
+            q = np.sum(kappa**2, axis=-1)
+            value = n ** (a / 2.0) * q ** (a / 2.0)
+            front = n ** (a / 2.0) * a * q ** (a / 2.0 - 1.0)
+            np.testing.assert_array_equal(gradient, front[..., None] * kappa)
+        if speed.kind in ("mean", "norm"):
+            np.testing.assert_array_equal(speed.value(kappa), value)
+        np.testing.assert_array_equal(speed.trace_gradient(kappa), np.sum(gradient, axis=-1))
+        np.testing.assert_array_equal(speed.gradient(kappa[0]), gradient[0])
+
+
 def test_mean_power_value():
     speed = make_speed("mean", 2, alpha=2.0)
     assert speed.value(np.array([1.0, 2.0])) == pytest.approx(9.0, abs=1e-14)
