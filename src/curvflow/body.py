@@ -6,9 +6,6 @@ matrix ``R = Hess s + s * id`` (covariant Hessian with respect to the round
 metric, orthonormal frame) has the principal radii of curvature as
 eigenvalues; positivity of R is exactly uniform convexity, and the inverse
 eigenvalues are the principal curvatures of the boundary hypersurface.
-
-The Gauss-map embedding recovers boundary points as ``X = s u + grad s``,
-with outward normal u at X.
 """
 
 from __future__ import annotations
@@ -27,23 +24,17 @@ from .spectral import (
     field_from_coefficients,
     radii_rows,
     standard_grid,
-    tangential_derivatives,
 )
 
 __all__ = [
     "ConvexityLostError",
     "SupportFunction",
     "CurvatureField",
-    "EmbeddingSample",
     "PinchingStatus",
     "support_from_values",
     "support_from_coefficients",
     "curvature",
-    "embed",
     "pinching_status",
-    "steiner_point",
-    "recenter",
-    "translate",
     "save_snapshot",
     "load_snapshot",
     "snapshot_to_text",
@@ -157,15 +148,18 @@ def _elementary_symmetric(x):
     return sigma
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _curvature_from_radii_data(rows, convexity_tol):
     """CurvatureField from node rows (s, radii-matrix entries), laid out as
     ``spectral.radii_rows`` gives them: (s, r) or (s, R_00, R_01, R_11)."""
     s = rows[0]
-    scale = max(float(np.mean(np.abs(s))), np.finfo(float).tiny)
+    # np.mean's own arithmetic, without its Python wrapper
+    scale = max(float(np.add.reduce(np.abs(s)) / s.size), _TINY)
     if len(rows) == 2:
         r = rows[1]
-        bad = ~(r > convexity_tol * scale)  # NaN radii count as lost convexity
-        if np.any(bad):
+        if not (r > convexity_tol * scale).all():  # NaN radii count as lost convexity
             i = int(np.argmin(r))
             raise ConvexityLostError(i, float(r[i]), scale)
         return CurvatureField((1.0 / r)[:, None])
@@ -179,8 +173,7 @@ def _curvature_from_radii_data(rows, convexity_tol):
     half_tr = 0.5 * (r00 + r11)
     disc = np.sqrt((0.5 * (r00 - r11)) ** 2 + r01 * r01)
     r_small = half_tr - disc
-    bad = ~(r_small > convexity_tol * scale * inv)
-    if np.any(bad):
+    if not (r_small > convexity_tol * scale * inv).all():
         i = int(np.argmin(r_small))
         raise ConvexityLostError(i, float(r_small[i] * unit), scale)
     return CurvatureField(np.column_stack([inv / (half_tr + disc), inv / r_small]))  # ascending
@@ -201,22 +194,6 @@ def curvature(body: SupportFunction, convexity_tol: float = DEFAULT_CONVEXITY_TO
     return _curvature_from_radii_data(radii_rows(body.field), convexity_tol)
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingSample:
-    points: np.ndarray
-    normals: np.ndarray
-    support: np.ndarray
-
-
-def embed(body: SupportFunction) -> EmbeddingSample:
-    """Boundary points X = s u + grad s with outward normal u."""
-    grad, _ = tangential_derivatives(body.field)
-    frames = body.grid.frames()
-    grad_ambient = np.einsum("pa,pax->px", grad, frames)
-    points = body.values[:, None] * body.grid.nodes + grad_ambient
-    return EmbeddingSample(points=points, normals=body.grid.nodes, support=body.values)
-
-
 @dataclass(frozen=True)
 class PinchingStatus:
     max_ratio: float
@@ -228,44 +205,16 @@ class PinchingStatus:
 def pinching_status(body_or_curv, delta0: float) -> PinchingStatus:
     """Worst traceless-to-mean curvature ratio and cone membership."""
     curv = body_or_curv if isinstance(body_or_curv, CurvatureField) else curvature(body_or_curv)
-    mean_positive = bool(np.all(curv.mean > 0.0))
+    mean_positive = bool((curv.mean > 0.0).all())
     if not mean_positive:
         return PinchingStatus(np.inf, int(np.argmin(curv.mean)), False, False)
-    if curv.kappa.shape[1] == 1 and np.max(curv.mean) < np.inf:
+    if curv.kappa.shape[1] == 1 and curv.mean.max() < np.inf:
         # a curve's one curvature has no traceless part: the ratio is 0 everywhere
         return PinchingStatus(0.0, 0, True, 0.0 < delta0)
     ratio = curv.traceless_norm2 / curv.mean**2
     i = int(np.argmax(ratio))
     max_ratio = float(ratio[i])
     return PinchingStatus(max_ratio, i, True, max_ratio < delta0)
-
-
-# ---------------------------------------------------------------------------
-# recentering
-# ---------------------------------------------------------------------------
-
-
-def steiner_point(body: SupportFunction) -> np.ndarray:
-    """Curvature-free center: (n+1)/|S^n| times the first moment of s."""
-    grid = body.grid
-    n_amb = grid.dimension + 1
-    return n_amb / grid.sphere_area * (grid.weights * body.values) @ grid.nodes
-
-
-def translate(body: SupportFunction, offset: np.ndarray) -> SupportFunction:
-    """Support function of the body translated by ``offset``."""
-    offset = np.asarray(offset, dtype=float)
-    return support_from_values(body.grid, body.values + body.grid.nodes @ offset)
-
-
-def recenter(body: SupportFunction, point: np.ndarray | None = None):
-    """Move the origin to ``point`` (default: the Steiner point).
-
-    Returns the recentered body and the point used; subtracting the degree-1
-    component of s is exactly the Steiner choice.
-    """
-    p = steiner_point(body) if point is None else np.asarray(point, dtype=float)
-    return translate(body, -p), p
 
 
 # ---------------------------------------------------------------------------

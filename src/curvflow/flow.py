@@ -6,10 +6,15 @@ entries of the radii matrix ``Hess s + s id`` on a grid of twice the band
 limit, takes the principal curvatures there as its inverse eigenvalues,
 applies the speed, and projects back to degree L; the margin keeps the
 quadratic part of the curvature map alias-free and damps the smooth
-remainder spectrally.  The speeds depend on the principal curvatures alone,
-so a Runge-Kutta stage builds nothing else; the symmetric functions that the
-pinching test reads are computed for accepted states only.  Time stepping
-is classic fourth-order Runge-Kutta under a parabolic step-size heuristic.
+remainder spectrally.  That fine grid is ``spectral.smooth_grid``: its rings
+are the shortest even length of at least 2F + 2 (F = 2L) with no prime factor
+above 7, so the real FFTs that dominate a curve's evaluation run at their
+fast lengths (270 rather than 258 = 2 * 3 * 43 points at L = 64); the time
+step scales with the body grid's node spacing, which keeps 2L + 2 points.
+The speeds depend on the principal curvatures alone, so a Runge-Kutta stage
+builds nothing else; the symmetric functions that the pinching test reads
+are computed for accepted states only.  Time stepping is classic
+fourth-order Runge-Kutta under a parabolic step-size heuristic.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .body import (
 )
 from .geometry import DirectRadii, MixedVolumes, RadiiSolver, direct_radii, mixed_volumes
 from .speeds import Speed
-from .spectral import TruncatedEvaluator, standard_grid
+from .spectral import TruncatedEvaluator, smooth_grid
 
 __all__ = [
     "FlowSnapshot",
@@ -131,7 +136,7 @@ class _Stepper:
         self.grid = grid
         self.speed = speed
         self.convexity_tol = convexity_tol
-        fine = standard_grid(grid.dimension, 2 * grid.degree)
+        fine = smooth_grid(grid.dimension, 2 * grid.degree)
         self.evaluator = TruncatedEvaluator(fine, grid.degree)
 
     def evaluate(self, coefficients: np.ndarray):
@@ -144,10 +149,10 @@ class _Stepper:
 
     def time_step(self, curv, h_min: float, c_safe: float) -> float:
         trace = self.speed.trace_gradient(curv.kappa)
-        r_max = 1.0 / curv.kappa[:, 0]
-        r_min = 1.0 / curv.kappa[:, -1]
+        radii = 1.0 / curv.kappa
+        r_max, r_min = radii[:, 0], radii[:, -1]
         stiffness = trace * np.maximum(1.0, r_max**2) / r_min**2
-        return c_safe * h_min**2 / float(np.max(stiffness))
+        return c_safe * h_min**2 / float(stiffness.max())
 
 
 def run_flow(

@@ -50,7 +50,6 @@ __all__ = [
     "radius_report",
     "GeomboundResult",
     "geombound_check",
-    "ek_comparison_margin",
     "volume_decay_rate",
 ]
 
@@ -471,19 +470,6 @@ def geombound_check(r_plus, ratio, rho_grid) -> GeomboundResult:
     return GeomboundResult(
         r_plus=r_plus, ratio=ratio, thresholds=thresholds, ratio_monotone=monotone
     )
-
-
-def ek_comparison_margin(curv: CurvatureField, k: int, ell: int, eps: float) -> float:
-    """Worst value of E_k - (1 + eps) E_ell**(k/ell) over the nodes.
-
-    This is the smallest constant that makes the comparison hold on the
-    body; it is reported raw, never clamped at zero.
-    """
-    n = curv.elementary.shape[1] - 1
-    if not (1 <= k < ell <= n):
-        raise ValueError("need 1 <= k < ell <= n")
-    values = curv.elementary[:, k] - (1.0 + eps) * curv.elementary[:, ell] ** (k / ell)
-    return float(np.max(values))
 
 
 def volume_decay_rate(

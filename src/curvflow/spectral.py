@@ -15,7 +15,13 @@ Key concepts
   ``2L + 2`` equispaced longitudes, so products of two band-limited fields -
   spherical polynomials up to degree ``2L`` - are integrated exactly.  On the
   circle the analogue is a ``2L + 2``-point trapezoid rule, exact for
-  trigonometric degree ``2L + 1``.
+  trigonometric degree ``2L + 1``.  A longer even ring is exact for more; the
+  flow stepper's fine grid (``smooth_grid``) takes the shortest one of at
+  least ``2L + 2`` points whose prime factors are all at most 7, because the
+  real FFT is several times slower on lengths with a large prime factor
+  (``2L + 2 = 514 = 2 * 257`` on the degree-256 fine grid of a degree-128
+  curve).  Every other grid keeps
+  ``2L + 2``, which sets the node spacing the time step is scaled by.
 - The colatitude factors are fully normalized associated Legendre functions,
   built on the rings by the sectoral recurrence in m and the three-term
   recurrence in l (Holmes & Featherstone 2002), vectorized over orders and
@@ -52,6 +58,7 @@ __all__ = [
     "SphereGrid",
     "SpectralField",
     "standard_grid",
+    "smooth_grid",
     "sphere_area",
     "analyze",
     "synthesize",
@@ -102,18 +109,26 @@ class SphereGrid:
         Quadrature weights summing to the sphere area; exact for spherical
         polynomials up to the design degree 2L.
     ring_size : int
-        Equispaced nodes per longitude ring (the whole circle for n=1), 2L + 2;
-        nodes are stored ring by ring.
+        Equispaced nodes per longitude ring (the whole circle for n=1); nodes
+        are stored ring by ring.  2L + 2 unless given: the flow stepper's fine
+        grid (``smooth_grid``) takes a longer, 7-smooth ring.
     """
 
-    def __init__(self, dimension: int, degree: int):
+    def __init__(self, dimension: int, degree: int, *, ring_size: int | None = None):
         if dimension not in (1, 2):
             raise ValueError(f"unsupported dimension {dimension}; expected 1 or 2")
         if degree < 1:
             raise ValueError("degree must be >= 1")
+        if ring_size is None:
+            ring_size = 2 * degree + 2
+        elif not isinstance(ring_size, int) or ring_size % 2 or ring_size < 2 * degree + 2:
+            raise ValueError(
+                f"ring_size must be an even integer >= 2 * degree + 2 = {2 * degree + 2}, "
+                f"got {ring_size!r}"
+            )
         self.dimension = dimension
         self.degree = degree
-        self.ring_size = n_phi = 2 * degree + 2
+        self.ring_size = n_phi = ring_size
 
         if dimension == 1:
             self.theta = 2.0 * np.pi * np.arange(n_phi) / n_phi
@@ -147,16 +162,6 @@ class SphereGrid:
             self._bands[band] = _build_band(self, band)
         return self._bands[band]
 
-    def frames(self) -> np.ndarray:
-        """Orthonormal tangent frame at each node, shape (M, n, n+1)."""
-        st, ct = np.sin(self.theta), np.cos(self.theta)
-        if self.dimension == 1:
-            return np.column_stack([-st, ct])[:, None, :]
-        cp, sp = np.cos(self.phi), np.sin(self.phi)
-        e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
-        e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        return np.stack([e_theta, e_phi], axis=1)
-
     def min_spacing(self) -> float:
         """Minimal angular spacing of the colatitude/angle grid.
 
@@ -167,13 +172,40 @@ class SphereGrid:
         return float(np.min(np.diff(rings)))
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"SphereGrid(dimension={self.dimension}, degree={self.degree})"
+        return (
+            f"SphereGrid(dimension={self.dimension}, degree={self.degree}, "
+            f"ring_size={self.ring_size})"
+        )
 
 
 @lru_cache(maxsize=32)
 def standard_grid(dimension: int, degree: int) -> SphereGrid:
     """Shared grid instances so transform tables are built once per (n, L, band)."""
     return SphereGrid(dimension, degree)
+
+
+@lru_cache(maxsize=32)
+def smooth_grid(dimension: int, degree: int) -> SphereGrid:
+    """Shared degree-``degree`` grids whose ring length is the smallest even
+    number of at least 2L + 2 with no prime factor above 7: the flow
+    stepper's fine grids, on which the real FFTs cost least.
+
+    Kept apart from ``standard_grid``: the two differ whenever 2L + 2 has a
+    prime factor above 7 (2L + 2 = 130 = 2 * 5 * 13 at L = 64).
+    """
+    return SphereGrid(dimension, degree, ring_size=_smooth_ring_size(degree))
+
+
+def _smooth_ring_size(degree: int) -> int:
+    n = 2 * degree + 2
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,6 +264,8 @@ class _Band:
     maps a ring spectrum to the ``irfft`` input of its b-th (circle: a-th)
     derivative.  ``ring`` holds ``cot theta``, ``1/sin theta`` and
     ``1/sin(theta)**2`` per ring as (3, rings, 1) columns (None on the circle).
+    ``radii`` maps the circle's one spectrum to the ``irfft`` inputs of s and
+    r = s + s'' (None on the sphere).
     """
 
     count: int
@@ -240,6 +274,7 @@ class _Band:
     table: np.ndarray
     synth: np.ndarray
     ring: np.ndarray | None
+    radii: np.ndarray | None
 
 
 def _build_band(grid: SphereGrid, band: int) -> _Band:
@@ -262,7 +297,11 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
         csc = 1.0 / np.sin(theta)
         ring = np.stack([np.cos(theta) * csc, csc, csc * csc])[:, :, None]
     synth = np.stack([weight * 1j**b * m**b for b in range(4)])
-    return _Band(count, cos_index, sin_index, table, synth, ring)
+    radii = None
+    if grid.dimension == 1:
+        w, _, w_m2 = synth[:3]  # w_m2 = -w m**2
+        radii = np.stack([w, w + w_m2])
+    return _Band(count, cos_index, sin_index, table, synth, ring, radii)
 
 
 def _colatitude_table(theta, degree):
@@ -322,6 +361,10 @@ def _colatitude_table(theta, degree):
     return np.stack([d0, d1, d2, d3])
 
 
+# the coefficient that a missing (m, l) slot reads
+_ZERO = np.zeros(1)
+
+
 def _ring_spectra(grid, band, coefficients, count):
     """The band record and the ring spectra of band-``band`` coefficients:
     on the sphere those of their first ``count`` colatitude derivatives,
@@ -330,12 +373,13 @@ def _ring_spectra(grid, band, coefficients, count):
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (t.count,):
         raise ValueError(f"coefficient vector has shape {c.shape}, expected ({t.count},)")
-    padded = np.append(c, 0.0)
+    padded = np.concatenate((c, _ZERO))
     spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
     if grid.dimension == 1:
         return t, spectrum
-    # the l-sums as real matmuls batched over m: far faster than einsum
-    ring = t.table[:count] @ np.stack([spectrum.real, spectrum.imag], axis=-1)
+    # the l-sums as real matmuls batched over m: far faster than einsum; the
+    # float view of a complex array interleaves its real and imaginary parts
+    ring = t.table[:count] @ spectrum.view(float).reshape(*spectrum.shape, 2)
     return t, (ring[..., 0] + 1j * ring[..., 1]).swapaxes(1, 2)
 
 
@@ -370,9 +414,9 @@ def _radii_rows(grid, band, coefficients):
     inverse FFT, and each phi-derivative is an (i m)**b multiplier.
     """
     t, spectra = _ring_spectra(grid, band, coefficients, 3)
-    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
     if grid.dimension == 1:
-        return _irfft(grid, spectra * np.stack([w, w + w_m2]))
+        return _irfft(grid, spectra * t.radii)
+    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
     s, s_t, s_tt = spectra
     cot, csc, csc2 = t.ring
     r01 = (s_t - cot * s) * csc * w_im
@@ -386,11 +430,15 @@ def _project(grid, band, values):
     if values.shape != (grid.node_count,):
         raise ValueError(f"value vector has shape {values.shape}, expected ({grid.node_count},)")
     t = grid._band(band)
-    rings = np.fft.rfft((grid.weights * values).reshape(-1, grid.ring_size))[:, : band + 1]
+    weighted = grid.weights * values
     if grid.dimension == 1:
-        h = rings[0] * t.table
+        h = np.fft.rfft(weighted)[: band + 1] * t.table
     else:
-        h = t.table[0].swapaxes(1, 2) @ np.stack([rings.real.T, rings.imag.T], axis=-1)
+        rings = np.fft.rfft(weighted.reshape(-1, grid.ring_size))[:, : band + 1]
+        # (m, ring, 2) real and imaginary parts: the float view of the
+        # contiguous transposed spectra
+        parts = np.ascontiguousarray(rings.T).view(float).reshape(band + 1, -1, 2)
+        h = t.table[0].swapaxes(1, 2) @ parts
         h = h[..., 0] + 1j * h[..., 1]
     c = np.empty(t.count + 1)
     c[t.cos_index] = h.real

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .body import CurvatureField, SupportFunction
+from .body import SupportFunction
 from .flow import CollapseEstimate, Trajectory, estimate_collapse
 from .geometry import volume_decay_rate
 from .shapes import resample
@@ -340,9 +340,7 @@ def _gradient_margins(body: SupportFunction) -> tuple[float, float, float]:
     return float(full.min()), float(traceless.min()), float(t1.max())
 
 
-def gradient_inequality_monitor(
-    body: SupportFunction, curv: CurvatureField | None = None
-) -> GradientInequalityReport:
+def gradient_inequality_monitor(body: SupportFunction) -> GradientInequalityReport:
     """Check the pointwise gradient inequalities on one surface (n = 2).
 
     The same margins are recomputed at half the band limit; their change is
@@ -352,7 +350,6 @@ def gradient_inequality_monitor(
     """
     if body.grid.dimension != 2:
         raise ValueError("gradient inequality monitor needs a surface (n = 2)")
-    del curv  # the margins come from the support field directly
     margin_full, margin_traceless, scale = _gradient_margins(body)
 
     coarse_full = coarse_traceless = None

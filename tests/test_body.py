@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvflow.body import (
+    DEFAULT_CONVEXITY_TOL,
     ConvexityLostError,
     CurvatureField,
+    _curvature_from_radii_data,
     curvature,
-    embed,
     load_snapshot,
     pinching_status,
-    recenter,
     save_snapshot,
     snapshot_from_text,
     snapshot_to_text,
-    steiner_point,
     support_from_coefficients,
-    translate,
+    support_from_values,
 )
 from curvflow.shapes import (
     default_cone_threshold,
@@ -30,7 +29,25 @@ from curvflow.shapes import (
     random_pinched_body,
     resample,
 )
-from curvflow.spectral import standard_grid
+from curvflow.spectral import radii_rows, standard_grid
+
+
+def translate(body, offset):
+    """Support function of the body translated by ``offset``."""
+    return support_from_values(body.grid, body.values + body.grid.nodes @ offset)
+
+
+def steiner_point(body):
+    """Curvature-free centre: (n+1)/|S^n| times the first moment of s."""
+    grid = body.grid
+    return (grid.dimension + 1) / grid.sphere_area * (grid.weights * body.values) @ grid.nodes
+
+
+def recenter(body, point=None):
+    """The body moved so that ``point`` (default: its Steiner point) is the
+    origin, and the point used."""
+    p = steiner_point(body) if point is None else np.asarray(point, dtype=float)
+    return translate(body, -p), p
 
 
 def test_sphere_curvature_n2():
@@ -139,25 +156,6 @@ def test_default_cone_threshold():
     assert default_cone_threshold(1) == np.inf
 
 
-def test_embed_sphere():
-    grid = standard_grid(2, 8)
-    center = np.array([0.2, -0.4, 0.1])
-    ball = make_sphere(grid, 1.5, center=center)
-    sample = embed(ball)
-    np.testing.assert_allclose(sample.points, center + 1.5 * grid.nodes, atol=1e-10)
-    np.testing.assert_allclose(
-        np.sum(sample.points * sample.normals, axis=1), sample.support, atol=1e-12
-    )
-
-
-def test_embed_ellipsoid_on_surface():
-    grid = standard_grid(2, 24)
-    axes = np.array([1.0, 1.1, 1.3])
-    sample = embed(make_ellipsoid(grid, axes))
-    residual = np.sum((sample.points / axes) ** 2, axis=1) - 1.0
-    assert np.max(np.abs(residual)) < 1e-8
-
-
 def test_steiner_point_and_recenter():
     grid = standard_grid(2, 10)
     center = np.array([0.3, 0.1, -0.2])
@@ -194,6 +192,33 @@ def test_nan_support_raises_convexity_lost(dimension):
     coeffs[1] = np.nan
     with pytest.raises(ConvexityLostError):
         curvature(support_from_coefficients(grid, coeffs))
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("size", [2, 130, 270, 4802, 4803])
+def test_body_scale_is_the_mean_absolute_support_value(dimension, size):
+    rng = np.random.default_rng(size)
+    for _ in range(10):
+        rows = rng.random((2 * dimension, size)) + 1.0
+        rows[0] = rng.standard_normal(size) * 10.0 ** rng.uniform(-3.0, 3.0)
+        rows[1, rng.integers(size)] = -1.0
+        with pytest.raises(ConvexityLostError) as info:
+            _curvature_from_radii_data(rows, DEFAULT_CONVEXITY_TOL)
+        assert info.value.scale == float(np.mean(np.abs(rows[0])))  # bit for bit
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_non_finite_rows_count_as_lost_convexity(dimension, bad):
+    grid = standard_grid(dimension, 6)
+    axes = (1.0, 1.2, 1.1)[: dimension + 1]
+    good = radii_rows(make_ellipsoid(grid, axes).field)
+    _curvature_from_radii_data(good, DEFAULT_CONVEXITY_TOL)
+    for row in range(2 * dimension):
+        rows = good.copy()
+        rows[row, 3] = bad
+        with pytest.raises(ConvexityLostError):
+            _curvature_from_radii_data(rows, DEFAULT_CONVEXITY_TOL)
 
 
 def test_snapshot_round_trip(tmp_path):

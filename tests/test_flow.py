@@ -14,8 +14,8 @@ from curvflow.flow import (
 )
 from curvflow.geometry import RadiiSolver, mixed_volumes
 from curvflow.shapes import make_ellipsoid, make_sphere
-from curvflow.speeds import Speed, make_speed
-from curvflow.spectral import standard_grid
+from curvflow.speeds import Speed, make_speed, parse_speed
+from curvflow.spectral import SphereGrid, standard_grid
 
 
 def sphere_radius_law(radius, time, speed):
@@ -272,7 +272,7 @@ def test_snapshots_solve_radii_now_and_centres_on_first_read(monkeypatch):
 
 def test_fine_grid_operators_built_once_across_runs(monkeypatch):
     grid = standard_grid(2, 6)
-    fine = standard_grid(2, 12)
+    fine = spectral.smooth_grid(2, 12)
     body = make_ellipsoid(grid, (1.0, 1.0, 1.1))
     speed = make_speed("mean", 2)
     built = []
@@ -290,6 +290,45 @@ def test_fine_grid_operators_built_once_across_runs(monkeypatch):
     assert first_builds <= 1  # none if another run already used this grid
     assert len(built) == first_builds
     np.testing.assert_array_equal(second.final.body.coefficients, first.final.body.coefficients)
+    assert flow_module._Stepper(grid, speed, 1e-8).evaluator.grid is fine
+
+
+def _largest_prime_factor(n):
+    p, largest = 2, 1
+    while n > 1:
+        if n % p:
+            p += 1
+        else:
+            n //= p
+            largest = p
+    return largest
+
+
+def test_stepper_ring_is_the_smallest_even_7_smooth_length():
+    # only the fine grid's FFT length moves: its degree stays twice the body's
+    speed = make_speed("mean", 1)
+    for degree in range(1, 201):
+        fine = flow_module._Stepper(SphereGrid(1, degree), speed, 1e-8).evaluator.grid
+        n = 4 * degree + 2
+        while n % 2 or _largest_prime_factor(n) > 7:
+            n += 1
+        assert (fine.degree, fine.ring_size) == (2 * degree, n), degree
+    rings = [spectral.smooth_grid(1, 2 * degree).ring_size for degree in (32, 64, 128)]
+    assert rings == [140, 270, 540]
+
+
+def test_curve_step_count_is_unchanged_by_the_fine_ring():
+    # the smooth fine ring moves each time step by under 1e-3 relative, not
+    # the step count of criterion 12's first rung
+    grid = standard_grid(1, 32)
+    traj = run_flow(
+        make_ellipsoid(grid, (1.0, 1.2)),
+        parse_speed("pow_mean,alpha=2", 1),
+        stop_fraction=0.5,
+        snapshot_every=2,
+    )
+    assert traj.stop_reason == "target_radius"
+    assert (traj.steps, traj.retries) == (1064, 0)
 
 
 def test_rescaling_and_limit_point():

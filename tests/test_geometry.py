@@ -8,19 +8,15 @@ from scipy.optimize import linprog
 
 from curvflow import geometry
 from curvflow.body import (
-    CurvatureField,
     curvature,
-    recenter,
     support_from_coefficients,
     support_from_values,
-    translate,
 )
 from curvflow.geometry import (
     MixedVolumes,
     RadiiSolver,
     diskant_bounds,
     direct_radii,
-    ek_comparison_margin,
     geombound_check,
     mixed_volumes,
     mixed_volumes_radii,
@@ -38,6 +34,19 @@ from curvflow.shapes import (
 )
 from curvflow.speeds import make_speed
 from curvflow.spectral import standard_grid
+
+
+def translate(body, offset):
+    """Support function of the body translated by ``offset``."""
+    return support_from_values(body.grid, body.values + body.grid.nodes @ offset)
+
+
+def recenter(body):
+    """The body moved so that its Steiner point, (n+1)/|S^n| times the first
+    moment of s, is the origin, and that point."""
+    grid = body.grid
+    point = (grid.dimension + 1) / grid.sphere_area * (grid.weights * body.values) @ grid.nodes
+    return translate(body, -point), point
 
 
 def test_ball_mixed_volumes_n2():
@@ -382,21 +391,6 @@ def test_geombound_thresholds():
 
     wiggly = geombound_check(r_plus, ratio[::-1], rho_grid=[0.01])
     assert not wiggly.ratio_monotone
-
-
-def test_ek_margin_value():
-    # kappa = (0.5, 1.5): E_1 = 1, E_2 = 0.75, margin = 1 - 1.1 sqrt(0.75)
-    curv = CurvatureField(kappa=np.array([[0.5, 1.5]]))
-    margin = ek_comparison_margin(curv, 1, 2, 0.1)
-    assert margin == pytest.approx(1.0 - 1.1 * np.sqrt(0.75), rel=1e-12)
-    with pytest.raises(ValueError):
-        ek_comparison_margin(curv, 2, 2, 0.1)
-
-
-def test_ek_margin_sphere_is_minus_eps():
-    grid = standard_grid(2, 8)
-    curv = curvature(make_sphere(grid, 1.0))
-    assert ek_comparison_margin(curv, 1, 2, 0.3) == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_volume_decay_rate_on_spheres():

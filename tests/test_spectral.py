@@ -12,6 +12,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.spatial.transform import Rotation
 from scipy.special import assoc_legendre_p_all
 
+from curvflow import spectral
 from curvflow.spectral import (
     SphereGrid,
     TruncatedEvaluator,
@@ -20,6 +21,7 @@ from curvflow.spectral import (
     field_from_coefficients,
     field_from_values,
     radii_rows,
+    smooth_grid,
     sphere_area,
     standard_grid,
     synthesize,
@@ -240,9 +242,20 @@ class _AmbientPolynomial:
         return out
 
 
+def _frames(grid):
+    """Orthonormal tangent frame (e_theta[, e_phi]) at each node, shape (M, n, n+1)."""
+    st, ct = np.sin(grid.theta), np.cos(grid.theta)
+    if grid.dimension == 1:
+        return np.column_stack([-st, ct])[:, None, :]
+    cp, sp = np.cos(grid.phi), np.sin(grid.phi)
+    e_theta = np.stack([ct * cp, ct * sp, -st], axis=-1)
+    e_phi = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+    return np.stack([e_theta, e_phi], axis=1)
+
+
 def _frame_derivatives(poly, grid):
     """Closed-form value, frame gradient, Hessian and third derivative."""
-    u, e = grid.nodes, grid.frames()
+    u, e = grid.nodes, _frames(grid)
     n = grid.dimension
     value = poly.derivatives(u, 0)
     d1, d2, d3 = (poly.derivatives(u, k) for k in (1, 2, 3))
@@ -440,3 +453,98 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
     coeffs = np.random.default_rng(seed).standard_normal(ev.source_count)
     values = ev.state(coeffs)[0]
     np.testing.assert_allclose(ev.project(values), coeffs, rtol=0, atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# ring lengths
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_body_grids_keep_2l_plus_2_points_per_ring(dimension):
+    # only the flow stepper's fine grid (smooth_grid) takes a 7-smooth ring;
+    # the body grid sets the node spacing that scales the time step
+    for degree in (1, 6, 12, 24, 32, 64):
+        grid = SphereGrid(dimension, degree)
+        assert grid.ring_size == 2 * degree + 2
+        assert grid.node_count == grid.ring_size * (1 if dimension == 1 else degree + 1)
+    body, fine = standard_grid(dimension, 64), smooth_grid(dimension, 64)
+    assert (body.ring_size, fine.ring_size) == (130, 140)
+    assert fine is not body and fine is smooth_grid(dimension, 64)
+    if dimension == 1:
+        assert body.min_spacing() == pytest.approx(2.0 * np.pi / 130, rel=1e-15)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_ring_size_must_be_even_and_hold_2l_plus_2_points(dimension):
+    for bad in (19, 17, 16, 0, -18, 20.0, True):
+        with pytest.raises(ValueError, match="ring_size"):
+            SphereGrid(dimension, 8, ring_size=bad)
+    for good in (18, 20, 54):
+        grid = SphereGrid(dimension, 8, ring_size=good)
+        assert grid.ring_size == good
+        assert grid.weights.sum() == pytest.approx(sphere_area(dimension), rel=1e-14)
+
+
+@pytest.mark.parametrize("dimension, max_degree", [(1, 24), (2, 6)])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_state_and_project_invert_on_enlarged_rings(dimension, max_degree, data):
+    source = data.draw(st.integers(1, max_degree), label="source degree")
+    degree = source + data.draw(st.integers(0, max_degree), label="margin")
+    ring = 2 * degree + 2 + 2 * data.draw(st.integers(1, 12), label="extra pairs")
+    fine = SphereGrid(dimension, degree, ring_size=ring)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ev = TruncatedEvaluator(fine, source)
+    coeffs = np.random.default_rng(seed).standard_normal(ev.source_count)
+    np.testing.assert_allclose(ev.project(ev.state(coeffs)[0]), coeffs, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the transforms against the formulas they were trimmed from
+# ---------------------------------------------------------------------------
+
+
+def _reference_ring_spectra(grid, band, coefficients, count):
+    t = grid._band(band)
+    padded = np.append(coefficients, 0.0)
+    spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
+    if grid.dimension == 1:
+        return spectrum
+    ring = t.table[:count] @ np.stack([spectrum.real, spectrum.imag], axis=-1)
+    return (ring[..., 0] + 1j * ring[..., 1]).swapaxes(1, 2)
+
+
+def _reference_project(grid, band, values):
+    t = grid._band(band)
+    rings = np.fft.rfft((grid.weights * values).reshape(-1, grid.ring_size))[:, : band + 1]
+    if grid.dimension == 1:
+        h = rings[0] * t.table
+    else:
+        h = t.table[0].swapaxes(1, 2) @ np.stack([rings.real.T, rings.imag.T], axis=-1)
+        h = h[..., 0] + 1j * h[..., 1]
+    c = np.empty(t.count + 1)
+    c[t.cos_index] = h.real
+    c[t.sin_index] = -h.imag
+    return c[:-1]
+
+
+@pytest.mark.parametrize("dimension, degree, band", [(1, 32, 16), (1, 64, 64), (2, 12, 6)])
+def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree, band):
+    rng = np.random.default_rng(degree + band)
+    for grid in (SphereGrid(dimension, degree), smooth_grid(dimension, degree)):
+        coeffs = rng.standard_normal(coefficient_count(dimension, band))
+        coeffs[rng.integers(coeffs.size, size=3)] = 0.0
+        _, spectra = spectral._ring_spectra(grid, band, coeffs, 3)
+        np.testing.assert_array_equal(spectra, _reference_ring_spectra(grid, band, coeffs, 3))
+        values = rng.standard_normal(grid.node_count)
+        np.testing.assert_array_equal(
+            spectral._project(grid, band, values), _reference_project(grid, band, values)
+        )
+        if dimension == 1:
+            # the circle's (s, r) multiplier is kept on the band record
+            w, _, w_m2 = grid._band(band).synth[:3]
+            stacked = np.fft.irfft(
+                spectra * np.stack([w, w + w_m2]), n=grid.ring_size, norm="forward"
+            )
+            np.testing.assert_array_equal(spectral._radii_rows(grid, band, coeffs), stacked)
