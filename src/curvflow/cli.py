@@ -360,6 +360,18 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     summary = (
         json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.is_file() else {}
     )
+    # verify and analyze read these two; null or 0 sigma means "derive it"
+    sigma = summary.get("sigma")
+    if sigma is not None:
+        sigma = _config_number(sigma, "summary.json sigma")
+        if not (np.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"summary.json sigma must be finite and >= 0, got {sigma!r}")
+    t0_index = _config_integer(summary.get("t0_index", 0), "summary.json t0_index")
+    if not 0 <= t0_index < len(files):
+        raise ValueError(
+            f"summary.json t0_index must lie in [0, {len(files)}), the snapshot range, "
+            f"got {t0_index}"
+        )
     speed = parse_speed(config.speed, config.dimension)
     solver = RadiiSolver()
     snapshots = []

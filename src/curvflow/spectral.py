@@ -20,8 +20,8 @@ Key concepts
   least ``2L + 2`` points whose prime factors are all at most 7, because the
   real FFT is several times slower on lengths with a large prime factor
   (``2L + 2 = 514 = 2 * 257`` on the degree-256 fine grid of a degree-128
-  curve).  Every other grid keeps
-  ``2L + 2``, which sets the node spacing the time step is scaled by.
+  curve).  Every other grid keeps ``2L + 2``, which sets the node spacing
+  the time step is scaled by.
 - The colatitude factors are fully normalized associated Legendre functions,
   built on the rings by the sectoral recurrence in m and the three-term
   recurrence in l (Holmes & Featherstone 2002), vectorized over orders and
@@ -31,17 +31,16 @@ Key concepts
   makes one real inverse FFT along the rings (the circle is one ring);
   projection is the reverse.  Longitude derivatives multiply the ring
   spectra by ``(i m)**b``.
-- The radii matrix ``R = Hess s + s id`` of a support function s, in the
-  orthonormal frame ``(e_theta, e_phi)``, is built in ring-spectral space:
-  the per-ring Legendre sums of s and its first two colatitude derivatives
-  are combined with per-ring factors (``cot theta``, ``1/sin theta``) and
-  ``(i m)**b`` multipliers, and one inverse FFT gives the rows of s and of
-  the three distinct entries of R (on the circle ``r = s + s''`` is one
-  ``1 - m**2`` multiplier).  General tangential derivatives (the gradient,
-  the Hessian and the third covariant derivative) are assembled at the
-  nodes from angle partials.  Second and third colatitude derivatives of
-  the Legendre factors come from the associated Legendre ODE rather than
-  finite differences.
+- Every derivative is built in ring-spectral space from two ring sums per
+  coefficient vector: the Legendre values and first colatitude derivatives
+  summed over ``l`` on each ring against the spectrum and against
+  ``l(l + 1)`` times it.  The associated Legendre ODE turns these into the
+  second and third colatitude derivatives, per-ring factors (``cot theta``,
+  ``1/sin theta``) and ``(i m)**b`` multipliers combine them, and one
+  inverse FFT gives the rows of the radii matrix ``R = Hess s + s id``, the
+  gradient and Hessian, or the third covariant derivative, in the
+  orthonormal frame ``(e_theta, e_phi)`` (on the circle each derivative is
+  one multiplier).
 - Fields are evaluated only at the quadrature nodes.  The frame degenerates
   at the poles, which the Gauss-Legendre rings never touch.
 """
@@ -90,7 +89,7 @@ class SphereGrid:
     The grid keeps one transform record per band, for as long as it lives:
     synthesis uses the grid's own degree and ``TruncatedEvaluator`` a lower
     one.  On the sphere a band-S record holds the normalized colatitude factors
-    and their first three colatitude derivatives on each ring, 4 (L+1) (S+1)^2
+    and their first colatitude derivatives on each ring, 2 (L+1) (S+1)^2
     numbers; on the circle only O(S) multipliers.
 
     Attributes
@@ -236,7 +235,7 @@ def analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 
 def synthesize(grid: SphereGrid, coefficients: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector at the grid nodes."""
-    return _synthesize(grid, grid.degree, coefficients, ((0, 0),))[0]
+    return _synthesize(grid, coefficients, 0)
 
 
 def field_from_values(grid: SphereGrid, values: np.ndarray) -> SpectralField:
@@ -259,19 +258,21 @@ class _Band:
     ``cos_index``/``sin_index`` give the coefficient slot of the cosine and
     sine part of each (m, l) on the sphere, or of each k on the circle, with
     ``count`` (one past the end) where there is none.  ``table[a, m, ring, l]``
-    is the a-th colatitude derivative of the normalized colatitude factor of
-    Y_lm; on the circle ``table[k]`` is the basis normalization.  ``synth[b]``
-    maps a ring spectrum to the ``irfft`` input of its b-th (circle: a-th)
+    (a = 0, 1) is the a-th colatitude derivative of the normalized colatitude
+    factor of Y_lm, and ``lam[l]`` is l(l + 1); on the circle ``table[k]`` is
+    the basis normalization and ``lam`` is None.  ``synth[b]`` maps a ring
+    spectrum to the ``irfft`` input of its b-th longitude (circle: angle)
     derivative.  ``ring`` holds ``cot theta``, ``1/sin theta`` and
-    ``1/sin(theta)**2`` per ring as (3, rings, 1) columns (None on the circle).
-    ``radii`` maps the circle's one spectrum to the ``irfft`` inputs of s and
-    r = s + s'' (None on the sphere).
+    ``1/sin(theta)**2`` per ring as (3, rings, 1) columns (None on the
+    circle).  ``radii`` maps the circle's one spectrum to the ``irfft`` inputs
+    of s and r = s + s'' (None on the sphere).
     """
 
     count: int
     cos_index: np.ndarray
     sin_index: np.ndarray
     table: np.ndarray
+    lam: np.ndarray | None
     synth: np.ndarray
     ring: np.ndarray | None
     radii: np.ndarray | None
@@ -287,13 +288,14 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
         weight = weight * table
         cos_index = np.maximum(2 * m - 1, 0)
         sin_index = np.where(m == 0, count, 2 * m)
-        ring = None
+        lam = ring = None
     else:
         mm, l = np.meshgrid(m, m, indexing="ij")
         cos_index = np.where(l >= mm, l * l + l + mm, count)
         sin_index = np.where((l >= mm) & (mm > 0), l * l + l - mm, count)
         theta = grid.theta[:: grid.ring_size]
         table = _colatitude_table(theta, band)
+        lam = m * (m + 1.0)
         csc = 1.0 / np.sin(theta)
         ring = np.stack([np.cos(theta) * csc, csc, csc * csc])[:, :, None]
     synth = np.stack([weight * 1j**b * m**b for b in range(4)])
@@ -301,11 +303,11 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
     if grid.dimension == 1:
         w, _, w_m2 = synth[:3]  # w_m2 = -w m**2
         radii = np.stack([w, w + w_m2])
-    return _Band(count, cos_index, sin_index, table, synth, ring, radii)
+    return _Band(count, cos_index, sin_index, table, lam, synth, ring, radii)
 
 
 def _colatitude_table(theta, degree):
-    """(4, m, ring, l) colatitude derivatives 0..3 of the normalized factor
+    """(2, m, ring, l) colatitude derivatives 0 and 1 of the normalized factor
     sqrt(2 - [m = 0]) * Pbar_lm(cos theta) / sqrt(2 pi) at ring colatitudes.
 
     Pbar_lm are the fully normalized associated Legendre functions (the
@@ -325,9 +327,8 @@ def _colatitude_table(theta, degree):
         2 dPbar_lm/dtheta = sqrt((l - m)(l + m + 1)) Pbar_{l,m+1}
                             - sqrt((l + m)(l - m + 1)) Pbar_{l,m-1},
 
-    with Pbar_{l,-1} = -Pbar_{l,1}.  The second and third derivatives follow
-    from the associated Legendre ODE, which is better conditioned than
-    repeated d/dz near the ends of the interval.
+    with Pbar_{l,-1} = -Pbar_{l,1}.  Higher colatitude derivatives are not
+    stored: ``_ring_sums`` takes them from the associated Legendre ODE.
     """
     st, ct = np.sin(theta), np.cos(theta)
     # p[l + 1, m] holds Pbar_lm on every ring; the row l = -1 and the column
@@ -352,35 +353,45 @@ def _colatitude_table(theta, degree):
     scale = (np.where(ms == 0, 1.0, np.sqrt(2.0)) / np.sqrt(2.0 * np.pi))[:, None, None]
     d0 = pbar[: degree + 1] * scale
     d1 = 0.5 * (up * pbar[1:] - down * lower) * scale
-    s = st[:, None]
-    cot = (ct / st)[:, None]
-    m2_s2 = (ms**2)[:, None, None] / s**2
-    lam = ms * (ms + 1.0)
-    d2 = -cot * d1 + (m2_s2 - lam) * d0
-    d3 = d1 / s**2 - cot * d2 - 2.0 * m2_s2 * cot * d0 + (m2_s2 - lam) * d1
-    return np.stack([d0, d1, d2, d3])
+    return np.stack([d0, d1])
 
 
 # the coefficient that a missing (m, l) slot reads
 _ZERO = np.zeros(1)
 
 
-def _ring_spectra(grid, band, coefficients, count):
-    """The band record and the ring spectra of band-``band`` coefficients:
-    on the sphere those of their first ``count`` colatitude derivatives,
-    shape (count, rings, m); on the circle the one spectrum, shape (m,)."""
+def _spectrum(grid, band, coefficients):
+    """The band record and the complex spectrum c_cos - i c_sin of band-``band``
+    coefficients: shape (m,) on the circle, (m, l) on the sphere."""
     t = grid._band(band)
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (t.count,):
         raise ValueError(f"coefficient vector has shape {c.shape}, expected ({t.count},)")
     padded = np.concatenate((c, _ZERO))
-    spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
-    if grid.dimension == 1:
-        return t, spectrum
-    # the l-sums as real matmuls batched over m: far faster than einsum; the
-    # float view of a complex array interleaves its real and imaginary parts
-    ring = t.table[:count] @ spectrum.view(float).reshape(*spectrum.shape, 2)
-    return t, (ring[..., 0] + 1j * ring[..., 1]).swapaxes(1, 2)
+    return t, padded[t.cos_index] - 1j * padded[t.sin_index]
+
+
+def _ring_sums(grid, band, coefficients):
+    """The band record and the ring sums of band-``band`` coefficients on the
+    sphere: ``((S0, L0), (S1, L1))``, each of shape (rings, m), where S_a sums
+    the a-th colatitude derivative of the Legendre factors against the
+    spectrum over l on each ring and L_a does the same for l(l + 1) times the
+    spectrum.
+
+    The associated Legendre ODE gives the higher derivatives per ring, with
+    q = m**2 / sin(theta)**2:
+
+        S2 = -cot(theta) S1 + q S0 - L0,
+        S3 = S1 / sin(theta)**2 - cot(theta) S2 - 2 q cot(theta) S0 + q S1 - L1.
+    """
+    t, spectrum = _spectrum(grid, band, coefficients)
+    # the l-sums as one real matmul batched over slab and m: the float view
+    # of [c, lam c] interleaves real and imaginary parts in 4 columns
+    columns = np.empty((*spectrum.shape, 2), complex)
+    columns[..., 0] = spectrum
+    np.multiply(spectrum, t.lam, out=columns[..., 1])
+    sums = (t.table @ columns.view(float)).view(complex)  # (slab, m, ring, [c, lam c])
+    return t, np.ascontiguousarray(sums.transpose(0, 3, 2, 1))
 
 
 def _irfft(grid, spectra):
@@ -388,40 +399,48 @@ def _irfft(grid, spectra):
     return np.fft.irfft(spectra, n=grid.ring_size, norm="forward").reshape(len(spectra), -1)
 
 
-def _synthesize(grid, band, coefficients, orders):
-    """Rows of node values of the partials d^a/dtheta^a d^b/dphi^b, one per
-    (a, b) in ``orders``, of band-``band`` coefficients (circle: b = 0)."""
-    a, b = (list(x) for x in zip(*orders))
-    t, spectra = _ring_spectra(grid, band, coefficients, max(a) + 1)
-    if grid.dimension == 1:
-        return _irfft(grid, spectra * t.synth[a])
-    return _irfft(grid, spectra[a] * t.synth[b, None])
+def _synthesize(grid, coefficients, order):
+    """Node values of the ``order``-th longitude derivative (circle: angle
+    derivative) of degree-L coefficients; order 0 is plain synthesis, which
+    reads the Legendre values alone."""
+    t, spectrum = _spectrum(grid, grid.degree, coefficients)
+    if grid.dimension == 2:
+        ring = t.table[0] @ spectrum.view(float).reshape(*spectrum.shape, 2)
+        spectrum = (ring[..., 0] + 1j * ring[..., 1]).T
+    return _irfft(grid, (spectrum * t.synth[order])[None])[0]
+
+
+def _hessian_spectra(t, sums, out):
+    """Write the ring spectra of the frame Hessian (H_00, H_01, H_11) of the
+    field with ring sums ``sums`` into ``out`` (n = 2).  With p_ab the partial
+    d^a/dtheta^a d^b/dphi^b, H_00 = p_20, H_01 = (p_11 - cot(theta) p_01) /
+    sin(theta) and H_11 = p_02 / sin(theta)**2 + cot(theta) p_10; the Legendre
+    ODE gives p_20 = S2 w = -(L0 w + H_11), so the trace is -l(l + 1) times
+    the field, term by term."""
+    (s, lam_s), (s_t, _) = sums
+    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
+    cot, csc, csc2 = t.ring
+    h_00, h_01, h_11 = out
+    np.add(cot * s_t * w, csc2 * s * w_m2, out=h_11)
+    np.negative(lam_s * w + h_11, out=h_00)
+    np.multiply((s_t - cot * s) * csc, w_im, out=h_01)
 
 
 def _radii_rows(grid, band, coefficients):
     """Node rows of a band-``band`` support function s and of its radii
-    matrix R = Hess s + s id in the frame (e_theta[, e_phi]): (s, r) on the
-    circle, (s, R_00, R_01, R_11) on the sphere.
-
-    With p_ab the partial d^a/dtheta^a d^b/dphi^b of s,
-
-        R_00 = p_20 + s,
-        R_01 = (p_11 - cot(theta) p_01) / sin(theta),
-        R_11 = p_02 / sin(theta)**2 + cot(theta) p_10 + s,
-
-    and on the circle r = p_2 + s.  The theta factors are constant on each
-    ring, so they scale the ring spectra of s, p_10 and p_20 before the one
-    inverse FFT, and each phi-derivative is an (i m)**b multiplier.
-    """
-    t, spectra = _ring_spectra(grid, band, coefficients, 3)
+    matrix R = Hess s + s id in the frame (e_theta[, e_phi]), by one inverse
+    FFT: (s, r) on the circle, where r = s + s'' is one ``1 - m**2``
+    multiplier, and (s, R_00, R_01, R_11) on the sphere, the frame Hessian
+    plus s on the diagonal, with R_00 + R_11 = (2 S0 - L0) w."""
     if grid.dimension == 1:
-        return _irfft(grid, spectra * t.radii)
-    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
-    s, s_t, s_tt = spectra
-    cot, csc, csc2 = t.ring
-    r01 = (s_t - cot * s) * csc * w_im
-    r11 = (s + cot * s_t) * w + s * csc2 * w_m2
-    return _irfft(grid, np.stack([s * w, (s_tt + s) * w, r01, r11]))
+        t, spectrum = _spectrum(grid, band, coefficients)
+        return _irfft(grid, spectrum * t.radii)
+    t, sums = _ring_sums(grid, band, coefficients)
+    rows = np.empty((4, *sums.shape[2:]), complex)
+    s = np.multiply(sums[0, 0], t.synth[0], out=rows[0])
+    _hessian_spectra(t, sums, rows[1:])
+    rows[1::2] += s  # R_00 and R_11
+    return _irfft(grid, rows)
 
 
 def _project(grid, band, values):
@@ -462,10 +481,19 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
         Covariant Hessian with respect to the round metric, same frame.
     """
     grid = field.grid
-    p = _synthesize(grid, grid.degree, field.coefficients, _FRAME_ORDERS[grid.dimension])
     if grid.dimension == 1:
-        return p[0][:, None], p[1][:, None, None]
-    return _assemble_surface_state(grid.theta, *p)
+        t, spectrum = _spectrum(grid, grid.degree, field.coefficients)
+        gradient, hessian = _irfft(grid, spectrum * t.synth[1:3])
+        return gradient[:, None], hessian[:, None, None]
+    t, sums = _ring_sums(grid, grid.degree, field.coefficients)
+    (s, _), (s_t, _) = sums
+    rows = np.empty((5, *s.shape), complex)
+    # the frame gradient (p_10, p_01 / sin(theta)), then the Hessian
+    rows[:2] = s_t * t.synth[0], s * t.ring[1] * t.synth[1]
+    _hessian_spectra(t, sums, rows[2:])
+    rows = _irfft(grid, rows)
+    gradient = np.ascontiguousarray(rows[:2].T)
+    return gradient, np.ascontiguousarray(rows[[2, 3, 3, 4]].T).reshape(-1, 2, 2)
 
 
 def radii_rows(field: SpectralField) -> np.ndarray:
@@ -474,24 +502,6 @@ def radii_rows(field: SpectralField) -> np.ndarray:
     rows (s, R_00, R_01, R_11) on the sphere, in the orthonormal frame
     (e_theta[, e_phi])."""
     return _radii_rows(field.grid, field.grid.degree, field.coefficients)
-
-
-# angle partials (d_theta, d_phi) of the frame gradient and Hessian, per
-# dimension; for surfaces in the argument order of _assemble_surface_state
-_FRAME_ORDERS = {1: ((1, 0), (2, 0)), 2: ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))}
-
-
-def _assemble_surface_state(theta, p10, p01, p20, p11, p02):
-    """Frame gradient and covariant Hessian from raw angle partials (n=2)."""
-    st, ct = np.sin(theta), np.cos(theta)
-    grad = np.stack([p10, p01 / st], axis=-1)
-    h_tp = p11 / st - ct * p01 / st**2
-    hess = np.empty((theta.shape[0], 2, 2))
-    hess[:, 0, 0] = p20
-    hess[:, 0, 1] = h_tp
-    hess[:, 1, 0] = h_tp
-    hess[:, 1, 1] = p02 / st**2 + ct / st * p10
-    return grad, hess
 
 
 class TruncatedEvaluator:
@@ -537,46 +547,31 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
 
     Only the surface case needs this (gradient-inequality diagnostics); for
     curves it is the plain third angle derivative.
+
+    On the sphere the frame derivatives of the Hessian entries, with their
+    round-metric connection terms, are combinations of the angle partials
+    p_ab = S_a (i m)**b w, so the six distinct entries (T is symmetric in
+    b, c) come from the ring sums S0..S3 and one inverse FFT.
     """
     grid = field.grid
-    c = field.coefficients
     if grid.dimension == 1:
-        return _synthesize(grid, grid.degree, c, ((3, 0),))[0][:, None, None, None]
+        return _synthesize(grid, field.coefficients, 3)[:, None, None, None]
 
-    st, ct = np.sin(grid.theta), np.cos(grid.theta)
-    cot = ct / st
-    orders = _FRAME_ORDERS[2] + ((3, 0), (2, 1), (1, 2), (0, 3))
-    p = dict(zip(orders, _synthesize(grid, grid.degree, c, orders)))
-    _, hess = _assemble_surface_state(grid.theta, *(p[o] for o in _FRAME_ORDERS[2]))
-    h_tt, h_tp, h_pp = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
-
-    # frame derivatives D_a of the Hessian components (product rule on the
-    # explicit sin/cos factors), then connection corrections from the
-    # round-metric frame coefficients
-    d1_h_tt = p[(3, 0)]
-    d2_h_tt = p[(2, 1)] / st
-    d1_h_tp = (
-        p[(2, 1)] / st
-        - 2.0 * ct / st**2 * p[(1, 1)]
-        + (1.0 / st + 2.0 * ct**2 / st**3) * p[(0, 1)]
-    )
-    d2_h_tp = p[(1, 2)] / st**2 - ct / st**3 * p[(0, 2)]
-    d1_h_pp = (
-        p[(1, 2)] / st**2
-        - 2.0 * ct / st**3 * p[(0, 2)]
-        + ct / st * p[(2, 0)]
-        - p[(1, 0)] / st**2
-    )
-    d2_h_pp = p[(0, 3)] / st**3 + ct / st**2 * p[(1, 1)]
-
-    t = np.empty((grid.node_count, 2, 2, 2))
-    t[:, 0, 0, 0] = d1_h_tt
-    t[:, 0, 0, 1] = d1_h_tp
-    t[:, 0, 1, 0] = d1_h_tp
-    t[:, 0, 1, 1] = d1_h_pp
-    t[:, 1, 0, 0] = d2_h_tt - 2.0 * cot * h_tp
-    mixed = d2_h_tp - cot * h_pp + cot * h_tt
-    t[:, 1, 0, 1] = mixed
-    t[:, 1, 1, 0] = mixed
-    t[:, 1, 1, 1] = d2_h_pp + 2.0 * cot * h_tp
-    return t
+    t, ((s0, l0), (s1, l1)) = _ring_sums(grid, grid.degree, field.coefficients)
+    cot, csc, csc2 = t.ring
+    q = csc2 * np.arange(grid.degree + 1) ** 2
+    s2 = q * s0 - cot * s1 - l0
+    s3 = csc2 * s1 - cot * s2 - 2.0 * q * cot * s0 + q * s1 - l1
+    w, w_im, w_m2, w_m3 = t.synth
+    cot2 = cot * cot
+    d_pp = csc2 * (s1 - 2.0 * cot * s0) * w_m2  # shared by T_011 and T_101
+    rows = [
+        s3 * w,  # T_000
+        csc * (s2 - 2.0 * cot * s1 + (1.0 + 2.0 * cot2) * s0) * w_im,  # T_001 = T_010
+        d_pp + (cot * s2 - csc2 * s1) * w,  # T_011
+        csc * (s2 - 2.0 * cot * s1 + 2.0 * cot2 * s0) * w_im,  # T_100
+        d_pp + cot * (s2 - cot * s1) * w,  # T_101 = T_110
+        csc * (csc2 * s0 * w_m3 + (3.0 * cot * s1 - 2.0 * cot2 * s0) * w_im),  # T_111
+    ]
+    rows = _irfft(grid, np.stack(rows))
+    return np.ascontiguousarray(rows[[0, 1, 1, 2, 3, 4, 4, 5]].T).reshape(-1, 2, 2, 2)

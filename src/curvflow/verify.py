@@ -24,7 +24,8 @@ from .flow import CollapseEstimate, Trajectory, estimate_collapse
 from .geometry import volume_decay_rate
 from .shapes import resample
 from .spectral import (
-    field_from_values,
+    _synthesize,
+    analyze,
     standard_grid,
     tangential_derivatives,
     third_derivatives,
@@ -664,6 +665,11 @@ class CurveResidualReport:
     scale: float  # max |target quantity| seen, for relative judgments
 
 
+def _angle_derivative(grid, values: np.ndarray) -> np.ndarray:
+    """d/dtheta at the nodes of the degree-L projection of circle node values."""
+    return _synthesize(grid, analyze(grid, values), 1)
+
+
 def curve_evolution_residual(
     trajectory: Trajectory, quantity: str = "H"
 ) -> CurveResidualReport:
@@ -692,14 +698,14 @@ def curve_evolution_residual(
         kappa = curv.kappa[:, 0]
         r = 1.0 / kappa
         f_vals = snap.speed_values
-        f_theta = tangential_derivatives(field_from_values(grid, f_vals))[0][:, 0]
+        f_theta = _angle_derivative(grid, f_vals)
         inner = f_theta / r
-        f_ss = tangential_derivatives(field_from_values(grid, inner))[0][:, 0] / r
+        f_ss = _angle_derivative(grid, inner) / r
         bracket = f_ss + kappa**2 * f_vals
 
         g = kappa if quantity == "H" else f_vals
         g_vals.append(g)
-        g_theta = tangential_derivatives(field_from_values(grid, g))[0][:, 0]
+        g_theta = _angle_derivative(grid, g)
         drift = f_theta / r
         if quantity == "H":
             rhs.append(bracket - drift * g_theta)

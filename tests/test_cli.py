@@ -449,6 +449,45 @@ def test_verify_flow_missing_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _copy_with_summary(run_dir, tmp_path, **fields):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
+    summary.update(fields)
+    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    return run
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t0_index", 99),
+        ("t0_index", -1),
+        ("t0_index", "abc"),
+        ("t0_index", 0.5),
+        ("sigma", "x"),
+        ("sigma", float("nan")),
+    ],
+)
+def test_verify_flow_malformed_summary_is_a_precondition_failure(
+    ellipsoid_dir, tmp_path, field, value, capsys
+):
+    run = _copy_with_summary(ellipsoid_dir, tmp_path, **{field: value})
+    assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: summary.json {field}")
+    assert captured.err.count("\n") == 1
+
+
+def test_verify_flow_accepts_null_sigma_and_integral_float_index(ellipsoid_dir, tmp_path, capsys):
+    stored = json.loads((ellipsoid_dir / "summary.json").read_text(encoding="utf-8"))
+    index = float(stored["t0_index"])
+    run = _copy_with_summary(ellipsoid_dir, tmp_path, sigma=None, t0_index=index)
+    assert main(["verify", "flow", str(run)]) == EXIT_OK
+    assert "Z_sigma stays negative: ok" in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # analyze
 

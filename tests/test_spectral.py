@@ -2,6 +2,7 @@
 
 import tracemalloc
 from itertools import product
+from math import isqrt
 
 import mpmath
 import numpy as np
@@ -199,6 +200,21 @@ def test_divergence_identity(dimension):
     assert abs(lhs - n * mean * grid.sphere_area) < 1e-9 * max(1.0, abs(mean))
 
 
+@pytest.mark.parametrize("make_grid", [standard_grid, smooth_grid])
+def test_every_harmonic_is_a_laplace_eigenfunction(make_grid):
+    # every real Y_lm through degree 12, every order m: the Hessian's trace
+    # is -l(l + 1) Y_lm and R_00 + R_11 is (2 - l(l + 1)) Y_lm at the nodes
+    grid = make_grid(2, 12)
+    for k, unit in enumerate(np.eye(grid.coefficient_count)):
+        lam = isqrt(k) * (isqrt(k) + 1)
+        f = field_from_coefficients(grid, unit)
+        tol = 1e-14 * (lam + 2) * np.max(np.abs(f.values))
+        _, hess = tangential_derivatives(f)
+        np.testing.assert_allclose(np.trace(hess, axis1=1, axis2=2), -lam * f.values, atol=tol)
+        rows = radii_rows(f)
+        np.testing.assert_allclose(rows[1] + rows[3], (2 - lam) * f.values, atol=tol)
+
+
 # ---------------------------------------------------------------------------
 # closed-form references: restrictions of ambient polynomials
 #
@@ -393,6 +409,14 @@ def test_truncated_evaluator_memory_stays_small():
     assert peak < 16e6
 
 
+def test_band_record_keeps_two_colatitude_slabs():
+    # the Legendre values and first derivatives; the ODE gives the rest
+    band = smooth_grid(2, 48)._band(24)
+    assert band.table.shape == (2, 25, 49, 25)
+    assert band.table.nbytes == 490_000
+    np.testing.assert_array_equal(band.lam, [l * (l + 1) for l in range(25)])
+
+
 def test_truncated_rejects_bad_shapes():
     fine = standard_grid(2, 8)
     with pytest.raises(ValueError):
@@ -505,14 +529,17 @@ def test_state_and_project_invert_on_enlarged_rings(dimension, max_degree, data)
 # ---------------------------------------------------------------------------
 
 
-def _reference_ring_spectra(grid, band, coefficients, count):
+def _reference_ring_sums(grid, band, coefficients):
+    # the spectrum on the circle; on the sphere the ring sums of c and of
+    # l(l + 1) c against both slabs, (slab, [c, lam c], ring, m)
     t = grid._band(band)
     padded = np.append(coefficients, 0.0)
     spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
     if grid.dimension == 1:
         return spectrum
-    ring = t.table[:count] @ np.stack([spectrum.real, spectrum.imag], axis=-1)
-    return (ring[..., 0] + 1j * ring[..., 1]).swapaxes(1, 2)
+    scaled = t.lam * spectrum
+    ring = t.table @ np.stack([spectrum.real, spectrum.imag, scaled.real, scaled.imag], axis=-1)
+    return (ring[..., 0::2] + 1j * ring[..., 1::2]).transpose(0, 3, 2, 1)
 
 
 def _reference_project(grid, band, values):
@@ -535,8 +562,9 @@ def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree
     for grid in (SphereGrid(dimension, degree), smooth_grid(dimension, degree)):
         coeffs = rng.standard_normal(coefficient_count(dimension, band))
         coeffs[rng.integers(coeffs.size, size=3)] = 0.0
-        _, spectra = spectral._ring_spectra(grid, band, coeffs, 3)
-        np.testing.assert_array_equal(spectra, _reference_ring_spectra(grid, band, coeffs, 3))
+        reference = _reference_ring_sums(grid, band, coeffs)
+        ring_sums = spectral._spectrum if dimension == 1 else spectral._ring_sums
+        np.testing.assert_array_equal(ring_sums(grid, band, coeffs)[1], reference)
         values = rng.standard_normal(grid.node_count)
         np.testing.assert_array_equal(
             spectral._project(grid, band, values), _reference_project(grid, band, values)
@@ -545,6 +573,6 @@ def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree
             # the circle's (s, r) multiplier is kept on the band record
             w, _, w_m2 = grid._band(band).synth[:3]
             stacked = np.fft.irfft(
-                spectra * np.stack([w, w + w_m2]), n=grid.ring_size, norm="forward"
+                reference * np.stack([w, w + w_m2]), n=grid.ring_size, norm="forward"
             )
             np.testing.assert_array_equal(spectral._radii_rows(grid, band, coeffs), stacked)
