@@ -31,9 +31,9 @@ def _cap_threads() -> None:
 _cap_threads()
 
 import argparse
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +66,6 @@ from .verify import (
 
 __all__ = [
     "ExperimentConfig",
-    "TimeSeriesRow",
     "time_series",
     "write_series",
     "load_trajectory",
@@ -98,20 +97,16 @@ _CONFIG_DEFAULTS = {
     "sigma": None,
     "sigma0": None,
     "t0_anchor": 1.2,
-    "eps_grid": [0.01, 0.05, 0.1, 0.5],
-    "rho_grid": [0.01, 0.05],
-    "seed": 0,
     "output": None,
 }
 
 
-def _positive_numbers(items, kind, name: str) -> tuple:
-    """A config list or a split command-line list as a tuple of positive ``kind``s."""
+def _positive_numbers(text: str, kind, name: str) -> tuple:
+    """A comma-separated command-line list as a tuple of positive ``kind``s."""
+    items = text.split(",")
     try:
-        if isinstance(items, (str, dict)) or any(isinstance(x, bool) for x in items):
-            raise TypeError
         numbers = tuple(kind(x) for x in items)
-    except (TypeError, ValueError, OverflowError):
+    except ValueError:
         raise ValueError(f"{name} must be a list of numbers, got {items!r}") from None
     if not all(x > 0 for x in numbers):
         raise ValueError(f"{name} entries must be positive, got {numbers}")
@@ -136,19 +131,28 @@ def _config_number(value, name: str) -> float:
         raise ValueError(f"{name} is out of range, got {value!r}") from None
 
 
+def _sigma_number(value, name: str) -> float:
+    """A configured or stored sigma: a finite number >= 0, where 0 reads as unset."""
+    sigma = _config_number(value, name)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
+    return sigma
+
+
 def _config_string(value, name: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{name} must be a string, got {value!r}")
     return value
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """One simulation: shape, speed, resolution, stopping, monitor knobs.
 
-    ``sigma`` defaults (None) to 1.05 times the initial worst pinching
-    ratio; ``t0_anchor`` places the interior-estimate anchor at the first
-    snapshot whose inradius is at most that multiple of the final one.
+    ``sigma`` unset (None or 0) is 1.05 times the initial worst pinching
+    ratio, and ``sigma0`` unset is ``sigma``; ``t0_anchor`` places the
+    interior-estimate anchor at the first snapshot whose inradius is at most
+    that multiple of the final one.
     """
 
     dimension: int
@@ -162,9 +166,6 @@ class ExperimentConfig:
     sigma: float | None
     sigma0: float | None
     t0_anchor: float
-    eps_grid: tuple[float, ...]
-    rho_grid: tuple[float, ...]
-    seed: int
     output: str | None
 
     @classmethod
@@ -189,12 +190,9 @@ class ExperimentConfig:
             stop_fraction=_config_number(merged["stop_fraction"], "stop_fraction"),
             snapshot_every=_config_integer(merged["snapshot_every"], "snapshot_every"),
             max_steps=_config_integer(merged["max_steps"], "max_steps"),
-            sigma=optional("sigma", _config_number),
-            sigma0=optional("sigma0", _config_number),
+            sigma=optional("sigma", _sigma_number),
+            sigma0=optional("sigma0", _sigma_number),
             t0_anchor=_config_number(merged["t0_anchor"], "t0_anchor"),
-            eps_grid=_positive_numbers(merged["eps_grid"], float, "eps_grid"),
-            rho_grid=_positive_numbers(merged["rho_grid"], float, "rho_grid"),
-            seed=_config_integer(merged["seed"], "seed"),
             output=optional("output", _config_string),
         )
         if config.dimension not in (1, 2):
@@ -219,106 +217,56 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "dimension": self.dimension,
-            "shape": self.shape,
-            "speed": self.speed,
-            "degree": self.degree,
-            "c_safe": self.c_safe,
-            "stop_fraction": self.stop_fraction,
-            "snapshot_every": self.snapshot_every,
-            "max_steps": self.max_steps,
-            "sigma": self.sigma,
-            "sigma0": self.sigma0,
-            "t0_anchor": self.t0_anchor,
-            "eps_grid": list(self.eps_grid),
-            "rho_grid": list(self.rho_grid),
-            "seed": self.seed,
-            "output": self.output,
-        }
+        return dataclasses.asdict(self)
 
 
-@dataclass(frozen=True)
-class TimeSeriesRow:
-    """One snapshot's line in the simulation CSV; the column set is fixed."""
-
-    t: float
-    r_minus: float
-    r_plus: float
-    ratio: float
-    volumes: tuple[float, ...]  # V_1 .. V_{n+1}
-    iso_ratio: float
-    h_max: float
-    f_min: float
-    f_max: float
-    pinch_max: float
-    z_sigma_max: float
-    q_max: float
-    smoczyk_min: float
+_SERIES_MONITORS = ["H_max", "F_min", "F_max", "pinch_max", "Z_sigma_max", "Q_max", "smoczyk_min"]
 
 
-def series_header(dimension: int) -> list[str]:
-    names = ["t", "r_minus", "r_plus", "ratio"]
-    names += [f"V_{k}" for k in range(1, dimension + 2)]
-    names += [
-        "iso_ratio",
-        "H_max",
-        "F_min",
-        "F_max",
-        "pinch_max",
-        "Z_sigma_max",
-        "Q_max",
-        "smoczyk_min",
+def _geometry_columns(dimension: int, first_volume: int) -> list[str]:
+    """The columns that series.csv and analysis.csv share, from ``V_{first_volume}`` on."""
+    volumes = [f"V_{k}" for k in range(first_volume, dimension + 2)]
+    return ["t", "r_minus", "r_plus", "ratio", *volumes, "iso_ratio"]
+
+
+def _geometry_row(snap: FlowSnapshot, first_volume: int) -> list[float]:
+    radii, mv = snap.radii, snap.volumes
+    ratio = radii.r_plus / radii.r_minus
+    volumes = mv.canonical[first_volume:]
+    return [snap.time, radii.r_minus, radii.r_plus, ratio, *volumes, mv.iso_ratio]
+
+
+def time_series(trajectory: Trajectory, record: DiagnosticsRecord) -> list[list[float]]:
+    """One series.csv row per snapshot: its geometry, then its monitor values."""
+    monitors = np.column_stack(
+        [
+            record.h_max,
+            record.f_min,
+            record.f_max,
+            record.pinch_max,
+            record.z_sigma_max,
+            record.q_max,
+            record.smoczyk_min,
+        ]
+    )
+    return [
+        _geometry_row(snap, 1) + list(values)
+        for snap, values in zip(trajectory.snapshots, monitors)
     ]
-    return names
-
-
-def time_series(trajectory: Trajectory, record: DiagnosticsRecord) -> list[TimeSeriesRow]:
-    rows = []
-    for i, snap in enumerate(trajectory.snapshots):
-        mv = snap.volumes
-        rows.append(
-            TimeSeriesRow(
-                t=snap.time,
-                r_minus=snap.radii.r_minus,
-                r_plus=snap.radii.r_plus,
-                ratio=snap.radii.r_plus / snap.radii.r_minus,
-                volumes=tuple(float(v) for v in mv.canonical[1:]),
-                iso_ratio=mv.iso_ratio,
-                h_max=float(record.h_max[i]),
-                f_min=float(record.f_min[i]),
-                f_max=float(record.f_max[i]),
-                pinch_max=float(record.pinch_max[i]),
-                z_sigma_max=float(record.z_sigma_max[i]),
-                q_max=float(record.q_max[i]),
-                smoczyk_min=float(record.smoczyk_min[i]),
-            )
-        )
-    return rows
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_series(path, rows: list[TimeSeriesRow], dimension: int) -> None:
-    lines = [",".join(series_header(dimension))]
-    for row in rows:
-        fields = [row.t, row.r_minus, row.r_plus, row.ratio]
-        fields += list(row.volumes)
-        fields += [
-            row.iso_ratio,
-            row.h_max,
-            row.f_min,
-            row.f_max,
-            row.pinch_max,
-            row.z_sigma_max,
-            row.q_max,
-            row.smoczyk_min,
-        ]
-        lines.append(",".join(_fmt(v) for v in fields))
+def _write_csv(path, header: list[str], rows: list[list[float]]) -> None:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_series(path, rows: list[list[float]], dimension: int) -> None:
+    _write_csv(path, _geometry_columns(dimension, 1) + _SERIES_MONITORS, rows)
 
 
 def _write_json(path, payload: dict) -> None:
@@ -355,17 +303,20 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     files = sorted((root / "snapshots").glob("snap_*.json"))
     if not config_path.is_file() or not files:
         raise FileNotFoundError(f"{path} is not a trajectory directory")
-    config = ExperimentConfig.from_dict(json.loads(config_path.read_text(encoding="utf-8")))
+    stored = json.loads(config_path.read_text(encoding="utf-8"))
+    if isinstance(stored, dict):
+        # config fields that no output read; run directories written with them still load
+        stored = {k: v for k, v in stored.items() if k not in ("seed", "rho_grid", "eps_grid")}
+    config = ExperimentConfig.from_dict(stored)
     summary_path = root / "summary.json"
     summary = (
         json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.is_file() else {}
     )
+    if not isinstance(summary, dict):
+        raise ValueError(f"summary.json must be a JSON object, got {summary!r}")
     # verify and analyze read these two; null or 0 sigma means "derive it"
-    sigma = summary.get("sigma")
-    if sigma is not None:
-        sigma = _config_number(sigma, "summary.json sigma")
-        if not (np.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError(f"summary.json sigma must be finite and >= 0, got {sigma!r}")
+    if summary.get("sigma") is not None:
+        _sigma_number(summary["sigma"], "summary.json sigma")
     t0_index = _config_integer(summary.get("t0_index", 0), "summary.json t0_index")
     if not 0 <= t0_index < len(files):
         raise ValueError(
@@ -384,10 +335,17 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
         speed=speed,
         snapshots=tuple(snapshots),
         stop_reason=summary.get("stop_reason", "loaded"),
-        steps=int(summary.get("steps", len(snapshots) - 1)),
-        retries=int(summary.get("retries", 0)),
+        steps=_summary_count(summary, "steps", len(snapshots) - 1),
+        retries=_summary_count(summary, "retries", 0),
     )
     return trajectory, summary
+
+
+def _summary_count(summary: dict, name: str, default: int) -> int:
+    count = _config_integer(summary.get(name, default), f"summary.json {name}")
+    if count < 0:
+        raise ValueError(f"summary.json {name} must be >= 0, got {count}")
+    return count
 
 
 def _anchor_index(trajectory: Trajectory, factor: float) -> int:
@@ -396,16 +354,25 @@ def _anchor_index(trajectory: Trajectory, factor: float) -> int:
     return int(eligible[0]) if eligible.size else len(r) - 1
 
 
-def _default_sigma(trajectory: Trajectory) -> float:
-    """1.05 times the initial worst pinching ratio, floored at 1e-10."""
+def _monitor_sigma(sigma: float | None, trajectory: Trajectory) -> float:
+    """A configured or stored ``sigma`` as given; unset (None or 0), 1.05 times
+    the initial worst pinching ratio, floored at 1e-10."""
+    if sigma:
+        return float(sigma)
     status = pinching_status(trajectory.snapshots[0].curv, np.inf)
-    return max(1.05 * status.max_ratio, 1e-10)
+    return float(max(1.05 * status.max_ratio, 1e-10))
 
 
-def _resolve_sigma(config: ExperimentConfig, trajectory: Trajectory) -> tuple[float, float]:
-    sigma = config.sigma if config.sigma is not None else _default_sigma(trajectory)
-    sigma0 = config.sigma0 if config.sigma0 is not None else sigma
-    return float(sigma), float(sigma0)
+def _load_run(directory) -> tuple[Trajectory, float, int] | int:
+    """A stored run with its monitor sigma and anchor index, or, after one
+    ``error:`` line, the exit code: 5 for an I/O problem, 2 for malformed files."""
+    try:
+        trajectory, summary = load_trajectory(directory)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_PRECONDITION
+    sigma = _monitor_sigma(summary.get("sigma"), trajectory)
+    return trajectory, sigma, int(summary.get("t0_index", 0))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +465,10 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
     except ConvexityLostError as exc:
         return EXIT_NUMERICAL, f"error: {config_path}: {exc}"
 
-    sigma, sigma0 = _resolve_sigma(config, trajectory)
+    sigma = _monitor_sigma(config.sigma, trajectory)
+    sigma0 = config.sigma0 or sigma
     t0_index = _anchor_index(trajectory, config.t0_anchor)
-    record = diagnostics_record(
-        trajectory, sigma=sigma, sigma0=sigma0, t0_index=t0_index, eps_grid=config.eps_grid
-    )
+    record = diagnostics_record(trajectory, sigma=sigma, sigma0=sigma0, t0_index=t0_index)
     estimate = (
         estimate_collapse(trajectory) if len(trajectory.snapshots) >= 2 else None
     )
@@ -571,10 +537,16 @@ def cmd_simulate(args) -> int:
     return worst
 
 
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+
+
 def cmd_verify(args) -> int:
     if args.scope == "lemmas":
         try:
-            dims = _positive_numbers(args.dimensions.split(","), int, "--dimensions")
+            _check_samples(args.samples)
+            dims = _positive_numbers(args.dimensions, int, "--dimensions")
             reports = run_lemma_suites(dimensions=dims, samples=args.samples)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -585,6 +557,7 @@ def cmd_verify(args) -> int:
 
     if args.scope == "speeds":
         try:
+            _check_samples(args.samples)
             if args.dimension < 2:
                 raise ValueError("verify speeds needs --dimension 2 or more (two principal curvatures)")
             speed = parse_speed(args.speed, args.dimension)
@@ -605,51 +578,58 @@ def cmd_verify(args) -> int:
         return EXIT_OK if report.passed and bounds.passed else EXIT_NUMERICAL
 
     # scope == "flow"
-    try:
-        trajectory, summary = load_trajectory(args.directory)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-
-    sigma = float(summary.get("sigma") or 0.0)
-    if sigma <= 0.0:
-        sigma = _default_sigma(trajectory)
-    t0_index = int(summary.get("t0_index", 0))
+    loaded = _load_run(args.directory)
+    if isinstance(loaded, int):
+        return loaded
+    trajectory, sigma, t0_index = loaded
     record = diagnostics_record(trajectory, sigma=sigma, sigma0=sigma, t0_index=t0_index)
 
     failures = []
     tol = 1e-10 * sigma * np.max(record.h_max) ** 2
     if record.z_sigma_max[0] < 0.0:
         ok = bool(np.all(record.z_sigma_max <= tol))
-        print(f"Z_sigma stays negative: {'ok' if ok else 'FAIL'}")
+        print(
+            f"Z_sigma stays negative: {'ok' if ok else 'FAIL'} "
+            f"(worst {np.max(record.z_sigma_max):.3e}, tol {tol:.3e})"
+        )
         if not ok:
             failures.append("z_sigma")
     else:
         print("Z_sigma not negative initially; sign preservation not applicable")
 
-    tso_ok = not record.tso.violated
+    tso = record.tso
+    tso_ok = not tso.violated
+    if tso.q_max.size:
+        # TsoReport.violated allows q_max 1e-9 above the bound; the bound is
+        # inf at the anchor itself, where the slack is 1
+        slack = 1.0 - np.max(tso.q_max / tso.bound)
+        margin = f"worst relative slack {slack:.3e}, tol {1e-9:.3e}"
+    else:
+        margin = "no snapshot monitored"
     print(
-        f"interior speed bound: {'ok' if tso_ok else 'FAIL'}"
-        + (" (aborted at validity edge)" if record.tso.aborted else "")
+        f"interior speed bound: {'ok' if tso_ok else 'FAIL'} ({margin})"
+        + (" (aborted at validity edge)" if tso.aborted else "")
     )
     if not tso_ok:
         failures.append("tso")
 
+    smoczyk_tol = -1e-8
     smoczyk_worst = float(np.nanmin(record.smoczyk_min))
-    smoczyk_ok = smoczyk_worst >= -1e-8
-    print(f"enclosed-point margin: {'ok' if smoczyk_ok else 'FAIL'} (worst {smoczyk_worst:.3e})")
+    smoczyk_ok = smoczyk_worst >= smoczyk_tol
+    print(
+        f"enclosed-point margin: {'ok' if smoczyk_ok else 'FAIL'} "
+        f"(worst {smoczyk_worst:.3e}, tol {smoczyk_tol:.3e})"
+    )
     if not smoczyk_ok:
         failures.append("smoczyk")
 
     if len(trajectory.snapshots) >= 3:
+        decay_tol = 1e-2
         decay = volume_decay_check(trajectory)
-        decay_ok = decay.max_rel_error <= 1e-2
+        decay_ok = decay.max_rel_error <= decay_tol
         print(
             f"volume decay identity: {'ok' if decay_ok else 'FAIL'} "
-            f"(worst relative error {decay.max_rel_error:.3e})"
+            f"(worst relative error {decay.max_rel_error:.3e}, tol {decay_tol:.3e})"
         )
         if not decay_ok:
             failures.append("volume_decay")
@@ -670,62 +650,40 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        rho_grid = _positive_numbers(args.rho_grid.split(","), float, "--rho-grid")
-        eps_grid = _positive_numbers(args.eps_grid.split(","), float, "--eps-grid")
+        rhos = _positive_numbers(args.rho_grid, float, "--rho-grid")
+        epsilons = _positive_numbers(args.eps_grid, float, "--eps-grid")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    try:
-        trajectory, summary = load_trajectory(args.directory)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+    loaded = _load_run(args.directory)
+    if isinstance(loaded, int):
+        return loaded
+    trajectory, sigma, _ = loaded
 
-    n = trajectory.dimension
     rows = []
-    r_plus, ratios = [], []
     for snap in trajectory.snapshots:
-        mv = snap.volumes
-        bounds = diskant_bounds(mv)
-        ratio = snap.radii.r_plus / snap.radii.r_minus
-        r_plus.append(snap.radii.r_plus)
-        ratios.append(ratio)
-        rows.append(
-            [snap.time, snap.radii.r_minus, snap.radii.r_plus, ratio]
-            + [float(v) for v in mv.canonical]
-            + [mv.iso_ratio, bounds.lower, bounds.upper]
-        )
-
-    header = ["t", "r_minus", "r_plus", "ratio"]
-    header += [f"V_{k}" for k in range(n + 2)]
-    header += ["iso_ratio", "diskant_lower", "diskant_upper"]
+        bounds = diskant_bounds(snap.volumes)
+        rows.append(_geometry_row(snap, 0) + [bounds.lower, bounds.upper])
+    header = _geometry_columns(trajectory.dimension, 0) + ["diskant_lower", "diskant_upper"]
     out_path = Path(args.directory) / "analysis.csv"
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
     try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(out_path, header, rows)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    roundness = geombound_check(np.array(r_plus), np.array(ratios), rho_grid)
-    sigma = float(summary.get("sigma") or 0.0)
-    if sigma <= 0.0:
-        sigma = _default_sigma(trajectory)
-    pinching = pinching_monitors(trajectory, sigma, sigma, eps_grid=eps_grid)
+    r_plus = trajectory.r_plus()
+    roundness = geombound_check(r_plus, r_plus / trajectory.r_minus(), rhos)
+    pinching = pinching_monitors(trajectory, sigma, sigma, epsilons)
     fit = speed_lowerbound_fit(trajectory)
 
     print(f"wrote {out_path}")
     print("roundness thresholds (largest safe circumradius):")
-    for rho in rho_grid:
+    for rho in rhos:
         print(f"  rho={rho:g}: {_fmt(roundness.thresholds[rho])}")
     print(f"ratio monotone under shrinking r_plus: {'yes' if roundness.ratio_monotone else 'no'}")
     print("pinching-gap constants (worst kappa_max - (1+eps) kappa_min):")
-    for eps, value in zip(pinching.eps_grid, pinching.c1_table):
+    for eps, value in zip(epsilons, pinching.c1_table):
         print(f"  eps={eps:g}: {_fmt(value)}")
     if pinching.lambda_hat is None:
         print("lambda_hat: unavailable")
@@ -782,8 +740,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze", help="integral geometry along a trajectory")
     analyze.add_argument("directory", help="simulation output directory")
-    analyze.add_argument("--rho-grid", default="0.01,0.05", dest="rho_grid")
-    analyze.add_argument("--eps-grid", default="0.01,0.05,0.1,0.5", dest="eps_grid")
+    analyze.add_argument("--rho-grid", default="0.01,0.05")
+    analyze.add_argument("--eps-grid", default="0.01,0.05,0.1,0.5")
     analyze.set_defaults(func=cmd_analyze)
 
     return parser

@@ -1,11 +1,14 @@
 """Command-line interface: exit codes, file layout, determinism."""
 
+import csv
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +152,23 @@ def test_config_defaults_and_round_trip(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         ExperimentConfig.from_dict({"bogus": 1})
+    # retired fields that no output read; their former values are no exception
+    for key, value in [
+        ("eps_grid", [0.01, 0.05, 0.1, 0.5]),
+        ("eps_grid", [0.01, 0.0]),
+        ("rho_grid", [0.01, 0.05]),
+        ("rho_grid", ["abc"]),
+        ("seed", 0),
+        ("seed", 0.5),
+    ]:
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            ExperimentConfig.from_dict({key: value})
+
+
+def test_readme_config_block_lists_the_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    assert json.loads(block) == ExperimentConfig.from_dict({}).to_dict()
 
 
 def test_config_rejects_bad_values():
@@ -166,17 +186,12 @@ def test_config_rejects_bad_values():
         ("c_safe", inf),
         ("snapshot_every", 0),
         ("max_steps", 0),
-        ("eps_grid", [0.01, 0.0]),
-        ("rho_grid", [-0.05]),
-        ("rho_grid", ["abc"]),
-        ("rho_grid", [True]),
         ("t0_anchor", nan),
         ("snapshot_every", inf),
         ("max_steps", inf),
         ("dimension", [2]),
         ("degree", 6.7),
         ("degree", True),
-        ("seed", 0.5),
         ("c_safe", 10**400),
         ("sigma", "1"),
         ("shape", 1),
@@ -287,9 +302,43 @@ def test_simulate_negative_step_safety_is_a_precondition_failure(tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["sigma", "sigma0"])
+def test_simulate_bad_sigma_is_a_precondition_failure(field, value, tmp_path, capsys):
+    # the rule summary.json follows: a finite number >= 0
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", degree=6, output=str(out), **{field: value})
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be finite and >= 0" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_zero_sigma_is_derived(ellipsoid_dir, tmp_path, capsys):
+    # 0 reads as unset, as it does in summary.json: the same run as the default
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", sigma=0, sigma0=0, output=str(out))
+    assert main(["simulate", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    derived = json.loads((ellipsoid_dir / "summary.json").read_text())["sigma"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["sigma"] == summary["sigma0"] == derived > 0.0
+    assert (out / "series.csv").read_bytes() == (ellipsoid_dir / "series.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "text",
-    ["[]", "null", '{"snapshot_every": 1e400}', '{"dimension": [2]}', '{"degree": 6.7}'],
+    [
+        "[]",
+        "null",
+        '{"snapshot_every": 1e400}',
+        '{"dimension": [2]}',
+        '{"degree": 6.7}',
+        '{"seed": 0}',
+        '{"rho_grid": [0.01, 0.05]}',
+        '{"eps_grid": [0.01, 0.05, 0.1, 0.5]}',
+    ],
 )
 def test_simulate_bad_config_grammar_is_a_precondition_failure(text, tmp_path, capsys):
     path = tmp_path / "c.json"
@@ -381,6 +430,34 @@ def test_load_trajectory_missing_dir(tmp_path):
         load_trajectory(tmp_path / "nope")
 
 
+def _copy_with_config(run_dir, tmp_path, **fields):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run, dirs_exist_ok=True)
+    config = json.loads((run_dir / "config.json").read_text(encoding="utf-8"))
+    config.update(fields)
+    (run / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    return run
+
+
+def test_run_directories_with_retired_config_fields_still_load(ellipsoid_dir, tmp_path, capsys):
+    # config.json as written before seed, rho_grid and eps_grid were retired
+    retired = {"eps_grid": [0.01, 0.05, 0.1, 0.5], "rho_grid": [0.01, 0.05], "seed": 0}
+    run = _copy_with_config(ellipsoid_dir, tmp_path, **retired)
+    outputs = []
+    for directory in (ellipsoid_dir, run):
+        assert main(["verify", "flow", str(directory)]) == EXIT_OK
+        assert main(["analyze", str(directory)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out.replace(str(directory), "RUN"))
+    assert outputs[0] == outputs[1]
+    assert (run / "analysis.csv").read_bytes() == (ellipsoid_dir / "analysis.csv").read_bytes()
+    # the loader drops those three keys only; every other stored field is still checked
+    for field, value in [("bogus", 1), ("degree", 6.7)]:
+        _copy_with_config(ellipsoid_dir, tmp_path, **retired, **{field: value})
+        assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -410,6 +487,15 @@ def test_verify_speeds_passes(capsys):
     assert "ok" in out
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("scope", [["lemmas"], ["speeds", "pow_mean"]], ids=["lemmas", "speeds"])
+def test_verify_samples_below_one_is_a_precondition_failure(scope, samples, capsys):
+    assert main(["verify", *scope, "--samples", samples]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+    assert captured.out == ""
+
+
 def test_verify_speeds_bad_grammar(capsys):
     assert main(["verify", "speeds", "pow_bogus,alpha=2"]) == EXIT_PRECONDITION
     capsys.readouterr()
@@ -428,6 +514,41 @@ def test_verify_flow_clean_run(ellipsoid_dir, capsys):
     assert "interior speed bound: ok" in out
     assert "enclosed-point margin: ok" in out
     assert "volume decay identity: ok" in out
+
+
+def test_verify_flow_prints_each_margin_within_its_tolerance(ellipsoid_dir, capsys):
+    assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK
+    out = capsys.readouterr().out
+    pattern = r"^(.+): ok \((?:worst|worst relative slack|worst relative error) (\S+), tol (\S+)\)$"
+    margins = {
+        name: (float(worst), float(tol)) for name, worst, tol in re.findall(pattern, out, re.M)
+    }
+    z_worst, z_tol = margins["Z_sigma stays negative"]
+    assert z_worst < 0.0 < z_tol < 1e-8
+    slack, tol = margins["interior speed bound"]
+    assert tol == 1e-9 and 0.0 < slack <= 1.0
+    worst, tol = margins["enclosed-point margin"]
+    assert tol == -1e-8 and worst > 0.0
+    worst, tol = margins["volume decay identity"]
+    assert tol == 1e-2 and 0.0 <= worst < tol
+
+
+def test_verify_flow_reports_an_unmonitored_speed_bound(ellipsoid_dir, monkeypatch, capsys):
+    real_record = cli.diagnostics_record
+
+    def aborted_at_anchor(*args, **kwargs):
+        record = real_record(*args, **kwargs)
+        empty = np.array([])
+        tso = dataclasses.replace(
+            record.tso, times=empty, q_max=empty, bound=empty, aborted=True,
+            abort_index=record.tso.t0_index, abort_witness=(0, -1.0),
+        )
+        return dataclasses.replace(record, tso=tso)
+
+    monkeypatch.setattr(cli, "diagnostics_record", aborted_at_anchor)
+    assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "interior speed bound: ok (no snapshot monitored) (aborted at validity edge)\n" in out
 
 
 def test_verify_flow_computes_each_speed_value_once(ellipsoid_dir, monkeypatch, capsys):
@@ -467,6 +588,11 @@ def _copy_with_summary(run_dir, tmp_path, **fields):
         ("t0_index", 0.5),
         ("sigma", "x"),
         ("sigma", float("nan")),
+        ("steps", 2.7),
+        ("steps", "x"),
+        ("steps", -1),
+        ("retries", "x"),
+        ("retries", -1),
     ],
 )
 def test_verify_flow_malformed_summary_is_a_precondition_failure(
@@ -478,6 +604,15 @@ def test_verify_flow_malformed_summary_is_a_precondition_failure(
     assert captured.out == ""
     assert captured.err.startswith(f"error: summary.json {field}")
     assert captured.err.count("\n") == 1
+
+
+def test_verify_flow_rejects_a_summary_that_is_not_an_object(ellipsoid_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(ellipsoid_dir, run)
+    (run / "summary.json").write_text("[]", encoding="utf-8")
+    assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
+    err = capsys.readouterr().err
+    assert err.startswith("error: summary.json must be a JSON object") and err.count("\n") == 1
 
 
 def test_verify_flow_accepts_null_sigma_and_integral_float_index(ellipsoid_dir, tmp_path, capsys):
@@ -508,6 +643,21 @@ def test_analyze_ellipsoid_run(ellipsoid_dir, capsys):
         row = dict(zip(header, (float(x) for x in line.split(","))))
         assert row["diskant_lower"] <= row["r_minus"] * (1 + 1e-3)
         assert row["r_plus"] <= row["diskant_upper"] * (1 + 1e-3)
+
+
+def test_series_and_analysis_share_their_geometry_columns(ellipsoid_dir, capsys):
+    assert main(["analyze", str(ellipsoid_dir)]) == EXIT_OK
+    capsys.readouterr()
+
+    def read(name):
+        with open(ellipsoid_dir / name, newline="", encoding="utf-8") as fh:
+            return list(csv.DictReader(fh))
+
+    series, analysis = read("series.csv"), read("analysis.csv")
+    shared = ["t", "r_minus", "r_plus", "ratio", "V_1", "V_2", "V_3", "iso_ratio"]
+    assert len(series) == len(analysis) > 1
+    for a, b in zip(series, analysis):
+        assert [a[name] for name in shared] == [b[name] for name in shared]
 
 
 def test_analyze_sphere_run_degenerate_diagnostics(sphere_dir, capsys):
@@ -637,7 +787,8 @@ _PLAUSIBLE = st.one_of(
 def _config_json(draw):
     if draw(st.booleans()):
         return draw(_JSON)
-    keys = sorted(set(cli._CONFIG_DEFAULTS) - {"output"}) + ["bogus"]
+    fields = [field.name for field in dataclasses.fields(ExperimentConfig)]
+    keys = sorted(set(fields) - {"output"}) + ["bogus", "seed"]
     names = draw(st.lists(st.sampled_from(keys), unique=True, max_size=4))
     return {name: draw(_PLAUSIBLE) for name in names}
 
