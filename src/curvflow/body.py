@@ -231,7 +231,9 @@ def snapshot_to_text(body: SupportFunction, time: float) -> str:
         "time": float(time),
         "coefficients": [float(c) for c in body.coefficients],
     }
-    return json.dumps(record, indent=1)
+    # no indent: json's C encoder serves only unindented output;
+    # snapshot_from_text reads the older indented files alike
+    return json.dumps(record)
 
 
 def snapshot_from_text(text: str) -> tuple[SupportFunction, float]:

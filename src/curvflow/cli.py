@@ -44,7 +44,14 @@ from .body import (
     pinching_status,
     save_snapshot,
 )
-from .flow import FlowSnapshot, Trajectory, estimate_collapse, run_flow
+from .flow import (
+    DEFAULT_SAFETY,
+    MAX_SAFETY,
+    FlowSnapshot,
+    Trajectory,
+    estimate_collapse,
+    run_flow,
+)
 from .geometry import RadiiSolver, diskant_bounds, geombound_check
 from .shapes import default_cone_threshold, parse_shape
 from .spectral import standard_grid
@@ -90,7 +97,7 @@ _CONFIG_DEFAULTS = {
     "shape": "sphere 1",
     "speed": "pow_mean,alpha=2",
     "degree": 16,
-    "c_safe": 0.2,
+    "c_safe": DEFAULT_SAFETY,
     "stop_fraction": 0.2,
     "snapshot_every": 10,
     "max_steps": 200_000,
@@ -201,8 +208,10 @@ class ExperimentConfig:
             raise ValueError("degree must be at least 2")
         if not 0.0 < config.stop_fraction < 1.0:
             raise ValueError("stop_fraction must lie in (0, 1)")
-        if not 0.0 < config.c_safe < np.inf:
-            raise ValueError("c_safe must be a positive finite number")
+        if not 0.0 < config.c_safe <= MAX_SAFETY:
+            raise ValueError(
+                f"c_safe must lie in (0, {MAX_SAFETY:.6g}], the RK4 stability bound"
+            )
         if config.snapshot_every < 1:
             raise ValueError("snapshot_every must be at least 1")
         if config.max_steps < 1:
@@ -337,12 +346,15 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
         stop_reason=summary.get("stop_reason", "loaded"),
         steps=_summary_count(summary, "steps", len(snapshots) - 1),
         retries=_summary_count(summary, "retries", 0),
+        rhs_evaluations=_summary_count(summary, "rhs_evaluations", None),
     )
     return trajectory, summary
 
 
-def _summary_count(summary: dict, name: str, default: int) -> int:
-    count = _config_integer(summary.get(name, default), f"summary.json {name}")
+def _summary_count(summary: dict, name: str, default: int | None) -> int | None:
+    if name not in summary:
+        return default
+    count = _config_integer(summary[name], f"summary.json {name}")
     if count < 0:
         raise ValueError(f"summary.json {name} must be >= 0, got {count}")
     return count
@@ -477,6 +489,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         "stop_reason": trajectory.stop_reason,
         "steps": trajectory.steps,
         "retries": trajectory.retries,
+        "rhs_evaluations": trajectory.rhs_evaluations,
         "snapshot_count": len(trajectory.snapshots),
         "dimension": config.dimension,
         "degree": config.degree,

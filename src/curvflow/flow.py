@@ -1,6 +1,11 @@
 """Contraction of convex bodies by curvature-driven speeds.
 
-The state is the coefficient vector of the support function at band limit L.
+The state is the support function at band limit L, carried as the complex
+spectrum c_cos - i c_sin that the transforms read and write (shape (L + 1,)
+on the circle, (L + 1, L + 1) indexed (m, l) on the sphere), so a
+Runge-Kutta stage pays for no change of layout; it becomes a coefficient
+vector only when a snapshot is stored.  The arithmetic is the same, so the
+snapshots are bit-identical to stepping coefficient vectors.
 Each right-hand side evaluation synthesizes the support values and the
 entries of the radii matrix ``Hess s + s id`` on a grid of twice the band
 limit, takes the principal curvatures there as its inverse eigenvalues,
@@ -14,7 +19,13 @@ step scales with the body grid's node spacing, which keeps 2L + 2 points.
 The speeds depend on the principal curvatures alone, so a Runge-Kutta stage
 builds nothing else; the symmetric functions that the pinching test reads
 are computed for accepted states only.  Time stepping is classic
-fourth-order Runge-Kutta under a parabolic step-size heuristic.
+fourth-order Runge-Kutta under a parabolic step-size heuristic, dt =
+c_safe h**2 / max(F' max(kappa**2, 1)) on a curve, with h the body grid's
+node spacing.  The flows are parabolic, so stability, not accuracy, bounds
+dt: the top curve mode's decay rate times dt is at most c_safe pi**2 (L - 1)
+/ (L + 1), and ``c_safe`` may not exceed ``MAX_SAFETY`` = 2.785 / pi**2, the
+edge of RK4's real stability interval over pi**2.  The default 0.25 puts
+that mode at 87% of the interval.
 """
 
 from __future__ import annotations
@@ -49,7 +60,12 @@ __all__ = [
     "sphere_lifetime",
 ]
 
-DEFAULT_SAFETY = 0.2
+DEFAULT_SAFETY = 0.25
+# Classic Runge-Kutta 4 is stable on the negative real axis down to about
+# -2.785.  The step heuristic puts the top curve mode's decay rate times dt at
+# c_safe * pi**2 * (L - 1) / (L + 1) < c_safe * pi**2, so a c_safe of at most
+# 2.785 / pi**2 (about 0.282) keeps every mode inside that interval.
+MAX_SAFETY = 2.785 / np.pi**2
 MAX_STEP_RETRIES = 20
 
 
@@ -98,7 +114,9 @@ class Trajectory:
     ``stop_reason`` is one of ``target_radius`` (inradius fell below the
     requested fraction of its initial value), ``cone_exit`` (pinching left
     the admissible cone), ``convexity_lost`` (a step kept failing after the
-    retry budget), or ``max_steps``.
+    retry budget), or ``max_steps``.  ``rhs_evaluations`` counts the
+    right-hand side evaluations, failed stages included; a run directory
+    written before the count was kept loads with None.
     """
 
     speed: Speed
@@ -106,6 +124,7 @@ class Trajectory:
     stop_reason: str
     steps: int
     retries: int
+    rhs_evaluations: int | None
 
     @property
     def dimension(self) -> int:
@@ -130,7 +149,9 @@ class Trajectory:
 
 
 class _Stepper:
-    """Dealiased right-hand side evaluation for one (grid, speed) pair."""
+    """Dealiased right-hand side evaluation for one (grid, speed) pair, on
+    the band-L spectrum of ``TruncatedEvaluator``; ``evaluations`` counts
+    the calls, the failed ones included."""
 
     def __init__(self, grid, speed: Speed, convexity_tol: float):
         self.grid = grid
@@ -138,12 +159,13 @@ class _Stepper:
         self.convexity_tol = convexity_tol
         fine = smooth_grid(grid.dimension, 2 * grid.degree)
         self.evaluator = TruncatedEvaluator(fine, grid.degree)
+        self.evaluations = 0
 
-    def evaluate(self, coefficients: np.ndarray):
-        """Curvature on the fine nodes and the projected speed deficit."""
-        curv = _curvature_from_radii_data(
-            self.evaluator.state(coefficients), self.convexity_tol
-        )
+    def evaluate(self, spectrum: np.ndarray):
+        """Curvature on the fine nodes and the spectrum of the projected
+        speed deficit."""
+        self.evaluations += 1
+        curv = _curvature_from_radii_data(self.evaluator.state(spectrum), self.convexity_tol)
         f = self.speed.value(curv.kappa)
         return -self.evaluator.project(f), curv
 
@@ -176,9 +198,9 @@ def run_flow(
 
     The initial body must be strictly convex; a non-convex input raises
     ConvexityLostError directly.  A ``stop_fraction`` outside (0, 1), a
-    negative or non-finite ``convexity_tol``, a non-positive or non-finite
-    ``c_safe``, a ``snapshot_every`` below 1 or a negative ``max_steps``
-    raises ValueError.
+    negative or non-finite ``convexity_tol``, a ``c_safe`` outside
+    (0, ``MAX_SAFETY``], a ``snapshot_every`` below 1 or a negative
+    ``max_steps`` raises ValueError.
     """
     if body.dimension != speed.dimension:
         raise ValueError(
@@ -186,8 +208,10 @@ def run_flow(
         )
     if snapshot_every < 1:
         raise ValueError("snapshot_every must be positive")
-    if not 0.0 < c_safe < np.inf:
-        raise ValueError("c_safe must be a positive finite number")
+    if not 0.0 < c_safe <= MAX_SAFETY:
+        raise ValueError(
+            f"c_safe must lie in (0, {MAX_SAFETY:.6g}], the RK4 stability bound, got {c_safe!r}"
+        )
     if not 0.0 < stop_fraction < 1.0:
         raise ValueError(f"stop_fraction must lie in (0, 1), got {stop_fraction!r}")
     if not 0.0 <= convexity_tol < np.inf:
@@ -200,13 +224,19 @@ def run_flow(
     stepper = _Stepper(grid, speed, convexity_tol)
     h_min = grid.min_spacing()
 
-    coeffs = body.coefficients.copy()
-    rhs, curv = stepper.evaluate(coeffs)
+    evaluator = stepper.evaluator
+    state = evaluator.spectrum(body.coefficients)
+    rhs, curv = stepper.evaluate(state)
     time = 0.0
     steps = 0
     total_retries = 0
 
     solver = RadiiSolver()
+
+    def snapshot():
+        current = support_from_coefficients(grid, evaluator.coefficients(state))
+        return FlowSnapshot(steps, time, current, speed, solver)
+
     snapshots = [FlowSnapshot(0, 0.0, body, speed, solver)]
     target = stop_fraction * snapshots[0].radii.r_minus
     stop_reason = None
@@ -223,10 +253,10 @@ def run_flow(
         for _ in range(MAX_STEP_RETRIES + 1):
             try:
                 k1 = rhs
-                k2, _ = stepper.evaluate(coeffs + 0.5 * dt * k1)
-                k3, _ = stepper.evaluate(coeffs + 0.5 * dt * k2)
-                k4, _ = stepper.evaluate(coeffs + dt * k3)
-                candidate = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                k2, _ = stepper.evaluate(state + 0.5 * dt * k1)
+                k3, _ = stepper.evaluate(state + 0.5 * dt * k2)
+                k4, _ = stepper.evaluate(state + dt * k3)
+                candidate = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 accepted = (candidate,) + stepper.evaluate(candidate)
                 break
             except ConvexityLostError:
@@ -236,7 +266,7 @@ def run_flow(
             stop_reason = "convexity_lost"
             break
 
-        coeffs, rhs, curv = accepted
+        state, rhs, curv = accepted
         time += dt
         steps += 1
 
@@ -244,17 +274,12 @@ def run_flow(
             stop_reason = "cone_exit"
             break
         if steps % snapshot_every == 0:
-            snap = FlowSnapshot(
-                steps, time, support_from_coefficients(grid, coeffs), speed, solver
-            )
-            snapshots.append(snap)
-            if snap.radii.r_minus <= target:
+            snapshots.append(snapshot())
+            if snapshots[-1].radii.r_minus <= target:
                 stop_reason = "target_radius"
 
     if snapshots[-1].step != steps:
-        snapshots.append(
-            FlowSnapshot(steps, time, support_from_coefficients(grid, coeffs), speed, solver)
-        )
+        snapshots.append(snapshot())
 
     return Trajectory(
         speed=speed,
@@ -262,6 +287,7 @@ def run_flow(
         stop_reason=stop_reason,
         steps=steps,
         retries=total_retries,
+        rhs_evaluations=stepper.evaluations,
     )
 
 

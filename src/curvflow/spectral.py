@@ -41,6 +41,12 @@ Key concepts
   gradient and Hessian, or the third covariant derivative, in the
   orthonormal frame ``(e_theta, e_phi)`` (on the circle each derivative is
   one multiplier).
+- The transforms read and write the complex spectrum c_cos - i c_sin of a
+  band, shape (S + 1,) on the circle and (S + 1, S + 1) indexed (m, l) on
+  the sphere, whose slots with no coefficient (the m = 0 sine part, l < m)
+  read zero.  ``analyze``, ``synthesize`` and the derivative functions
+  convert coefficient vectors at their edge; ``TruncatedEvaluator`` works on
+  spectra, so the flow stepper carries its state in that layout.
 - Fields are evaluated only at the quadrature nodes.  The frame degenerates
   at the poles, which the Gauss-Legendre rings never touch.
 """
@@ -230,7 +236,7 @@ def analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
     Exact (up to rounding) whenever the sampled function is band-limited to
     the grid's design margin, by quadrature exactness.
     """
-    return _project(grid, grid.degree, values)
+    return _coefficients(grid._band(grid.degree), _project(grid, grid.degree, values))
 
 
 def synthesize(grid: SphereGrid, coefficients: np.ndarray) -> np.ndarray:
@@ -360,23 +366,30 @@ def _colatitude_table(theta, degree):
 _ZERO = np.zeros(1)
 
 
-def _spectrum(grid, band, coefficients):
-    """The band record and the complex spectrum c_cos - i c_sin of band-``band``
-    coefficients: shape (m,) on the circle, (m, l) on the sphere."""
-    t = grid._band(band)
+def _spectrum(t, coefficients):
+    """The complex spectrum c_cos - i c_sin of the coefficients of band record
+    ``t``: shape (m,) on the circle, (m, l) on the sphere.  The slots with no
+    coefficient (the m = 0 sine part, and l < m on the sphere) read zero."""
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (t.count,):
         raise ValueError(f"coefficient vector has shape {c.shape}, expected ({t.count},)")
     padded = np.concatenate((c, _ZERO))
-    return t, padded[t.cos_index] - 1j * padded[t.sin_index]
+    return padded[t.cos_index] - 1j * padded[t.sin_index]
 
 
-def _ring_sums(grid, band, coefficients):
-    """The band record and the ring sums of band-``band`` coefficients on the
-    sphere: ``((S0, L0), (S1, L1))``, each of shape (rings, m), where S_a sums
-    the a-th colatitude derivative of the Legendre factors against the
-    spectrum over l on each ring and L_a does the same for l(l + 1) times the
-    spectrum.
+def _coefficients(t, spectrum):
+    """The coefficient vector of a band-``t`` spectrum, the inverse of ``_spectrum``."""
+    c = np.empty(t.count + 1)
+    c[t.cos_index] = spectrum.real
+    c[t.sin_index] = -spectrum.imag
+    return c[:-1]
+
+
+def _ring_sums(t, spectrum):
+    """The ring sums of a band-``t`` spectrum on the sphere: ``((S0, L0), (S1,
+    L1))``, each of shape (rings, m), where S_a sums the a-th colatitude
+    derivative of the Legendre factors against the spectrum over l on each
+    ring and L_a does the same for l(l + 1) times the spectrum.
 
     The associated Legendre ODE gives the higher derivatives per ring, with
     q = m**2 / sin(theta)**2:
@@ -384,14 +397,13 @@ def _ring_sums(grid, band, coefficients):
         S2 = -cot(theta) S1 + q S0 - L0,
         S3 = S1 / sin(theta)**2 - cot(theta) S2 - 2 q cot(theta) S0 + q S1 - L1.
     """
-    t, spectrum = _spectrum(grid, band, coefficients)
     # the l-sums as one real matmul batched over slab and m: the float view
     # of [c, lam c] interleaves real and imaginary parts in 4 columns
     columns = np.empty((*spectrum.shape, 2), complex)
     columns[..., 0] = spectrum
     np.multiply(spectrum, t.lam, out=columns[..., 1])
     sums = (t.table @ columns.view(float)).view(complex)  # (slab, m, ring, [c, lam c])
-    return t, np.ascontiguousarray(sums.transpose(0, 3, 2, 1))
+    return np.ascontiguousarray(sums.transpose(0, 3, 2, 1))
 
 
 def _irfft(grid, spectra):
@@ -403,7 +415,8 @@ def _synthesize(grid, coefficients, order):
     """Node values of the ``order``-th longitude derivative (circle: angle
     derivative) of degree-L coefficients; order 0 is plain synthesis, which
     reads the Legendre values alone."""
-    t, spectrum = _spectrum(grid, grid.degree, coefficients)
+    t = grid._band(grid.degree)
+    spectrum = _spectrum(t, coefficients)
     if grid.dimension == 2:
         ring = t.table[0] @ spectrum.view(float).reshape(*spectrum.shape, 2)
         spectrum = (ring[..., 0] + 1j * ring[..., 1]).T
@@ -426,16 +439,17 @@ def _hessian_spectra(t, sums, out):
     np.multiply((s_t - cot * s) * csc, w_im, out=h_01)
 
 
-def _radii_rows(grid, band, coefficients):
-    """Node rows of a band-``band`` support function s and of its radii
-    matrix R = Hess s + s id in the frame (e_theta[, e_phi]), by one inverse
-    FFT: (s, r) on the circle, where r = s + s'' is one ``1 - m**2``
-    multiplier, and (s, R_00, R_01, R_11) on the sphere, the frame Hessian
-    plus s on the diagonal, with R_00 + R_11 = (2 S0 - L0) w."""
+def _radii_rows(grid, band, spectrum):
+    """Node rows of the support function s with band-``band`` spectrum
+    ``spectrum`` and of its radii matrix R = Hess s + s id in the frame
+    (e_theta[, e_phi]), by one inverse FFT: (s, r) on the circle, where
+    r = s + s'' is one ``1 - m**2`` multiplier, and (s, R_00, R_01, R_11) on
+    the sphere, the frame Hessian plus s on the diagonal, with
+    R_00 + R_11 = (2 S0 - L0) w."""
+    t = grid._band(band)
     if grid.dimension == 1:
-        t, spectrum = _spectrum(grid, band, coefficients)
         return _irfft(grid, spectrum * t.radii)
-    t, sums = _ring_sums(grid, band, coefficients)
+    sums = _ring_sums(t, spectrum)
     rows = np.empty((4, *sums.shape[2:]), complex)
     s = np.multiply(sums[0, 0], t.synth[0], out=rows[0])
     _hessian_spectra(t, sums, rows[1:])
@@ -444,25 +458,20 @@ def _radii_rows(grid, band, coefficients):
 
 
 def _project(grid, band, values):
-    """Band-``band`` coefficients of node ``values`` by quadrature."""
+    """The band-``band`` spectrum of node ``values`` by quadrature; its slots
+    with no coefficient read zero."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.node_count,):
         raise ValueError(f"value vector has shape {values.shape}, expected ({grid.node_count},)")
     t = grid._band(band)
     weighted = grid.weights * values
     if grid.dimension == 1:
-        h = np.fft.rfft(weighted)[: band + 1] * t.table
-    else:
-        rings = np.fft.rfft(weighted.reshape(-1, grid.ring_size))[:, : band + 1]
-        # (m, ring, 2) real and imaginary parts: the float view of the
-        # contiguous transposed spectra
-        parts = np.ascontiguousarray(rings.T).view(float).reshape(band + 1, -1, 2)
-        h = t.table[0].swapaxes(1, 2) @ parts
-        h = h[..., 0] + 1j * h[..., 1]
-    c = np.empty(t.count + 1)
-    c[t.cos_index] = h.real
-    c[t.sin_index] = -h.imag
-    return c[:-1]
+        return np.fft.rfft(weighted)[: band + 1] * t.table
+    rings = np.fft.rfft(weighted.reshape(-1, grid.ring_size))[:, : band + 1]
+    # (m, ring, 2) real and imaginary parts: the float view of the contiguous
+    # transposed spectra; the table is zero for l < m
+    parts = np.ascontiguousarray(rings.T).view(float).reshape(band + 1, -1, 2)
+    return (t.table[0].swapaxes(1, 2) @ parts).view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +490,12 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
         Covariant Hessian with respect to the round metric, same frame.
     """
     grid = field.grid
+    t = grid._band(grid.degree)
+    spectrum = _spectrum(t, field.coefficients)
     if grid.dimension == 1:
-        t, spectrum = _spectrum(grid, grid.degree, field.coefficients)
         gradient, hessian = _irfft(grid, spectrum * t.synth[1:3])
         return gradient[:, None], hessian[:, None, None]
-    t, sums = _ring_sums(grid, grid.degree, field.coefficients)
+    sums = _ring_sums(t, spectrum)
     (s, _), (s_t, _) = sums
     rows = np.empty((5, *s.shape), complex)
     # the frame gradient (p_10, p_01 / sin(theta)), then the Hessian
@@ -501,15 +511,20 @@ def radii_rows(field: SpectralField) -> np.ndarray:
     R = Hess s + s id, shape (2, M) rows (s, r) on the circle and (4, M)
     rows (s, R_00, R_01, R_11) on the sphere, in the orthonormal frame
     (e_theta[, e_phi])."""
-    return _radii_rows(field.grid, field.grid.degree, field.coefficients)
+    grid = field.grid
+    return _radii_rows(grid, grid.degree, _spectrum(grid._band(grid.degree), field.coefficients))
 
 
 class TruncatedEvaluator:
-    """Evaluates and projects low-degree coefficient vectors on a finer grid.
+    """Evaluates and projects low-degree fields on a finer grid.
 
-    Evolving degree-S coefficients while sampling the (nonlinear) speed on a
-    grid of roughly twice the band limit keeps the projected right-hand side
-    alias-free.
+    Evolving degree-S fields while sampling the (nonlinear) speed on a grid
+    of roughly twice the band limit keeps the projected right-hand side
+    alias-free.  ``state`` and ``project`` work on the band-S complex
+    spectrum c_cos - i c_sin, shape (S + 1,) on the circle and (S + 1, S + 1)
+    indexed (m, l) on the sphere, so a time stepper can carry its state in
+    the transforms' own layout; ``spectrum`` and ``coefficients`` convert
+    from and to coefficient vectors.
 
     It holds no tables: it reads band S from the fine grid's transform
     cache, so evaluators sharing a grid build them once.
@@ -521,19 +536,32 @@ class TruncatedEvaluator:
         self.grid = grid
         self.source_degree = source_degree
         self.source_count = coefficient_count(grid.dimension, source_degree)
-        grid._band(source_degree)
+        band = grid._band(source_degree)
+        self.spectrum_shape = band.cos_index.shape
 
-    def state(self, coefficients: np.ndarray) -> np.ndarray:
+    def spectrum(self, coefficients: np.ndarray) -> np.ndarray:
+        """The complex spectrum of source-degree coefficients."""
+        return _spectrum(self.grid._band(self.source_degree), coefficients)
+
+    def coefficients(self, spectrum: np.ndarray) -> np.ndarray:
+        """The source-degree coefficient vector of a spectrum."""
+        return _coefficients(self.grid._band(self.source_degree), spectrum)
+
+    def state(self, spectrum: np.ndarray) -> np.ndarray:
         """Support values and radii-matrix entries at the fine nodes.
 
         Rows as in ``radii_rows``: (s, r) on the circle, (s, R_00, R_01,
         R_11) on the sphere, synthesized in ring-spectral space by one
         inverse FFT.
         """
-        return _radii_rows(self.grid, self.source_degree, coefficients)
+        if spectrum.shape != self.spectrum_shape:
+            raise ValueError(
+                f"spectrum has shape {spectrum.shape}, expected {self.spectrum_shape}"
+            )
+        return _radii_rows(self.grid, self.source_degree, spectrum)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """Leading source-degree coefficients of a fine-grid node vector.
+        """The source-degree spectrum of a fine-grid node vector.
 
         Exact for integrands band-limited to source degree plus the fine
         grid's design margin; the quadratic curvature nonlinearity stays
@@ -557,7 +585,8 @@ def third_derivatives(field: SpectralField) -> np.ndarray:
     if grid.dimension == 1:
         return _synthesize(grid, field.coefficients, 3)[:, None, None, None]
 
-    t, ((s0, l0), (s1, l1)) = _ring_sums(grid, grid.degree, field.coefficients)
+    t = grid._band(grid.degree)
+    (s0, l0), (s1, l1) = _ring_sums(t, _spectrum(t, field.coefficients))
     cot, csc, csc2 = t.ring
     q = csc2 * np.arange(grid.degree + 1) ** 2
     s2 = q * s0 - cot * s1 - l0

@@ -240,6 +240,24 @@ def test_snapshot_round_trip(tmp_path):
     assert snapshot_to_text(loaded, t) == snapshot_to_text(original, 0.0625)
 
 
+def test_indented_snapshots_load_bit_for_bit():
+    # snapshots were once written with indent=1; they are now written without
+    # one, and both forms read back to the same coefficients and time
+    grid = standard_grid(2, 12)
+    coeffs = np.random.default_rng(3).standard_normal(grid.coefficient_count)
+    coeffs[0] += 10.0
+    coeffs[5] = -0.0
+    body = support_from_coefficients(grid, coeffs)
+    compact = snapshot_to_text(body, 0.1 + 0.2)
+    indented = json.dumps(json.loads(compact), indent=1)
+    assert "\n" not in compact and indented.count("\n") > grid.coefficient_count
+    for text in (compact, indented):
+        back, t = snapshot_from_text(text)
+        assert back.coefficients.tobytes() == coeffs.tobytes()
+        assert t == 0.1 + 0.2
+        assert snapshot_to_text(back, t) == compact
+
+
 def test_snapshot_rejects_other_json():
     with pytest.raises(ValueError):
         snapshot_from_text('{"format": "something-else", "version": 1}')

@@ -143,7 +143,7 @@ def test_config_defaults_and_round_trip(tmp_path):
     path = write_config(tmp_path / "c.json", output=str(tmp_path / "out"))
     config = ExperimentConfig.load(path)
     assert config.degree == 8
-    assert config.c_safe == 0.2
+    assert config.c_safe == 0.25
     assert config.sigma is None
     assert config.t0_anchor == 1.2
     assert ExperimentConfig.from_dict(config.to_dict()) == config
@@ -300,6 +300,22 @@ def test_simulate_negative_step_safety_is_a_precondition_failure(tmp_path, capsy
     assert main(["simulate", str(path)]) == EXIT_PRECONDITION
     assert "c_safe" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c_safe", [0.283, 0.3, 0.4, 2.0])
+def test_simulate_step_safety_above_the_rk4_bound_is_a_precondition_failure(
+    c_safe, tmp_path, capsys
+):
+    # above 2.785 / pi**2 the top curve mode can leave RK4's stability interval
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", c_safe=c_safe, output=str(out))
+    assert main(["simulate", str(path)]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "c_safe" in captured.err and "stability bound" in captured.err
+    assert not out.exists()
+    assert ExperimentConfig.from_dict({"c_safe": flow.MAX_SAFETY}).c_safe == flow.MAX_SAFETY
 
 
 @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
@@ -593,6 +609,9 @@ def _copy_with_summary(run_dir, tmp_path, **fields):
         ("steps", -1),
         ("retries", "x"),
         ("retries", -1),
+        ("rhs_evaluations", 1.5),
+        ("rhs_evaluations", None),
+        ("rhs_evaluations", -1),
     ],
 )
 def test_verify_flow_malformed_summary_is_a_precondition_failure(
@@ -604,6 +623,43 @@ def test_verify_flow_malformed_summary_is_a_precondition_failure(
     assert captured.out == ""
     assert captured.err.startswith(f"error: summary.json {field}")
     assert captured.err.count("\n") == 1
+
+
+def test_summary_counts_right_hand_side_evaluations(ellipsoid_dir, tmp_path, capsys):
+    summary = json.loads((ellipsoid_dir / "summary.json").read_text(encoding="utf-8"))
+    # one evaluation of the initial state, then four per step without retries
+    assert summary["retries"] == 0
+    assert summary["rhs_evaluations"] == 4 * summary["steps"] + 1
+    trajectory, _ = load_trajectory(ellipsoid_dir)
+    assert trajectory.rhs_evaluations == summary["rhs_evaluations"]
+    # a summary.json written before the counter existed still loads and verifies alike
+    run = tmp_path / "run"
+    shutil.copytree(ellipsoid_dir, run)
+    del summary["rhs_evaluations"]
+    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    assert load_trajectory(run)[0].rhs_evaluations is None
+    outputs = []
+    for directory in (ellipsoid_dir, run):
+        assert main(["verify", "flow", str(directory)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_run_directories_with_indented_snapshots_read_alike(ellipsoid_dir, tmp_path, capsys):
+    # snapshots as written with indent=1, before the compact encoding
+    run = tmp_path / "run"
+    shutil.copytree(ellipsoid_dir, run)
+    for snap in sorted((run / "snapshots").glob("snap_*.json")):
+        text = snap.read_text(encoding="utf-8")
+        assert text.count("\n") == 1  # compact: one line
+        snap.write_text(json.dumps(json.loads(text), indent=1) + "\n", encoding="utf-8")
+    outputs = []
+    for directory in (ellipsoid_dir, run):
+        assert main(["verify", "flow", str(directory)]) == EXIT_OK
+        assert main(["analyze", str(directory)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out.replace(str(directory), "RUN"))
+    assert outputs[0] == outputs[1]
+    assert (run / "analysis.csv").read_bytes() == (ellipsoid_dir / "analysis.csv").read_bytes()
 
 
 def test_verify_flow_rejects_a_summary_that_is_not_an_object(ellipsoid_dir, tmp_path, capsys):

@@ -3,8 +3,10 @@ import pytest
 
 import curvflow.flow as flow_module
 from curvflow import spectral
-from curvflow.body import ConvexityLostError
+from curvflow.body import DEFAULT_CONVEXITY_TOL, ConvexityLostError
 from curvflow.flow import (
+    DEFAULT_SAFETY,
+    MAX_SAFETY,
     MAX_STEP_RETRIES,
     collapse_radius,
     estimate_collapse,
@@ -173,11 +175,24 @@ def test_nan_speed_is_a_numerical_failure(monkeypatch):
     assert np.all(np.isfinite(traj.final.body.coefficients))
 
 
-@pytest.mark.parametrize("c_safe", [-0.2, 0.0, float("nan"), float("inf")])
+# above MAX_SAFETY: at L = 128 a curve run with c_safe 0.3 used to end as a
+# clean target_radius with an evolution residual of 4.7e3
+@pytest.mark.parametrize("c_safe", [-0.2, 0.0, float("nan"), float("inf"), 0.283, 0.3, 0.4, 2.0, 20.0])
 def test_run_flow_rejects_bad_step_safety(c_safe):
     body = make_sphere(standard_grid(2, 6), 1.0)
     with pytest.raises(ValueError, match="c_safe"):
         run_flow(body, make_speed("mean", 2), c_safe=c_safe)
+
+
+def test_max_safety_is_inside_rk4s_real_stability_interval():
+    # the top curve mode's decay rate times dt is at most c_safe * pi**2
+    def amplification(z):
+        return abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+
+    edge = -MAX_SAFETY * np.pi**2
+    assert all(amplification(z) <= 1.0 for z in np.linspace(edge, 0.0, 2001))
+    assert amplification(1.001 * edge) > 1.0
+    assert DEFAULT_SAFETY < MAX_SAFETY
 
 
 @pytest.mark.parametrize(
@@ -207,6 +222,7 @@ def test_run_flow_accepts_edge_inputs():
     body = make_sphere(standard_grid(2, 6), 1.0)
     speed = make_speed("mean", 2)
     assert run_flow(body, speed, convexity_tol=0.0, max_steps=3).steps == 3
+    assert run_flow(body, speed, c_safe=MAX_SAFETY, max_steps=3).steps == 3
     assert run_flow(body, speed, max_steps=0).stop_reason == "max_steps"
 
 
@@ -319,16 +335,89 @@ def test_stepper_ring_is_the_smallest_even_7_smooth_length():
 
 def test_curve_step_count_is_unchanged_by_the_fine_ring():
     # the smooth fine ring moves each time step by under 1e-3 relative, not
-    # the step count of criterion 12's first rung
+    # the step count of criterion 12's first rung: 1064 steps at c_safe 0.2,
+    # 852 at the default 0.25
     grid = standard_grid(1, 32)
-    traj = run_flow(
-        make_ellipsoid(grid, (1.0, 1.2)),
-        parse_speed("pow_mean,alpha=2", 1),
-        stop_fraction=0.5,
-        snapshot_every=2,
-    )
-    assert traj.stop_reason == "target_radius"
-    assert (traj.steps, traj.retries) == (1064, 0)
+    for c_safe, steps in ((0.2, 1064), (DEFAULT_SAFETY, 852)):
+        traj = run_flow(
+            make_ellipsoid(grid, (1.0, 1.2)),
+            parse_speed("pow_mean,alpha=2", 1),
+            c_safe=c_safe,
+            stop_fraction=0.5,
+            snapshot_every=2,
+        )
+        assert traj.stop_reason == "target_radius"
+        assert (traj.steps, traj.retries) == (steps, 0)
+
+
+def _coefficient_layout_run(body, speed, steps, c_safe):
+    """(time, coefficients) after each of ``steps`` RK4 steps carried in
+    coefficient vectors, converted to and from the spectrum at every stage."""
+    stepper = flow_module._Stepper(body.grid, speed, DEFAULT_CONVEXITY_TOL)
+    evaluator = stepper.evaluator
+    h_min = body.grid.min_spacing()
+
+    def rhs(coefficients):
+        k, curv = stepper.evaluate(evaluator.spectrum(coefficients))
+        return evaluator.coefficients(k), curv
+
+    coeffs = body.coefficients.copy()
+    k1, curv = rhs(coeffs)
+    time = 0.0
+    states = [(time, coeffs)]
+    for _ in range(steps):
+        dt = stepper.time_step(curv, h_min, c_safe)
+        k2, _ = rhs(coeffs + 0.5 * dt * k1)
+        k3, _ = rhs(coeffs + 0.5 * dt * k2)
+        k4, _ = rhs(coeffs + dt * k3)
+        coeffs = coeffs + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, curv = rhs(coeffs)
+        time += dt
+        states.append((time, coeffs))
+    return states
+
+
+@pytest.mark.parametrize("axes, degree", [((1.0, 1.2), 16), ((1.0, 1.0, 1.1), 8)])
+def test_spectrum_layout_changes_no_bit(axes, degree):
+    # run_flow carries its stages as the transforms' complex spectrum and
+    # converts only its snapshots; the coefficient layout gives the same bits
+    body = make_ellipsoid(standard_grid(len(axes) - 1, degree), axes)
+    speed = parse_speed("pow_mean,alpha=2", body.dimension)
+    traj = run_flow(body, speed, c_safe=0.2, max_steps=30, snapshot_every=1)
+    reference = _coefficient_layout_run(body, speed, 30, 0.2)
+    assert traj.steps == 30 and len(traj.snapshots) == len(reference)
+    for snap, (time, coeffs) in zip(traj.snapshots, reference):
+        assert np.float64(snap.time).tobytes() == np.float64(time).tobytes()
+        assert snap.body.coefficients.tobytes() == coeffs.tobytes()
+
+
+@pytest.mark.parametrize("poison", [False, True])
+def test_rhs_evaluations_count_the_synthesis_calls(poison, monkeypatch):
+    # every evaluation synthesizes the fine-grid state once, failed ones too
+    calls = {"state": 0, "value": 0}
+    original_state = spectral.TruncatedEvaluator.state
+    original_value = Speed.value
+
+    def counted(self, spectrum):
+        calls["state"] += 1
+        return original_state(self, spectrum)
+
+    def poisoned(self, kappa):
+        calls["value"] += 1
+        f = original_value(self, kappa)
+        return np.full_like(f, np.nan) if poison and calls["value"] > 40 else f
+
+    monkeypatch.setattr(spectral.TruncatedEvaluator, "state", counted)
+    monkeypatch.setattr(Speed, "value", poisoned)
+    body = make_ellipsoid(standard_grid(1, 16), (1.0, 1.2))
+    traj = run_flow(body, make_speed("mean", 1), stop_fraction=0.5, snapshot_every=5)
+    assert traj.rhs_evaluations == calls["state"]
+    if poison:
+        assert traj.stop_reason == "convexity_lost"
+        assert traj.retries == MAX_STEP_RETRIES + 1
+    else:
+        assert traj.stop_reason == "target_radius" and traj.retries == 0
+        assert traj.rhs_evaluations == 4 * traj.steps + 1
 
 
 def test_rescaling_and_limit_point():

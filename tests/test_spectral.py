@@ -370,15 +370,16 @@ def test_truncated_state_matches_padded_field(dimension):
     coeffs[0] += 3.0
 
     ev = TruncatedEvaluator(fine, 6)
-    rows = ev.state(coeffs)
+    rows = ev.state(ev.spectrum(coeffs))
 
     padded = resample(field_from_coefficients(coarse, coeffs), fine)
     expected = _radii_from_hessian(padded)
     assert rows.shape == (2 * dimension, fine.node_count)
     np.testing.assert_allclose(rows[0], padded.values, rtol=0, atol=1e-11)
     np.testing.assert_allclose(rows[1:], expected[1:], rtol=0, atol=1e-8)
+    full = TruncatedEvaluator(fine, 12)
     np.testing.assert_array_equal(
-        radii_rows(padded.field), TruncatedEvaluator(fine, 12).state(padded.coefficients)
+        radii_rows(padded.field), full.state(full.spectrum(padded.coefficients))
     )
 
 
@@ -390,7 +391,7 @@ def test_truncated_project_recovers_leading_coefficients(dimension):
     fine_coeffs = rng.standard_normal(fine.coefficient_count)
 
     ev = TruncatedEvaluator(fine, 5)
-    projected = ev.project(synthesize(fine, fine_coeffs))
+    projected = ev.coefficients(ev.project(synthesize(fine, fine_coeffs)))
     np.testing.assert_allclose(
         projected, fine_coeffs[: coarse.coefficient_count], rtol=0, atol=1e-12
     )
@@ -401,12 +402,31 @@ def test_truncated_evaluator_memory_stays_small():
     tracemalloc.start()
     try:
         ev = TruncatedEvaluator(SphereGrid(2, 48), 24)
-        values = ev.state(np.ones(ev.source_count))[0]
+        values = ev.state(ev.spectrum(np.ones(ev.source_count)))[0]
         ev.project(values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("dimension, degree, band", [(1, 32, 16), (2, 12, 6)])
+def test_spectrum_layout_round_trips_and_its_empty_slots_read_zero(dimension, degree, band):
+    # the m = 0 sine slot and, on the sphere, the l < m slots hold no
+    # coefficient: conversion and projection must leave them exactly zero
+    ev = TruncatedEvaluator(smooth_grid(dimension, degree), band)
+    rng = np.random.default_rng(band)
+    coeffs = rng.standard_normal(ev.source_count)
+    spectrum = ev.spectrum(coeffs)
+    assert spectrum.shape == ev.spectrum_shape == (band + 1,) * dimension
+    assert ev.coefficients(spectrum).tobytes() == coeffs.tobytes()
+    t = ev.grid._band(band)
+    no_cos, no_sin = t.cos_index == t.count, t.sin_index == t.count
+    assert no_sin.sum() == (1 if dimension == 1 else band * (band + 1) // 2 + band + 1)
+    projected = ev.project(rng.standard_normal(ev.grid.node_count))
+    for s in (spectrum, projected):
+        assert np.all(s.real[no_cos] == 0.0) and np.all(s.imag[no_sin] == 0.0)
+    np.testing.assert_array_equal(ev.spectrum(ev.coefficients(projected)), projected)
 
 
 def test_band_record_keeps_two_colatitude_slabs():
@@ -423,7 +443,11 @@ def test_truncated_rejects_bad_shapes():
         TruncatedEvaluator(fine, 9)
     ev = TruncatedEvaluator(fine, 4)
     with pytest.raises(ValueError):
+        ev.spectrum(np.zeros(7))
+    with pytest.raises(ValueError):
         ev.state(np.zeros(7))
+    with pytest.raises(ValueError):
+        ev.state(np.zeros((5, 4), complex))
 
 
 def test_one_grid_serves_two_bands():
@@ -436,10 +460,11 @@ def test_one_grid_serves_two_bands():
     body_coeffs = rng.standard_normal(shared.coefficient_count)
     band_coeffs = rng.standard_normal(coefficient_count(2, 6))
 
-    state = TruncatedEvaluator(shared, 6).state(band_coeffs)
+    band_spectrum = TruncatedEvaluator(shared, 6).spectrum(band_coeffs)
+    state = TruncatedEvaluator(shared, 6).state(band_spectrum)
     values = synthesize(shared, body_coeffs)
     rows = radii_rows(field_from_coefficients(shared, body_coeffs))
-    state_again = TruncatedEvaluator(shared, 6).state(band_coeffs)
+    state_again = TruncatedEvaluator(shared, 6).state(band_spectrum)
     projected = TruncatedEvaluator(shared, 6).project(values)
 
     body_grid = SphereGrid(2, 12)
@@ -448,7 +473,7 @@ def test_one_grid_serves_two_bands():
     np.testing.assert_array_equal(rows, radii_rows(body_field))
     np.testing.assert_allclose(rows, _radii_from_hessian(body_field), rtol=0, atol=1e-8)
     ref_ev = TruncatedEvaluator(SphereGrid(2, 12), 6)
-    np.testing.assert_array_equal(state, ref_ev.state(band_coeffs))
+    np.testing.assert_array_equal(state, ref_ev.state(ref_ev.spectrum(band_coeffs)))
     np.testing.assert_array_equal(state_again, state)
     padded = resample(field_from_coefficients(standard_grid(2, 6), band_coeffs), shared)
     np.testing.assert_allclose(state, _radii_from_hessian(padded), rtol=0, atol=1e-8)
@@ -475,8 +500,8 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ev = TruncatedEvaluator(fine, source)
     coeffs = np.random.default_rng(seed).standard_normal(ev.source_count)
-    values = ev.state(coeffs)[0]
-    np.testing.assert_allclose(ev.project(values), coeffs, rtol=0, atol=1e-11)
+    values = ev.state(ev.spectrum(coeffs))[0]
+    np.testing.assert_allclose(ev.coefficients(ev.project(values)), coeffs, rtol=0, atol=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +546,8 @@ def test_state_and_project_invert_on_enlarged_rings(dimension, max_degree, data)
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     ev = TruncatedEvaluator(fine, source)
     coeffs = np.random.default_rng(seed).standard_normal(ev.source_count)
-    np.testing.assert_allclose(ev.project(ev.state(coeffs)[0]), coeffs, rtol=0, atol=1e-12)
+    spectrum = ev.project(ev.state(ev.spectrum(coeffs))[0])
+    np.testing.assert_allclose(ev.coefficients(spectrum), coeffs, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -563,11 +589,16 @@ def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree
         coeffs = rng.standard_normal(coefficient_count(dimension, band))
         coeffs[rng.integers(coeffs.size, size=3)] = 0.0
         reference = _reference_ring_sums(grid, band, coeffs)
-        ring_sums = spectral._spectrum if dimension == 1 else spectral._ring_sums
-        np.testing.assert_array_equal(ring_sums(grid, band, coeffs)[1], reference)
+        t = grid._band(band)
+        spectrum = spectral._spectrum(t, coeffs)
+        if dimension == 1:
+            np.testing.assert_array_equal(spectrum, reference)
+        else:
+            np.testing.assert_array_equal(spectral._ring_sums(t, spectrum), reference)
         values = rng.standard_normal(grid.node_count)
         np.testing.assert_array_equal(
-            spectral._project(grid, band, values), _reference_project(grid, band, values)
+            spectral._coefficients(t, spectral._project(grid, band, values)),
+            _reference_project(grid, band, values),
         )
         if dimension == 1:
             # the circle's (s, r) multiplier is kept on the band record
@@ -575,4 +606,4 @@ def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree
             stacked = np.fft.irfft(
                 reference * np.stack([w, w + w_m2]), n=grid.ring_size, norm="forward"
             )
-            np.testing.assert_array_equal(spectral._radii_rows(grid, band, coeffs), stacked)
+            np.testing.assert_array_equal(spectral._radii_rows(grid, band, spectrum), stacked)
