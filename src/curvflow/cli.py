@@ -46,6 +46,7 @@ from .body import (
 )
 from .flow import (
     DEFAULT_SAFETY,
+    INTEGRATORS,
     MAX_SAFETY,
     FlowSnapshot,
     Trajectory,
@@ -62,6 +63,11 @@ from .speeds import (
     verify_derivative_bounds,
 )
 from .verify import (
+    CURVE_RESIDUAL_TOL,
+    ENCLOSED_POINT_TOL,
+    TSO_TOL,
+    VOLUME_DECAY_TOL,
+    Z_SIGMA_TOL,
     DiagnosticsRecord,
     curve_evolution_residual,
     diagnostics_record,
@@ -102,7 +108,6 @@ _CONFIG_DEFAULTS = {
     "snapshot_every": 10,
     "max_steps": 200_000,
     "sigma": None,
-    "sigma0": None,
     "t0_anchor": 1.2,
     "output": None,
 }
@@ -157,9 +162,8 @@ class ExperimentConfig:
     """One simulation: shape, speed, resolution, stopping, monitor knobs.
 
     ``sigma`` unset (None or 0) is 1.05 times the initial worst pinching
-    ratio, and ``sigma0`` unset is ``sigma``; ``t0_anchor`` places the
-    interior-estimate anchor at the first snapshot whose inradius is at most
-    that multiple of the final one.
+    ratio; ``t0_anchor`` places the interior-estimate anchor at the first
+    snapshot whose inradius is at most that multiple of the final one.
     """
 
     dimension: int
@@ -171,7 +175,6 @@ class ExperimentConfig:
     snapshot_every: int
     max_steps: int
     sigma: float | None
-    sigma0: float | None
     t0_anchor: float
     output: str | None
 
@@ -198,7 +201,6 @@ class ExperimentConfig:
             snapshot_every=_config_integer(merged["snapshot_every"], "snapshot_every"),
             max_steps=_config_integer(merged["max_steps"], "max_steps"),
             sigma=optional("sigma", _sigma_number),
-            sigma0=optional("sigma0", _sigma_number),
             t0_anchor=_config_number(merged["t0_anchor"], "t0_anchor"),
             output=optional("output", _config_string),
         )
@@ -315,7 +317,7 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     stored = json.loads(config_path.read_text(encoding="utf-8"))
     if isinstance(stored, dict):
         # config fields that no output read; run directories written with them still load
-        stored = {k: v for k, v in stored.items() if k not in ("seed", "rho_grid", "eps_grid")}
+        stored = {k: v for k, v in stored.items() if k not in _RETIRED_KEYS}
     config = ExperimentConfig.from_dict(stored)
     summary_path = root / "summary.json"
     summary = (
@@ -323,6 +325,7 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
     )
     if not isinstance(summary, dict):
         raise ValueError(f"summary.json must be a JSON object, got {summary!r}")
+    summary = {k: v for k, v in summary.items() if k not in _RETIRED_KEYS}
     # verify and analyze read these two; null or 0 sigma means "derive it"
     if summary.get("sigma") is not None:
         _sigma_number(summary["sigma"], "summary.json sigma")
@@ -347,8 +350,14 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
         steps=_summary_count(summary, "steps", len(snapshots) - 1),
         retries=_summary_count(summary, "retries", 0),
         rhs_evaluations=_summary_count(summary, "rhs_evaluations", None),
+        integrator=_summary_integrator(summary),
+        step_sizes=_summary_step_sizes(summary),
     )
     return trajectory, summary
+
+
+_RETIRED_KEYS = ("seed", "rho_grid", "eps_grid", "sigma0")
+_STEP_SIZE_KEYS = ("dt_min", "dt_median", "dt_max")
 
 
 def _summary_count(summary: dict, name: str, default: int | None) -> int | None:
@@ -358,6 +367,32 @@ def _summary_count(summary: dict, name: str, default: int | None) -> int | None:
     if count < 0:
         raise ValueError(f"summary.json {name} must be >= 0, got {count}")
     return count
+
+
+def _summary_integrator(summary: dict) -> str | None:
+    integrator = summary.get("integrator")
+    if integrator is not None and integrator not in INTEGRATORS:
+        raise ValueError(
+            f"summary.json integrator must be one of {list(INTEGRATORS)} or null, "
+            f"got {integrator!r}"
+        )
+    return integrator
+
+
+def _summary_step_sizes(summary: dict) -> tuple[float, float, float] | None:
+    """dt_min, dt_median and dt_max: all absent or null, or positive, finite
+    and in order."""
+    if all(summary.get(name) is None for name in _STEP_SIZE_KEYS):
+        return None
+    sizes = tuple(
+        _config_number(summary.get(name), f"summary.json {name}") for name in _STEP_SIZE_KEYS
+    )
+    for name, size in zip(_STEP_SIZE_KEYS, sizes):
+        if not 0.0 < size < np.inf:
+            raise ValueError(f"summary.json {name} must be positive and finite, got {size!r}")
+    if not sizes[0] <= sizes[1] <= sizes[2]:
+        raise ValueError(f"summary.json dt_min <= dt_median <= dt_max fails: {sizes}")
+    return sizes
 
 
 def _anchor_index(trajectory: Trajectory, factor: float) -> int:
@@ -478,25 +513,26 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         return EXIT_NUMERICAL, f"error: {config_path}: {exc}"
 
     sigma = _monitor_sigma(config.sigma, trajectory)
-    sigma0 = config.sigma0 or sigma
     t0_index = _anchor_index(trajectory, config.t0_anchor)
-    record = diagnostics_record(trajectory, sigma=sigma, sigma0=sigma0, t0_index=t0_index)
+    record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
     estimate = (
         estimate_collapse(trajectory) if len(trajectory.snapshots) >= 2 else None
     )
 
+    step_sizes = trajectory.step_sizes or (None,) * len(_STEP_SIZE_KEYS)
     summary = {
         "stop_reason": trajectory.stop_reason,
         "steps": trajectory.steps,
         "retries": trajectory.retries,
         "rhs_evaluations": trajectory.rhs_evaluations,
+        "integrator": trajectory.integrator,
+        **dict(zip(_STEP_SIZE_KEYS, step_sizes)),
         "snapshot_count": len(trajectory.snapshots),
         "dimension": config.dimension,
         "degree": config.degree,
         "speed": speed.describe(),
         "shape": config.shape,
         "sigma": sigma,
-        "sigma0": sigma0,
         "t0_index": t0_index,
         "collapse_time": None if estimate is None else estimate.time,
         "collapse_point": None if estimate is None else [float(x) for x in estimate.point],
@@ -595,10 +631,10 @@ def cmd_verify(args) -> int:
     if isinstance(loaded, int):
         return loaded
     trajectory, sigma, t0_index = loaded
-    record = diagnostics_record(trajectory, sigma=sigma, sigma0=sigma, t0_index=t0_index)
+    record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
 
     failures = []
-    tol = 1e-10 * sigma * np.max(record.h_max) ** 2
+    tol = Z_SIGMA_TOL * sigma * np.max(record.h_max) ** 2
     if record.z_sigma_max[0] < 0.0:
         ok = bool(np.all(record.z_sigma_max <= tol))
         print(
@@ -613,10 +649,10 @@ def cmd_verify(args) -> int:
     tso = record.tso
     tso_ok = not tso.violated
     if tso.q_max.size:
-        # TsoReport.violated allows q_max 1e-9 above the bound; the bound is
-        # inf at the anchor itself, where the slack is 1
+        # TsoReport.violated allows q_max TSO_TOL above the bound; the bound
+        # is inf at the anchor itself, where the slack is 1
         slack = 1.0 - np.max(tso.q_max / tso.bound)
-        margin = f"worst relative slack {slack:.3e}, tol {1e-9:.3e}"
+        margin = f"worst relative slack {slack:.3e}, tol {TSO_TOL:.3e}"
     else:
         margin = "no snapshot monitored"
     print(
@@ -626,30 +662,34 @@ def cmd_verify(args) -> int:
     if not tso_ok:
         failures.append("tso")
 
-    smoczyk_tol = -1e-8
     smoczyk_worst = float(np.nanmin(record.smoczyk_min))
-    smoczyk_ok = smoczyk_worst >= smoczyk_tol
+    smoczyk_ok = smoczyk_worst >= ENCLOSED_POINT_TOL
     print(
         f"enclosed-point margin: {'ok' if smoczyk_ok else 'FAIL'} "
-        f"(worst {smoczyk_worst:.3e}, tol {smoczyk_tol:.3e})"
+        f"(worst {smoczyk_worst:.3e}, tol {ENCLOSED_POINT_TOL:.3e})"
     )
     if not smoczyk_ok:
         failures.append("smoczyk")
 
     if len(trajectory.snapshots) >= 3:
-        decay_tol = 1e-2
         decay = volume_decay_check(trajectory)
-        decay_ok = decay.max_rel_error <= decay_tol
+        decay_ok = decay.max_rel_error <= VOLUME_DECAY_TOL
         print(
             f"volume decay identity: {'ok' if decay_ok else 'FAIL'} "
-            f"(worst relative error {decay.max_rel_error:.3e}, tol {decay_tol:.3e})"
+            f"(worst relative error {decay.max_rel_error:.3e}, tol {VOLUME_DECAY_TOL:.3e})"
         )
         if not decay_ok:
             failures.append("volume_decay")
 
     if trajectory.dimension == 1 and len(trajectory.snapshots) >= 3:
-        residual = curve_evolution_residual(trajectory, "H")
-        print(f"curve evolution residual (sup): {residual.residuals.max():.3e}")
+        worst = float(np.max(curve_evolution_residual(trajectory, "H").relative))
+        residual_ok = worst <= CURVE_RESIDUAL_TOL
+        print(
+            f"curve evolution residual: {'ok' if residual_ok else 'FAIL'} "
+            f"(worst relative {worst:.3e}, tol {CURVE_RESIDUAL_TOL:.3e})"
+        )
+        if not residual_ok:
+            failures.append("curve_residual")
 
     if record.lambda_hat is not None:
         print(f"lambda_hat = {record.lambda_hat:.4g}")
@@ -687,7 +727,7 @@ def cmd_analyze(args) -> int:
 
     r_plus = trajectory.r_plus()
     roundness = geombound_check(r_plus, r_plus / trajectory.r_minus(), rhos)
-    pinching = pinching_monitors(trajectory, sigma, sigma, epsilons)
+    pinching = pinching_monitors(trajectory, sigma, epsilons)
     fit = speed_lowerbound_fit(trajectory)
 
     print(f"wrote {out_path}")

@@ -56,10 +56,37 @@ __all__ = [
     "volume_decay_check",
     "DiagnosticsRecord",
     "diagnostics_record",
+    "Z_SIGMA_TOL",
+    "TSO_TOL",
+    "ENCLOSED_POINT_TOL",
+    "VOLUME_DECAY_TOL",
+    "CURVE_RESIDUAL_TOL",
 ]
 
 # a sample counts as a violation only below this margin
 LEMMA_MARGIN_TOL = 1e-12
+
+# The tolerances of the trajectory verdicts that ``verify flow`` prints.
+# Z_sigma may exceed 0 by this multiple of sigma * max(H)**2 (rounding).
+Z_SIGMA_TOL = 1e-10
+# The interior speed bound may be exceeded by this relative amount (plus
+# 1e-12 absolute).
+TSO_TOL = 1e-9
+# The enclosed-point margin may fall this far below 0.
+ENCLOSED_POINT_TOL = -1e-8
+# Relative error of the central-difference volume decay rate.
+VOLUME_DECAY_TOL = 1e-2
+# Largest curve evolution residual over the equation's right-hand side at
+# the same snapshot.  On a resolved run the residual is the error of a
+# three-point time stencil at the snapshot cadence, so it grows with the
+# square of the snapshot spacing: on criterion 12's (1, 1.2) ladder (every
+# 2nd step, to half the inradius) it is at most 1.6e-3 under RK4 and 6.7e-3
+# under ETDRK4 at L = 32 to 128, and at every 10th step to a fifth of the
+# inradius at most 0.144 (pow_mean alpha = 3 on the (1, 1.6) ellipse).  At
+# L = 16 that ellipse reads 0.16 to 0.95, because the band limit does not
+# resolve its curvature.  A corrupted snapshot or a blown-up step reads far
+# above the tolerance.
+CURVE_RESIDUAL_TOL = 0.25
 
 DEFAULT_EPS_GRID = (0.01, 0.05, 0.1, 0.5)
 
@@ -393,7 +420,6 @@ class PinchingReport:
     """Per-snapshot pinching diagnostics plus the fitted decay exponent."""
 
     sigma: float
-    sigma0: float
     times: np.ndarray
     pinch_max: np.ndarray  # max |A-circ|^2 / H^2
     z_sigma_max: np.ndarray  # max (|A-circ|^2 - sigma H^2)
@@ -406,7 +432,6 @@ class PinchingReport:
 def pinching_monitors(
     trajectory: Trajectory,
     sigma: float,
-    sigma0: float,
     eps_grid=DEFAULT_EPS_GRID,
 ) -> PinchingReport:
     """Track Z_sigma, the worst pinching ratio, and the decay exponent.
@@ -442,7 +467,6 @@ def pinching_monitors(
 
     return PinchingReport(
         sigma=float(sigma),
-        sigma0=float(sigma0),
         times=times,
         pinch_max=pinch,
         z_sigma_max=z_sigma,
@@ -478,7 +502,7 @@ class TsoReport:
     @property
     def violated(self) -> bool:
         with np.errstate(invalid="ignore"):
-            return bool(np.any(self.q_max > self.bound * (1.0 + 1e-9) + 1e-12))
+            return bool(np.any(self.q_max > self.bound * (1.0 + TSO_TOL) + 1e-12))
 
 
 def tso_monitor(
@@ -657,12 +681,20 @@ def _three_point_weights(t0: float, t1: float, t2: float) -> tuple[float, float,
 
 @dataclass(frozen=True)
 class CurveResidualReport:
-    """Sup-norm residuals of the curve evolution equation at interior times."""
+    """Sup-norm residuals of the curve evolution equation at interior times.
+
+    ``rates`` is the sup norm of the equation's right-hand side at the same
+    snapshots, the size of D_t G that each residual is judged against.
+    """
 
     quantity: str
     times: np.ndarray
     residuals: np.ndarray
-    scale: float  # max |target quantity| seen, for relative judgments
+    rates: np.ndarray
+
+    @property
+    def relative(self) -> np.ndarray:
+        return self.residuals / self.rates
 
 
 def _angle_derivative(grid, values: np.ndarray) -> np.ndarray:
@@ -714,7 +746,6 @@ def curve_evolution_residual(
 
     times = trajectory.times()
     out_t, out_res = [], []
-    scale = max(float(np.max(np.abs(g))) for g in g_vals)
     for i in range(1, len(snaps) - 1):
         w0, w1, w2 = _three_point_weights(times[i - 1], times[i], times[i + 1])
         dt_g = w0 * g_vals[i - 1] + w1 * g_vals[i] + w2 * g_vals[i + 1]
@@ -724,7 +755,7 @@ def curve_evolution_residual(
         quantity=quantity,
         times=np.array(out_t),
         residuals=np.array(out_res),
-        scale=scale,
+        rates=np.array([float(np.max(np.abs(r))) for r in rhs[1:-1]]),
     )
 
 
@@ -792,7 +823,6 @@ class DiagnosticsRecord:
     q_bound: np.ndarray
     smoczyk_min: np.ndarray
     sigma: float
-    sigma0: float
     lambda_hat: float | None
     speed_exponent: float | None
     gradient_margin: float | None
@@ -805,7 +835,6 @@ class DiagnosticsRecord:
 def diagnostics_record(
     trajectory: Trajectory,
     sigma: float,
-    sigma0: float,
     t0_index: int = 0,
     eps_grid=DEFAULT_EPS_GRID,
 ) -> DiagnosticsRecord:
@@ -816,7 +845,7 @@ def diagnostics_record(
     """
     snaps = trajectory.snapshots
 
-    pinching = pinching_monitors(trajectory, sigma, sigma0, eps_grid)
+    pinching = pinching_monitors(trajectory, sigma, eps_grid)
     tso = tso_monitor(trajectory, t0_index)
     smoczyk = smoczyk_monitor(trajectory, t0_index)
     fit = speed_lowerbound_fit(trajectory)
@@ -848,7 +877,6 @@ def diagnostics_record(
         q_bound=q_bound,
         smoczyk_min=smoczyk_min,
         sigma=float(sigma),
-        sigma0=float(sigma0),
         lambda_hat=pinching.lambda_hat,
         speed_exponent=fit.exponent,
         gradient_margin=gradient_margin,

@@ -45,7 +45,7 @@ def main_run():
     sigma = 1.05 * pinching_status(trajectory.snapshots[0].body, np.inf).max_ratio
     r = trajectory.r_minus()
     t0_index = int(np.nonzero(r <= 1.2 * r[-1])[0][0])
-    record = diagnostics_record(trajectory, sigma=sigma, sigma0=sigma, t0_index=t0_index)
+    record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
     return {
         "trajectory": trajectory,
         "record": record,
@@ -177,14 +177,19 @@ def test_criterion_11_collapse_time_bracketed_by_sphere_lifetimes():
 
 
 def test_criterion_12_curve_residual_converges_at_second_order():
-    # dt scales as 1/L^2 through the step-size control, so doubling the
-    # band limit shrinks the time step by four; order is measured in dt
+    # dt scales as 1/L^2 through the step-size control of the RK4
+    # reference, so doubling the band limit shrinks the time step by four;
+    # order is measured in dt
     speed = parse_speed(MEAN2, 1)
     dts, residuals = [], []
     for degree in (32, 64, 128):
         grid = standard_grid(1, degree)
         trajectory = run_flow(
-            make_ellipsoid(grid, (1.0, 1.2)), speed, stop_fraction=0.5, snapshot_every=2
+            make_ellipsoid(grid, (1.0, 1.2)),
+            speed,
+            stop_fraction=0.5,
+            snapshot_every=2,
+            rk4=True,
         )
         report = curve_evolution_residual(trajectory, "H")
         times = np.array([snap.time for snap in trajectory.snapshots])

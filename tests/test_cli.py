@@ -66,6 +66,17 @@ def sphere_dir(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def curve_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("curve")
+    out = root / "run"
+    write_config(
+        root / "config.json", dimension=1, shape="ellipsoid 1 1.2", degree=32, output=str(out)
+    )
+    assert main(["simulate", str(root / "config.json")]) == EXIT_OK
+    return out
+
+
 # ---------------------------------------------------------------------------
 # shape
 
@@ -319,7 +330,7 @@ def test_simulate_step_safety_above_the_rk4_bound_is_a_precondition_failure(
 
 
 @pytest.mark.parametrize("value", [-1, float("nan"), float("inf")])
-@pytest.mark.parametrize("field", ["sigma", "sigma0"])
+@pytest.mark.parametrize("field", ["sigma"])
 def test_simulate_bad_sigma_is_a_precondition_failure(field, value, tmp_path, capsys):
     # the rule summary.json follows: a finite number >= 0
     out = tmp_path / "out"
@@ -334,12 +345,12 @@ def test_simulate_bad_sigma_is_a_precondition_failure(field, value, tmp_path, ca
 def test_simulate_zero_sigma_is_derived(ellipsoid_dir, tmp_path, capsys):
     # 0 reads as unset, as it does in summary.json: the same run as the default
     out = tmp_path / "out"
-    path = write_config(tmp_path / "c.json", sigma=0, sigma0=0, output=str(out))
+    path = write_config(tmp_path / "c.json", sigma=0, output=str(out))
     assert main(["simulate", str(path)]) == EXIT_OK
     capsys.readouterr()
     derived = json.loads((ellipsoid_dir / "summary.json").read_text())["sigma"]
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["sigma"] == summary["sigma0"] == derived > 0.0
+    assert summary["sigma"] == derived > 0.0 and "sigma0" not in summary
     assert (out / "series.csv").read_bytes() == (ellipsoid_dir / "series.csv").read_bytes()
 
 
@@ -354,6 +365,7 @@ def test_simulate_zero_sigma_is_derived(ellipsoid_dir, tmp_path, capsys):
         '{"seed": 0}',
         '{"rho_grid": [0.01, 0.05]}',
         '{"eps_grid": [0.01, 0.05, 0.1, 0.5]}',
+        '{"sigma0": 0.01}',
     ],
 )
 def test_simulate_bad_config_grammar_is_a_precondition_failure(text, tmp_path, capsys):
@@ -434,9 +446,7 @@ def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
     monkeypatch.setattr(flow, "curvature", counting("curvature", flow.curvature))
     trajectory, summary = load_trajectory(ellipsoid_dir)
     assert calls["lp"] == 0 and calls["centre"] == 0
-    record = diagnostics_record(
-        trajectory, sigma=summary["sigma"], sigma0=summary["sigma0"], t0_index=summary["t0_index"]
-    )
+    record = diagnostics_record(trajectory, sigma=summary["sigma"], t0_index=summary["t0_index"])
     cli.time_series(trajectory, record)
     assert calls["curvature"] == len(trajectory.snapshots)
 
@@ -456,9 +466,19 @@ def _copy_with_config(run_dir, tmp_path, **fields):
 
 
 def test_run_directories_with_retired_config_fields_still_load(ellipsoid_dir, tmp_path, capsys):
-    # config.json as written before seed, rho_grid and eps_grid were retired
-    retired = {"eps_grid": [0.01, 0.05, 0.1, 0.5], "rho_grid": [0.01, 0.05], "seed": 0}
+    # config.json as written before seed, rho_grid, eps_grid and sigma0 were
+    # retired, and summary.json as written before sigma0 was
+    retired = {
+        "eps_grid": [0.01, 0.05, 0.1, 0.5],
+        "rho_grid": [0.01, 0.05],
+        "seed": 0,
+        "sigma0": None,
+    }
     run = _copy_with_config(ellipsoid_dir, tmp_path, **retired)
+    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
+    summary["sigma0"] = summary["sigma"]
+    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    assert "sigma0" not in load_trajectory(run)[1]
     outputs = []
     for directory in (ellipsoid_dir, run):
         assert main(["verify", "flow", str(directory)]) == EXIT_OK
@@ -466,7 +486,7 @@ def test_run_directories_with_retired_config_fields_still_load(ellipsoid_dir, tm
         outputs.append(capsys.readouterr().out.replace(str(directory), "RUN"))
     assert outputs[0] == outputs[1]
     assert (run / "analysis.csv").read_bytes() == (ellipsoid_dir / "analysis.csv").read_bytes()
-    # the loader drops those three keys only; every other stored field is still checked
+    # the loader drops those keys only; every other stored field is still checked
     for field, value in [("bogus", 1), ("degree", 6.7)]:
         _copy_with_config(ellipsoid_dir, tmp_path, **retired, **{field: value})
         assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
@@ -612,6 +632,13 @@ def _copy_with_summary(run_dir, tmp_path, **fields):
         ("rhs_evaluations", 1.5),
         ("rhs_evaluations", None),
         ("rhs_evaluations", -1),
+        ("integrator", "rk5"),
+        ("integrator", 4),
+        ("dt_min", "x"),
+        ("dt_min", 1.0),
+        ("dt_median", -1e-3),
+        ("dt_max", float("inf")),
+        ("dt_max", None),
     ],
 )
 def test_verify_flow_malformed_summary_is_a_precondition_failure(
@@ -643,6 +670,49 @@ def test_summary_counts_right_hand_side_evaluations(ellipsoid_dir, tmp_path, cap
         assert main(["verify", "flow", str(directory)]) == EXIT_OK
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+def test_summary_records_the_integrator_and_step_sizes(
+    ellipsoid_dir, curve_dir, tmp_path, capsys
+):
+    for directory, integrator in ((ellipsoid_dir, "rk4"), (curve_dir, "etdrk4")):
+        summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
+        sizes = (summary["dt_min"], summary["dt_median"], summary["dt_max"])
+        assert summary["integrator"] == integrator
+        assert 0.0 < sizes[0] <= sizes[1] <= sizes[2]
+        trajectory, _ = load_trajectory(directory)
+        assert (trajectory.integrator, trajectory.step_sizes) == (integrator, sizes)
+    # a summary.json written before the record existed loads it as None
+    run = tmp_path / "run"
+    shutil.copytree(ellipsoid_dir, run)
+    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
+    for key in ("integrator", "dt_min", "dt_median", "dt_max"):
+        del summary[key]
+    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
+    trajectory, _ = load_trajectory(run)
+    assert trajectory.integrator is None and trajectory.step_sizes is None
+    outputs = []
+    for directory in (ellipsoid_dir, run):
+        assert main(["verify", "flow", str(directory)]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_flow_judges_the_curve_evolution_residual(curve_dir, tmp_path, capsys):
+    assert main(["verify", "flow", str(curve_dir)]) == EXIT_OK
+    pattern = r"^curve evolution residual: ok \(worst relative (\S+), tol (\S+)\)$"
+    worst, tol = re.search(pattern, capsys.readouterr().out, re.M).groups()
+    assert 0.0 < float(worst) < float(tol) == 0.25
+    # one stored coefficient off by 0.01, about 8% of the cos 2t coefficient
+    run = tmp_path / "run"
+    shutil.copytree(curve_dir, run)
+    files = sorted((run / "snapshots").glob("snap_*.json"))
+    snap = files[len(files) // 2]
+    record = json.loads(snap.read_text(encoding="utf-8"))
+    record["coefficients"][3] += 0.01
+    snap.write_text(json.dumps(record), encoding="utf-8")
+    assert main(["verify", "flow", str(run)]) == EXIT_NUMERICAL
+    assert "curve evolution residual: FAIL" in capsys.readouterr().out
 
 
 def test_run_directories_with_indented_snapshots_read_alike(ellipsoid_dir, tmp_path, capsys):

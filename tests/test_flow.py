@@ -3,7 +3,7 @@ import pytest
 
 import curvflow.flow as flow_module
 from curvflow import spectral
-from curvflow.body import DEFAULT_CONVEXITY_TOL, ConvexityLostError
+from curvflow.body import DEFAULT_CONVEXITY_TOL, ConvexityLostError, support_from_coefficients
 from curvflow.flow import (
     DEFAULT_SAFETY,
     MAX_SAFETY,
@@ -14,7 +14,7 @@ from curvflow.flow import (
     run_flow,
     sphere_lifetime,
 )
-from curvflow.geometry import RadiiSolver, mixed_volumes
+from curvflow.geometry import RadiiSolver, direct_radii, mixed_volumes
 from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.speeds import Speed, make_speed, parse_speed
 from curvflow.spectral import SphereGrid, standard_grid
@@ -335,8 +335,8 @@ def test_stepper_ring_is_the_smallest_even_7_smooth_length():
 
 def test_curve_step_count_is_unchanged_by_the_fine_ring():
     # the smooth fine ring moves each time step by under 1e-3 relative, not
-    # the step count of criterion 12's first rung: 1064 steps at c_safe 0.2,
-    # 852 at the default 0.25
+    # the RK4 step count of criterion 12's first rung: 1064 steps at c_safe
+    # 0.2, 852 at the default 0.25
     grid = standard_grid(1, 32)
     for c_safe, steps in ((0.2, 1064), (DEFAULT_SAFETY, 852)):
         traj = run_flow(
@@ -345,6 +345,7 @@ def test_curve_step_count_is_unchanged_by_the_fine_ring():
             c_safe=c_safe,
             stop_fraction=0.5,
             snapshot_every=2,
+            rk4=True,
         )
         assert traj.stop_reason == "target_radius"
         assert (traj.steps, traj.retries) == (steps, 0)
@@ -355,7 +356,7 @@ def _coefficient_layout_run(body, speed, steps, c_safe):
     coefficient vectors, converted to and from the spectrum at every stage."""
     stepper = flow_module._Stepper(body.grid, speed, DEFAULT_CONVEXITY_TOL)
     evaluator = stepper.evaluator
-    h_min = body.grid.min_spacing()
+    scale = c_safe * body.grid.min_spacing() ** 2
 
     def rhs(coefficients):
         k, curv = stepper.evaluate(evaluator.spectrum(coefficients))
@@ -366,7 +367,7 @@ def _coefficient_layout_run(body, speed, steps, c_safe):
     time = 0.0
     states = [(time, coeffs)]
     for _ in range(steps):
-        dt = stepper.time_step(curv, h_min, c_safe)
+        dt = scale / stepper.stiffness(curv)
         k2, _ = rhs(coeffs + 0.5 * dt * k1)
         k3, _ = rhs(coeffs + 0.5 * dt * k2)
         k4, _ = rhs(coeffs + dt * k3)
@@ -383,12 +384,148 @@ def test_spectrum_layout_changes_no_bit(axes, degree):
     # converts only its snapshots; the coefficient layout gives the same bits
     body = make_ellipsoid(standard_grid(len(axes) - 1, degree), axes)
     speed = parse_speed("pow_mean,alpha=2", body.dimension)
-    traj = run_flow(body, speed, c_safe=0.2, max_steps=30, snapshot_every=1)
+    traj = run_flow(body, speed, c_safe=0.2, max_steps=30, snapshot_every=1, rk4=True)
+    assert traj.integrator == "rk4"
     reference = _coefficient_layout_run(body, speed, 30, 0.2)
     assert traj.steps == 30 and len(traj.snapshots) == len(reference)
     for snap, (time, coeffs) in zip(traj.snapshots, reference):
         assert np.float64(snap.time).tobytes() == np.float64(time).tobytes()
         assert snap.body.coefficients.tobytes() == coeffs.tobytes()
+
+
+def test_default_curve_steps_do_not_grow_with_the_band_limit():
+    # ETDRK4 takes the same step at every rung of criterion 12's ladder, where
+    # RK4 takes 852 / 3,304 / 13,014
+    speed = parse_speed("pow_mean,alpha=2", 1)
+    counts = []
+    for degree in (32, 64, 128):
+        body = make_ellipsoid(standard_grid(1, degree), (1.0, 1.2))
+        traj = run_flow(body, speed, stop_fraction=0.5, snapshot_every=2)
+        assert traj.stop_reason == "target_radius" and traj.retries == 0
+        assert traj.integrator == "etdrk4"
+        counts.append(traj.steps)
+    assert max(counts) <= 1.01 * min(counts)
+    assert 10 * counts[-1] <= 13_014
+
+
+def _rk4_reference(body, speed, times, c_safe=0.05):
+    """(r_-, r_+) at each of the increasing ``times``, by RK4 at ``c_safe``
+    with each last step shortened to land on the time."""
+    stepper = flow_module._Stepper(body.grid, speed, DEFAULT_CONVEXITY_TOL)
+    evaluator = stepper.evaluator
+    scale = c_safe * body.grid.min_spacing() ** 2
+    state = evaluator.spectrum(body.coefficients)
+    rhs, curv = stepper.evaluate(state)
+    time, radii = 0.0, []
+    for end in times:
+        while time < end:
+            dt = min(scale / stepper.stiffness(curv), end - time)
+            state = flow_module._Rk4().step(stepper.evaluate, state, rhs, dt, 0)
+            rhs, curv = stepper.evaluate(state)
+            time = end if dt == end - time else time + dt
+        current = support_from_coefficients(body.grid, evaluator.coefficients(state))
+        found = direct_radii(current)
+        radii.append((found.r_minus, found.r_plus))
+    return radii
+
+
+def _radii_error(traj, reference):
+    final = traj.final.radii
+    return max(abs(final.r_minus / reference[0] - 1.0), abs(final.r_plus / reference[1] - 1.0))
+
+
+@pytest.mark.parametrize("axes", [(1.0, 1.2), (1.0, 1.6)])
+def test_etdrk4_is_fourth_order_against_a_fine_rk4_reference(axes):
+    # r_- and r_+ within 1e-8 relative of RK4 at c_safe 0.05 at the same
+    # time (1.4e-10 and 6.7e-9 measured), and a halved step scale cuts the
+    # error by about 2**4 (15.1 and 12.9 measured)
+    body = make_ellipsoid(standard_grid(1, 32), axes)
+    speed = parse_speed("pow_mean,alpha=2", 1)
+    runs = [
+        run_flow(body, speed, c_safe=c_safe, stop_fraction=0.5, snapshot_every=2)
+        for c_safe in (DEFAULT_SAFETY, DEFAULT_SAFETY / 2)
+    ]
+    assert [traj.integrator for traj in runs] == ["etdrk4", "etdrk4"]
+    ends = sorted(traj.final.time for traj in runs)
+    reference = dict(zip(ends, _rk4_reference(body, speed, ends)))
+    errors = [_radii_error(traj, reference[traj.final.time]) for traj in runs]
+    assert errors[0] <= 1e-8
+    assert errors[0] >= 12.0 * errors[1]
+
+
+def test_contour_tables_are_exact_at_the_translation_and_growing_modes():
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def closed_form(z):
+        z = mpmath.mpf(z)
+        e = mpmath.exp(z)
+        return [
+            e,
+            mpmath.exp(z / 2),
+            (mpmath.exp(z / 2) - 1) / z,
+            (-4 - z + e * (4 - 3 * z + z**2)) / z**3,
+            (2 + z + e * (z - 2)) / z**3,
+            (-4 - 3 * z - z**2 + e * (4 - z)) / z**3,
+        ]
+
+    theta = DEFAULT_SAFETY * flow_module.ETD_SPACING**2
+    z = theta * (1.0 - np.arange(129.0) ** 2)  # m = 0 grows, m = 1 translates
+    tables = np.array(flow_module._etdrk4_tables(z))
+    # z = 0: exp(z), exp(z/2) and the weights' limits, 1/2 and 1/6
+    np.testing.assert_allclose(tables[:, 1], [1, 1, 1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=1e-15)
+    growing = np.array([float(v) for v in closed_form(z[0])])
+    np.testing.assert_allclose(tables[:, 0], growing, rtol=1e-15)
+    # elsewhere the contour passes near 0 for z near -1, which costs ~1e-12
+    for m in range(2, 129):
+        exact = np.array([float(v) for v in closed_form(z[m])])
+        np.testing.assert_allclose(tables[:, m], exact, rtol=1e-11, atol=1e-300)
+
+
+def test_a_poisoned_curve_run_builds_one_table_set_per_halving(monkeypatch):
+    # the tables are built once per run, then once for each halving a retry
+    # needs; NaN radii still end the run as convexity_lost
+    grid = standard_grid(1, 64)
+    body = make_ellipsoid(grid, (1.0, 1.2))
+    builds = []
+    original_tables = flow_module._etdrk4_tables
+
+    def counted_tables(z):
+        builds.append(z)
+        return original_tables(z)
+
+    original_value = Speed.value
+    calls = {"count": 0}
+
+    def poisoned(self, kappa):
+        calls["count"] += 1
+        f = original_value(self, kappa)
+        return np.full_like(f, np.nan) if calls["count"] > 40 else f
+
+    monkeypatch.setattr(flow_module, "_etdrk4_tables", counted_tables)
+    monkeypatch.setattr(Speed, "value", poisoned)
+    traj = run_flow(body, make_speed("mean", 1), snapshot_every=1)
+    assert traj.integrator == "etdrk4"
+    assert traj.stop_reason == "convexity_lost"
+    assert traj.retries == MAX_STEP_RETRIES + 1
+    assert traj.steps > 0
+    assert len(builds) == MAX_STEP_RETRIES + 1
+    for halvings, z in enumerate(builds):
+        np.testing.assert_array_equal(z, builds[0] * 0.5**halvings)
+    assert np.all(np.isfinite(traj.final.body.coefficients))
+
+
+def test_step_sizes_record_every_accepted_step(monkeypatch):
+    # the record doubles when a run outgrows its first block
+    body = make_ellipsoid(standard_grid(1, 16), (1.0, 1.2))
+    speed = make_speed("mean", 1)
+    whole = run_flow(body, speed, max_steps=10, snapshot_every=1)
+    monkeypatch.setattr(flow_module, "STEP_RECORD", 3)
+    grown = run_flow(body, speed, max_steps=10, snapshot_every=1)
+    assert grown.step_sizes == whole.step_sizes
+    dts = np.diff(whole.times())
+    np.testing.assert_allclose(whole.step_sizes, [dts.min(), np.median(dts), dts.max()], rtol=1e-12)
+    assert run_flow(body, speed, max_steps=0).step_sizes is None
 
 
 @pytest.mark.parametrize("poison", [False, True])

@@ -54,7 +54,7 @@ def circle_run():
     grid = standard_grid(1, 16)
     speed = make_speed("mean", 1, alpha=2.0)
     return run_flow(
-        make_sphere(grid, 1.0), speed, stop_fraction=0.6, snapshot_every=1
+        make_sphere(grid, 1.0), speed, stop_fraction=0.6, snapshot_every=1, rk4=True
     )
 
 
@@ -201,7 +201,7 @@ def test_gradient_monitor_rejects_curves():
 
 
 def test_pinching_monitors_sphere(sphere_run):
-    report = pinching_monitors(sphere_run, sigma=0.01, sigma0=0.01)
+    report = pinching_monitors(sphere_run, sigma=0.01)
     assert np.all(report.pinch_max <= 1e-10)
     assert np.all(report.z_sigma_max < 0.0)
     assert report.lambda_hat is None
@@ -210,9 +210,9 @@ def test_pinching_monitors_sphere(sphere_run):
 
 
 def test_pinching_monitors_ellipsoid(ellipsoid_run):
-    first = pinching_monitors(ellipsoid_run, sigma=1.0, sigma0=1.0)
+    first = pinching_monitors(ellipsoid_run, sigma=1.0)
     sigma = 1.05 * first.pinch_max[0]
-    report = pinching_monitors(ellipsoid_run, sigma=sigma, sigma0=sigma)
+    report = pinching_monitors(ellipsoid_run, sigma=sigma)
 
     assert report.z_sigma_max[0] < 0.0
     # one-signed up to roundoff relative to sigma H^2
@@ -314,10 +314,10 @@ def test_curve_residual_small_and_refining(circle_run):
     fine_grid = standard_grid(1, 32)
     speed = make_speed("mean", 1, alpha=2.0)
     fine_run = run_flow(
-        make_sphere(fine_grid, 1.0), speed, stop_fraction=0.6, snapshot_every=1
+        make_sphere(fine_grid, 1.0), speed, stop_fraction=0.6, snapshot_every=1, rk4=True
     )
     fine = curve_evolution_residual(fine_run, "H")
-    # dt scales with the grid spacing squared, the stencil error with dt^2
+    # RK4's dt scales with the grid spacing squared, the stencil error with dt^2
     assert fine.residuals.max() < report.residuals.max() / 8.0
 
 
@@ -361,9 +361,9 @@ def test_volume_decay_ellipsoid_within_percent(ellipsoid_run):
 
 
 def test_diagnostics_record_alignment(ellipsoid_run):
-    first = pinching_monitors(ellipsoid_run, sigma=1.0, sigma0=1.0)
+    first = pinching_monitors(ellipsoid_run, sigma=1.0)
     sigma = 1.05 * first.pinch_max[0]
-    record = diagnostics_record(ellipsoid_run, sigma=sigma, sigma0=sigma)
+    record = diagnostics_record(ellipsoid_run, sigma=sigma)
 
     count = len(ellipsoid_run.snapshots)
     for arr in (
