@@ -149,6 +149,7 @@ def _elementary_symmetric(x):
 
 
 _TINY = np.finfo(float).tiny
+_HALF_DIAGONAL = np.array([[0.5], [1.0], [0.5]])
 
 
 def _curvature_from_radii_data(rows, convexity_tol):
@@ -159,24 +160,35 @@ def _curvature_from_radii_data(rows, convexity_tol):
     scale = max(float(np.add.reduce(np.abs(s)) / s.size), _TINY)
     if len(rows) == 2:
         r = rows[1]
-        if not (r > convexity_tol * scale).all():  # NaN radii count as lost convexity
+        if not r.min() > convexity_tol * scale:  # NaN radii count as lost convexity
             i = int(np.argmin(r))
             raise ConvexityLostError(i, float(r[i]), scale)
         return CurvatureField((1.0 / r)[:, None])
 
     # the radii matrix in units of a power of two at the body's scale, so that
-    # its squares cannot overflow; scaling by a power of two is exact, so every
-    # result below equals the unscaled formula's bit for bit
+    # its squares cannot overflow, with the diagonal halved; scaling by a power
+    # of two is exact, so every result below equals the unscaled formula's bit
+    # for bit.  One scaled copy of the rows is the work buffer of every step.
     unit = np.ldexp(1.0, np.frexp(scale)[1])
     inv = 1.0 / unit
-    r00, r01, r11 = rows[1:] * inv
-    half_tr = 0.5 * (r00 + r11)
-    disc = np.sqrt((0.5 * (r00 - r11)) ** 2 + r01 * r01)
-    r_small = half_tr - disc
-    if not (r_small > convexity_tol * scale * inv).all():
+    r00, r01, r11 = rows[1:] * (inv * _HALF_DIAGONAL)
+    # the eigenvalues half_tr -+ disc, disc = sqrt((R_00 - R_11)**2 / 4 + R_01**2)
+    half_tr = r00 + r11
+    disc = np.subtract(r00, r11, out=r00)
+    disc *= disc
+    r01 *= r01
+    disc += r01
+    np.sqrt(disc, out=disc)
+    r_small = np.subtract(half_tr, disc, out=r11)
+    if not r_small.min() > convexity_tol * scale * inv:
         i = int(np.argmin(r_small))
         raise ConvexityLostError(i, float(r_small[i] * unit), scale)
-    return CurvatureField(np.column_stack([inv / (half_tr + disc), inv / r_small]))  # ascending
+    # ascending, each column contiguous: the speeds and the step rule read
+    # kappa column by column
+    kappa = np.empty((2, s.size))
+    np.divide(inv, np.add(half_tr, disc, out=half_tr), out=kappa[0])
+    np.divide(inv, r_small, out=kappa[1])
+    return CurvatureField(kappa.T)
 
 
 def curvature(body: SupportFunction, convexity_tol: float = DEFAULT_CONVEXITY_TOL) -> CurvatureField:

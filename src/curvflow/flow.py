@@ -13,9 +13,12 @@ applies the speed, and projects back to degree L; the margin keeps the
 quadratic part of the curvature map alias-free and damps the smooth
 remainder spectrally.  That fine grid is ``spectral.smooth_grid``: its rings
 are the shortest even length of at least 2F + 2 (F = 2L) with no prime factor
-above 7, so the real FFTs that dominate a curve's evaluation run at their
-fast lengths (270 rather than 258 = 2 * 3 * 43 points at L = 64); the time
-step scales with the body grid's node spacing, which keeps 2L + 2 points.
+above 5, so the real FFTs of every evaluation run at their fast lengths
+(270 rather than 258 = 2 * 3 * 43 points at L = 64 on a curve, 100 rather
+than 98 = 2 * 7**2 at L = 24 on a surface); the time step scales with the
+body grid's node spacing, which keeps 2L + 2 points.  On the sphere one
+evaluation makes one matmul and one inverse FFT for the synthesis and one
+FFT and one matmul for the projection.
 The speeds depend on the principal curvatures alone, so a Runge-Kutta stage
 builds nothing else; the symmetric functions that the pinching test reads
 are computed for accepted states only.

@@ -17,11 +17,13 @@ Key concepts
   circle the analogue is a ``2L + 2``-point trapezoid rule, exact for
   trigonometric degree ``2L + 1``.  A longer even ring is exact for more; the
   flow stepper's fine grid (``smooth_grid``) takes the shortest one of at
-  least ``2L + 2`` points whose prime factors are all at most 7, because the
+  least ``2L + 2`` points whose prime factors are all at most 5, because the
   real FFT is several times slower on lengths with a large prime factor
   (``2L + 2 = 514 = 2 * 257`` on the degree-256 fine grid of a degree-128
-  curve).  Every other grid keeps ``2L + 2``, which sets the node spacing
-  the time step is scaled by.
+  curve) and slower on a radix-7 length than on a 5-smooth one a little
+  longer (98 = 2 * 7**2 against 100 points on the degree-48 fine grid of a
+  degree-24 surface).  Every other grid keeps ``2L + 2``, which sets the
+  node spacing the time step is scaled by.
 - The colatitude factors are fully normalized associated Legendre functions,
   built on the rings by the sectoral recurrence in m and the three-term
   recurrence in l (Holmes & Featherstone 2002), vectorized over orders and
@@ -31,16 +33,25 @@ Key concepts
   makes one real inverse FFT along the rings (the circle is one ring);
   projection is the reverse.  Longitude derivatives multiply the ring
   spectra by ``(i m)**b``.
-- Every derivative is built in ring-spectral space from two ring sums per
+- The support function s and its radii matrix ``R = Hess s + s id`` in the
+  orthonormal frame ``(e_theta, e_phi)``, which the flow stepper
+  synthesizes four times a step, take one pass: each band keeps one real
+  table whose four slabs, summed over ``l`` against the spectrum by one
+  matmul batched over ``m``, give the ring spectra of s, R_00, R_01 / i and
+  R_11, and one inverse FFT gives their node rows.  The table is built once
+  per band from the Legendre values and first colatitude derivatives, the
+  per-ring factors (``cot theta``, ``1/sin theta``) and the ``(i m)**b``
+  multipliers, with the associated Legendre ODE for the second derivative;
+  its first slab serves plain synthesis and projection.
+- The other derivatives (the gradient and Hessian, the third covariant
+  derivative) are built in ring-spectral space from two ring sums per
   coefficient vector: the Legendre values and first colatitude derivatives
   summed over ``l`` on each ring against the spectrum and against
-  ``l(l + 1)`` times it.  The associated Legendre ODE turns these into the
-  second and third colatitude derivatives, per-ring factors (``cot theta``,
-  ``1/sin theta``) and ``(i m)**b`` multipliers combine them, and one
-  inverse FFT gives the rows of the radii matrix ``R = Hess s + s id``, the
-  gradient and Hessian, or the third covariant derivative, in the
-  orthonormal frame ``(e_theta, e_phi)`` (on the circle each derivative is
-  one multiplier).
+  ``l(l + 1)`` times it, over a two-slab Legendre table built when they
+  first need it.  The Legendre ODE turns these into the second and third
+  colatitude derivatives, the ring factors and multipliers combine them,
+  and one inverse FFT gives the node rows.  On the circle each derivative
+  is one multiplier.
 - The transforms read and write the complex spectrum c_cos - i c_sin of a
   band, shape (S + 1,) on the circle and (S + 1, S + 1) indexed (m, l) on
   the sphere, whose slots with no coefficient (the m = 0 sine part, l < m)
@@ -54,7 +65,7 @@ Key concepts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -94,9 +105,10 @@ class SphereGrid:
 
     The grid keeps one transform record per band, for as long as it lives:
     synthesis uses the grid's own degree and ``TruncatedEvaluator`` a lower
-    one.  On the sphere a band-S record holds the normalized colatitude factors
-    and their first colatitude derivatives on each ring, 2 (L+1) (S+1)^2
-    numbers; on the circle only O(S) multipliers.
+    one.  On the sphere a band-S record holds the radii table, 4 (L+1) (S+1)^2
+    numbers, and builds the normalized colatitude factors and their first
+    colatitude derivatives, 2 (L+1) (S+1)^2 more, only when a derivative
+    function reads them; on the circle only O(S) multipliers.
 
     Attributes
     ----------
@@ -116,7 +128,7 @@ class SphereGrid:
     ring_size : int
         Equispaced nodes per longitude ring (the whole circle for n=1); nodes
         are stored ring by ring.  2L + 2 unless given: the flow stepper's fine
-        grid (``smooth_grid``) takes a longer, 7-smooth ring.
+        grid (``smooth_grid``) takes a longer, 5-smooth ring.
     """
 
     def __init__(self, dimension: int, degree: int, *, ring_size: int | None = None):
@@ -192,11 +204,12 @@ def standard_grid(dimension: int, degree: int) -> SphereGrid:
 @lru_cache(maxsize=32)
 def smooth_grid(dimension: int, degree: int) -> SphereGrid:
     """Shared degree-``degree`` grids whose ring length is the smallest even
-    number of at least 2L + 2 with no prime factor above 7: the flow
-    stepper's fine grids, on which the real FFTs cost least.
+    number of at least 2L + 2 with no prime factor above 5: the flow
+    stepper's fine grids, on which the real FFTs cost least: pocketfft's
+    radix-7 pass costs more than the few extra points of a 5-smooth length.
 
     Kept apart from ``standard_grid``: the two differ whenever 2L + 2 has a
-    prime factor above 7 (2L + 2 = 130 = 2 * 5 * 13 at L = 64).
+    prime factor above 5 (2L + 2 = 130 = 2 * 5 * 13 takes 144 at L = 64).
     """
     return SphereGrid(dimension, degree, ring_size=_smooth_ring_size(degree))
 
@@ -205,7 +218,7 @@ def _smooth_ring_size(degree: int) -> int:
     n = 2 * degree + 2
     while True:
         rest = n
-        for p in (2, 3, 5, 7):
+        for p in (2, 3, 5):
             while rest % p == 0:
                 rest //= p
         if rest == 1:
@@ -263,25 +276,44 @@ class _Band:
 
     ``cos_index``/``sin_index`` give the coefficient slot of the cosine and
     sine part of each (m, l) on the sphere, or of each k on the circle, with
-    ``count`` (one past the end) where there is none.  ``table[a, m, ring, l]``
-    (a = 0, 1) is the a-th colatitude derivative of the normalized colatitude
-    factor of Y_lm, and ``lam[l]`` is l(l + 1); on the circle ``table[k]`` is
-    the basis normalization and ``lam`` is None.  ``synth[b]`` maps a ring
-    spectrum to the ``irfft`` input of its b-th longitude (circle: angle)
-    derivative.  ``ring`` holds ``cot theta``, ``1/sin theta`` and
-    ``1/sin(theta)**2`` per ring as (3, rings, 1) columns (None on the
-    circle).  ``radii`` maps the circle's one spectrum to the ``irfft`` inputs
-    of s and r = s + s'' (None on the sphere).
+    ``count`` (one past the end) where there is none.  ``synth[b]`` maps a
+    ring spectrum to the ``irfft`` input of its b-th longitude (circle: angle)
+    derivative.  ``radii`` maps a spectrum to the ``irfft`` inputs of the
+    support function s and its radii matrix: on the circle two multipliers,
+    for s and r = s + s''; on the sphere one real (m, 4 rings, l) table whose
+    four slabs give, summed over l against the spectrum, the ring spectra of
+    s, R_00, R_01 / i and R_11 (``_radii_table``).  Its first slab is the
+    weighted Legendre values w P, which synthesis reads and projection reads
+    divided by w.
+
+    On the sphere the rest serves the other derivative functions alone.
+    ``lam[l]`` is l(l + 1), ``ring`` holds ``cot theta``, ``1/sin theta``
+    and ``1/sin(theta)**2`` per ring as (3, rings, 1) columns, and ``theta``
+    the ring colatitudes (all None on the circle).  ``table`` is built on
+    first read: ``table[a, m, ring, l]`` (a = 0, 1) is the a-th colatitude
+    derivative of the normalized colatitude factor of Y_lm.  On the circle
+    ``table[k]`` is the basis normalization, which projection reads.
     """
 
     count: int
     cos_index: np.ndarray
     sin_index: np.ndarray
-    table: np.ndarray
     lam: np.ndarray | None
     synth: np.ndarray
     ring: np.ndarray | None
-    radii: np.ndarray | None
+    radii: np.ndarray
+    theta: np.ndarray | None
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        band = self.synth.shape[1] - 1
+        if self.theta is None:
+            return _circle_normalization(band)
+        return _colatitude_table(self.theta, band)
+
+
+def _circle_normalization(band):
+    return np.where(np.arange(band + 1) == 0, 1.0 / np.sqrt(2.0 * np.pi), 1.0 / np.sqrt(np.pi))
 
 
 def _build_band(grid: SphereGrid, band: int) -> _Band:
@@ -290,26 +322,57 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
     # unscaled irfft(X)[k] = X_0 + 2 Re sum_m X_m exp(i m phi_k) for 0 < m < N/2
     weight = np.where(m == 0, 1.0, 0.5)
     if grid.dimension == 1:
-        table = np.where(m == 0, 1.0 / np.sqrt(2.0 * np.pi), 1.0 / np.sqrt(np.pi))
-        weight = weight * table
+        weight = weight * _circle_normalization(band)
         cos_index = np.maximum(2 * m - 1, 0)
         sin_index = np.where(m == 0, count, 2 * m)
-        lam = ring = None
+        lam = ring = theta = None
     else:
         mm, l = np.meshgrid(m, m, indexing="ij")
         cos_index = np.where(l >= mm, l * l + l + mm, count)
         sin_index = np.where((l >= mm) & (mm > 0), l * l + l - mm, count)
         theta = grid.theta[:: grid.ring_size]
-        table = _colatitude_table(theta, band)
         lam = m * (m + 1.0)
         csc = 1.0 / np.sin(theta)
         ring = np.stack([np.cos(theta) * csc, csc, csc * csc])[:, :, None]
     synth = np.stack([weight * 1j**b * m**b for b in range(4)])
-    radii = None
     if grid.dimension == 1:
         w, _, w_m2 = synth[:3]  # w_m2 = -w m**2
         radii = np.stack([w, w + w_m2])
-    return _Band(count, cos_index, sin_index, table, lam, synth, ring, radii)
+    else:
+        radii = _radii_table(_colatitude_table(theta, band), lam, ring, weight)
+    return _Band(count, cos_index, sin_index, lam, synth, ring, radii, theta)
+
+
+def _radii_table(table, lam, ring, weight):
+    """The (m, 4 rings, l) table of the radii rows from the two-slab Legendre
+    ``table`` (P, dP = the colatitude factor and its first derivative), as the
+    frame Hessian of one term P e^(i m phi) plus P on the diagonal, with
+    q = m**2 / sin(theta)**2 and the weights w of ``synth[0]``:
+
+        s     = w P,
+        R_00  = w ((1 - l(l + 1) + q) P - cot(theta) dP),
+        R_01  = i w m (dP - cot(theta) P) / sin(theta),
+        R_11  = w (cot(theta) dP + (1 - q) P),
+
+    R_00 taking d^2P/dtheta^2 from the associated Legendre ODE.  The slab of
+    R_01 holds it divided by i.
+    """
+    p, dp = table
+    m = np.arange(p.shape[0])[:, None, None]
+    cot, csc, csc2 = ring
+    q = m * m * csc2
+    out = np.empty((p.shape[0], 4, *p.shape[1:]))
+    s, r00, r01, r11 = out.transpose(1, 0, 2, 3)
+    np.multiply(p, 1.0 - q, out=r11)
+    r11 += cot * dp
+    np.multiply(p, 1.0 - lam + q, out=r00)
+    r00 -= cot * dp
+    np.multiply(p, cot, out=r01)
+    np.subtract(dp, r01, out=r01)
+    r01 *= m * csc
+    s[...] = p
+    out *= weight[:, None, None, None]
+    return out.reshape(p.shape[0], -1, p.shape[2])
 
 
 def _colatitude_table(theta, degree):
@@ -414,29 +477,13 @@ def _irfft(grid, spectra):
 def _synthesize(grid, coefficients, order):
     """Node values of the ``order``-th longitude derivative (circle: angle
     derivative) of degree-L coefficients; order 0 is plain synthesis, which
-    reads the Legendre values alone."""
+    reads the weighted Legendre values alone."""
     t = grid._band(grid.degree)
     spectrum = _spectrum(t, coefficients)
-    if grid.dimension == 2:
-        ring = t.table[0] @ spectrum.view(float).reshape(*spectrum.shape, 2)
-        spectrum = (ring[..., 0] + 1j * ring[..., 1]).T
-    return _irfft(grid, (spectrum * t.synth[order])[None])[0]
-
-
-def _hessian_spectra(t, sums, out):
-    """Write the ring spectra of the frame Hessian (H_00, H_01, H_11) of the
-    field with ring sums ``sums`` into ``out`` (n = 2).  With p_ab the partial
-    d^a/dtheta^a d^b/dphi^b, H_00 = p_20, H_01 = (p_11 - cot(theta) p_01) /
-    sin(theta) and H_11 = p_02 / sin(theta)**2 + cot(theta) p_10; the Legendre
-    ODE gives p_20 = S2 w = -(L0 w + H_11), so the trace is -l(l + 1) times
-    the field, term by term."""
-    (s, lam_s), (s_t, _) = sums
-    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
-    cot, csc, csc2 = t.ring
-    h_00, h_01, h_11 = out
-    np.add(cot * s_t * w, csc2 * s * w_m2, out=h_11)
-    np.negative(lam_s * w + h_11, out=h_00)
-    np.multiply((s_t - cot * s) * csc, w_im, out=h_01)
+    if grid.dimension == 1:
+        return _irfft(grid, (spectrum * t.synth[order])[None])[0]
+    ring = t.radii[:, : grid.degree + 1] @ spectrum.view(float).reshape(*spectrum.shape, 2)
+    return _irfft(grid, ring.view(complex).T)[0]
 
 
 def _radii_rows(grid, band, spectrum):
@@ -444,16 +491,20 @@ def _radii_rows(grid, band, spectrum):
     ``spectrum`` and of its radii matrix R = Hess s + s id in the frame
     (e_theta[, e_phi]), by one inverse FFT: (s, r) on the circle, where
     r = s + s'' is one ``1 - m**2`` multiplier, and (s, R_00, R_01, R_11) on
-    the sphere, the frame Hessian plus s on the diagonal, with
-    R_00 + R_11 = (2 S0 - L0) w."""
+    the sphere, whose ring spectra are one matmul of the band's radii table
+    with the spectrum, batched over m."""
     t = grid._band(band)
     if grid.dimension == 1:
         return _irfft(grid, spectrum * t.radii)
-    sums = _ring_sums(t, spectrum)
-    rows = np.empty((4, *sums.shape[2:]), complex)
-    s = np.multiply(sums[0, 0], t.synth[0], out=rows[0])
-    _hessian_spectra(t, sums, rows[1:])
-    rows[1::2] += s  # R_00 and R_11
+    # the ring spectra, zero-padded to the irfft's input length: the matmul
+    # writes them, as real and imaginary parts, through a (m, row and ring,
+    # 2) view, from the float view of the spectrum
+    rings = grid.degree + 1
+    rows = np.empty((4, rings, grid.ring_size // 2 + 1), complex)
+    rows[..., band + 1 :] = 0.0
+    sums = rows.view(float).reshape(4 * rings, -1, 2)[:, : band + 1].swapaxes(0, 1)
+    np.matmul(t.radii, spectrum.view(float).reshape(*spectrum.shape, 2), out=sums)
+    rows[2, :, : band + 1] *= 1j  # the table holds R_01 / i
     return _irfft(grid, rows)
 
 
@@ -469,9 +520,12 @@ def _project(grid, band, values):
         return np.fft.rfft(weighted)[: band + 1] * t.table
     rings = np.fft.rfft(weighted.reshape(-1, grid.ring_size))[:, : band + 1]
     # (m, ring, 2) real and imaginary parts: the float view of the contiguous
-    # transposed spectra; the table is zero for l < m
+    # transposed spectra; the table is zero for l < m, and its first slab,
+    # w P, over w (1 or 1/2) is exactly P
     parts = np.ascontiguousarray(rings.T).view(float).reshape(band + 1, -1, 2)
-    return (t.table[0].swapaxes(1, 2) @ parts).view(complex)[..., 0]
+    spectrum = t.radii[:, : rings.shape[0]].swapaxes(1, 2) @ parts
+    spectrum[1:] *= 2.0
+    return spectrum.view(complex)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -495,12 +549,17 @@ def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray
     if grid.dimension == 1:
         gradient, hessian = _irfft(grid, spectrum * t.synth[1:3])
         return gradient[:, None], hessian[:, None, None]
-    sums = _ring_sums(t, spectrum)
-    (s, _), (s_t, _) = sums
-    rows = np.empty((5, *s.shape), complex)
-    # the frame gradient (p_10, p_01 / sin(theta)), then the Hessian
-    rows[:2] = s_t * t.synth[0], s * t.ring[1] * t.synth[1]
-    _hessian_spectra(t, sums, rows[2:])
+    # with p_ab the partial d^a/dtheta^a d^b/dphi^b: the frame gradient
+    # (p_10, p_01 / sin(theta)), then the Hessian H_00 = p_20, H_01 = (p_11 -
+    # cot(theta) p_01) / sin(theta), H_11 = p_02 / sin(theta)**2 + cot(theta)
+    # p_10, where the Legendre ODE gives p_20 = S2 w = -(L0 w + H_11)
+    (s, lam_s), (s_t, _) = _ring_sums(t, spectrum)
+    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
+    cot, csc, csc2 = t.ring
+    h_11 = cot * s_t * w + csc2 * s * w_m2
+    rows = np.stack(
+        [s_t * w, s * csc * w_im, -(lam_s * w + h_11), (s_t - cot * s) * csc * w_im, h_11]
+    )
     rows = _irfft(grid, rows)
     gradient = np.ascontiguousarray(rows[:2].T)
     return gradient, np.ascontiguousarray(rows[[2, 3, 3, 4]].T).reshape(-1, 2, 2)

@@ -715,6 +715,14 @@ def test_verify_flow_judges_the_curve_evolution_residual(curve_dir, tmp_path, ca
     assert "curve evolution residual: FAIL" in capsys.readouterr().out
 
 
+def test_verify_flow_reports_z_sigma_as_not_applicable_on_a_curve(curve_dir, capsys):
+    # Z_sigma is -sigma H**2 on every curve, so a verdict on it would be vacuous
+    assert main(["verify", "flow", str(curve_dir)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert "Z_sigma: not applicable on a curve" in lines
+    assert not [line for line in lines if line.startswith("Z_sigma stays negative")]
+
+
 def test_run_directories_with_indented_snapshots_read_alike(ellipsoid_dir, tmp_path, capsys):
     # snapshots as written with indent=1, before the compact encoding
     run = tmp_path / "run"

@@ -3,7 +3,12 @@ import pytest
 
 import curvflow.flow as flow_module
 from curvflow import spectral
-from curvflow.body import DEFAULT_CONVEXITY_TOL, ConvexityLostError, support_from_coefficients
+from curvflow.body import (
+    DEFAULT_CONVEXITY_TOL,
+    ConvexityLostError,
+    curvature,
+    support_from_coefficients,
+)
 from curvflow.flow import (
     DEFAULT_SAFETY,
     MAX_SAFETY,
@@ -320,17 +325,41 @@ def _largest_prime_factor(n):
     return largest
 
 
-def test_stepper_ring_is_the_smallest_even_7_smooth_length():
+def test_stepper_ring_is_the_smallest_even_5_smooth_length():
     # only the fine grid's FFT length moves: its degree stays twice the body's
     speed = make_speed("mean", 1)
     for degree in range(1, 201):
         fine = flow_module._Stepper(SphereGrid(1, degree), speed, 1e-8).evaluator.grid
         n = 4 * degree + 2
-        while n % 2 or _largest_prime_factor(n) > 7:
+        while n % 2 or _largest_prime_factor(n) > 5:
             n += 1
         assert (fine.degree, fine.ring_size) == (2 * degree, n), degree
     rings = [spectral.smooth_grid(1, 2 * degree).ring_size for degree in (32, 64, 128)]
-    assert rings == [140, 270, 540]
+    assert rings == [144, 270, 540]
+    # the degree-24 surface's fine ring: 100 = 2**2 * 5**2 points, not 98 = 2 * 7**2
+    assert spectral.smooth_grid(2, 48).ring_size == 100
+
+
+def test_a_surface_evaluation_makes_one_fft_each_way(monkeypatch):
+    # the state's rows come from one inverse FFT and the projection from one
+    # forward FFT; a snapshot's curvature makes the inverse one alone
+    grid = standard_grid(2, 12)
+    body = make_ellipsoid(grid, (1.0, 1.1, 1.2))
+    stepper = flow_module._Stepper(grid, make_speed("mean", 2), DEFAULT_CONVEXITY_TOL)
+    state = stepper.evaluator.spectrum(body.coefficients)
+    stepper.evaluate(state)  # builds the band's tables
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(*args, _fft=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    stepper.evaluate(state)
+    assert sorted(calls) == ["irfft", "rfft"]
+    calls.clear()
+    curvature(body)
+    assert calls == ["irfft"]
 
 
 def test_curve_step_count_is_unchanged_by_the_fine_ring():

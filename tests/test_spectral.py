@@ -429,12 +429,22 @@ def test_spectrum_layout_round_trips_and_its_empty_slots_read_zero(dimension, de
     np.testing.assert_array_equal(ev.spectrum(ev.coefficients(projected)), projected)
 
 
-def test_band_record_keeps_two_colatitude_slabs():
-    # the Legendre values and first derivatives; the ODE gives the rest
-    band = smooth_grid(2, 48)._band(24)
+def test_band_record_keeps_one_four_slab_radii_table():
+    # s, R_00, R_01 / i and R_11 on each of the 49 rings; the two-slab Legendre
+    # table is built only when a derivative function reads it
+    grid = SphereGrid(2, 48, ring_size=100)
+    ev = TruncatedEvaluator(grid, 24)
+    band = grid._band(24)
+    assert band.radii.shape == (25, 4 * 49, 25)
+    assert band.radii.nbytes == 980_000
+    ev.project(ev.state(ev.spectrum(np.ones(ev.source_count)))[0])
+    synthesize(grid, np.ones(grid.coefficient_count))
+    assert "table" not in vars(band) and "table" not in vars(grid._band(48))
     assert band.table.shape == (2, 25, 49, 25)
-    assert band.table.nbytes == 490_000
     np.testing.assert_array_equal(band.lam, [l * (l + 1) for l in range(25)])
+    # slab 0 is the Legendre values times w = 1 (m = 0) or 1/2
+    w = np.where(np.arange(25) == 0, 1.0, 0.5)[:, None, None]
+    np.testing.assert_array_equal(band.radii[:, :49], band.table[0] * w)
 
 
 def test_truncated_rejects_bad_shapes():
@@ -504,6 +514,37 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
     np.testing.assert_allclose(ev.coefficients(ev.project(values)), coeffs, rtol=0, atol=1e-11)
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    degree=st.integers(1, 24),
+    smooth=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fused_radii_rows_match_the_hessian_and_synthesis(degree, smooth, seed):
+    # the one-matmul radii rows of radii_rows (band L on a degree-L grid) and
+    # of TruncatedEvaluator.state (band L on a degree-2L grid) against the
+    # two-slab path: synthesize for s, tangential_derivatives' Hessian + s id
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal(coefficient_count(2, degree))
+    for fine_degree in (degree, 2 * degree):
+        ring = spectral._smooth_ring_size(fine_degree) if smooth else None
+        grid = SphereGrid(2, fine_degree, ring_size=ring)
+        padded = np.zeros(grid.coefficient_count)
+        padded[: coeffs.size] = coeffs
+        field = field_from_coefficients(grid, padded)
+        if fine_degree == degree:
+            rows = radii_rows(field)
+        else:
+            ev = TruncatedEvaluator(grid, degree)
+            rows = ev.state(ev.spectrum(coeffs))
+        reference = _radii_from_hessian(field)
+        np.testing.assert_array_equal(reference[0], synthesize(grid, padded))
+        # relative to the scale of s and of the whole radii matrix: at degree 1
+        # R_01 is zero up to rounding
+        for ours, ref in ((rows[:1], reference[:1]), (rows[1:], reference[1:])):
+            assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref)), (degree, fine_degree)
+
+
 # ---------------------------------------------------------------------------
 # ring lengths
 # ---------------------------------------------------------------------------
@@ -511,14 +552,14 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_body_grids_keep_2l_plus_2_points_per_ring(dimension):
-    # only the flow stepper's fine grid (smooth_grid) takes a 7-smooth ring;
+    # only the flow stepper's fine grid (smooth_grid) takes a 5-smooth ring;
     # the body grid sets the node spacing that scales the time step
     for degree in (1, 6, 12, 24, 32, 64):
         grid = SphereGrid(dimension, degree)
         assert grid.ring_size == 2 * degree + 2
         assert grid.node_count == grid.ring_size * (1 if dimension == 1 else degree + 1)
     body, fine = standard_grid(dimension, 64), smooth_grid(dimension, 64)
-    assert (body.ring_size, fine.ring_size) == (130, 140)
+    assert (body.ring_size, fine.ring_size) == (130, 144)
     assert fine is not body and fine is smooth_grid(dimension, 64)
     if dimension == 1:
         assert body.min_spacing() == pytest.approx(2.0 * np.pi / 130, rel=1e-15)
