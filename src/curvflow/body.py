@@ -168,12 +168,16 @@ def _curvature_from_radii_data(rows, convexity_tol):
     # the radii matrix in units of a power of two at the body's scale, so that
     # its squares cannot overflow, with the diagonal halved; scaling by a power
     # of two is exact, so every result below equals the unscaled formula's bit
-    # for bit.  One scaled copy of the rows is the work buffer of every step.
+    # for bit.  kappa (ascending, each column contiguous: the speeds and the
+    # step rule read it column by column) is allocated before the one scaled
+    # copy of the rows that every step works in, so that the kept array does
+    # not land above the freed one on the heap.
     unit = np.ldexp(1.0, np.frexp(scale)[1])
     inv = 1.0 / unit
+    kappa = np.empty((2, s.size))
     r00, r01, r11 = rows[1:] * (inv * _HALF_DIAGONAL)
     # the eigenvalues half_tr -+ disc, disc = sqrt((R_00 - R_11)**2 / 4 + R_01**2)
-    half_tr = r00 + r11
+    half_tr = np.add(r00, r11, out=kappa[0])
     disc = np.subtract(r00, r11, out=r00)
     disc *= disc
     r01 *= r01
@@ -183,10 +187,8 @@ def _curvature_from_radii_data(rows, convexity_tol):
     if not r_small.min() > convexity_tol * scale * inv:
         i = int(np.argmin(r_small))
         raise ConvexityLostError(i, float(r_small[i] * unit), scale)
-    # ascending, each column contiguous: the speeds and the step rule read
-    # kappa column by column
-    kappa = np.empty((2, s.size))
-    np.divide(inv, np.add(half_tr, disc, out=half_tr), out=kappa[0])
+    half_tr += disc
+    np.divide(inv, half_tr, out=kappa[0])
     np.divide(inv, r_small, out=kappa[1])
     return CurvatureField(kappa.T)
 

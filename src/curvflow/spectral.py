@@ -360,13 +360,14 @@ def _radii_table(table, lam, ring, weight):
     p, dp = table
     m = np.arange(p.shape[0])[:, None, None]
     cot, csc, csc2 = ring
-    q = m * m * csc2
     out = np.empty((p.shape[0], 4, *p.shape[1:]))
     s, r00, r01, r11 = out.transpose(1, 0, 2, 3)
-    np.multiply(p, 1.0 - q, out=r11)
-    r11 += cot * dp
-    np.multiply(p, 1.0 - lam + q, out=r00)
-    r00 -= cot * dp
+    # each slab written in place, R_01's first holding cot(theta) dP
+    np.multiply(dp, cot, out=r01)
+    np.multiply(p, 1.0 - m * m * csc2, out=r11)
+    r11 += r01
+    np.multiply(p, 2.0 - lam, out=r00)  # R_00 + R_11 = w (2 - l(l + 1)) P
+    r00 -= r11
     np.multiply(p, cot, out=r01)
     np.subtract(dp, r01, out=r01)
     r01 *= m * csc
@@ -475,9 +476,9 @@ def _irfft(grid, spectra):
 
 
 def _synthesize(grid, coefficients, order):
-    """Node values of the ``order``-th longitude derivative (circle: angle
-    derivative) of degree-L coefficients; order 0 is plain synthesis, which
-    reads the weighted Legendre values alone."""
+    """Node values of degree-L coefficients, or on the circle of their
+    ``order``-th angle derivative; on the sphere (order 0 only) the weighted
+    Legendre values, the first slab of the radii table, are summed alone."""
     t = grid._band(grid.degree)
     spectrum = _spectrum(t, coefficients)
     if grid.dimension == 1:
