@@ -154,7 +154,10 @@ _HALF_DIAGONAL = np.array([[0.5], [1.0], [0.5]])
 
 def _curvature_from_radii_data(rows, convexity_tol):
     """CurvatureField from node rows (s, radii-matrix entries), laid out as
-    ``spectral.radii_rows`` gives them: (s, r) or (s, R_00, R_01, R_11)."""
+    ``spectral.radii_rows`` gives them: (s, r) or (s, R_00, R_01, R_11).
+
+    On the sphere it works in the radii-matrix rows in place and leaves them
+    overwritten; s is only read."""
     s = rows[0]
     # np.mean's own arithmetic, without its Python wrapper
     scale = max(float(np.add.reduce(np.abs(s)) / s.size), _TINY)
@@ -168,14 +171,13 @@ def _curvature_from_radii_data(rows, convexity_tol):
     # the radii matrix in units of a power of two at the body's scale, so that
     # its squares cannot overflow, with the diagonal halved; scaling by a power
     # of two is exact, so every result below equals the unscaled formula's bit
-    # for bit.  kappa (ascending, each column contiguous: the speeds and the
-    # step rule read it column by column) is allocated before the one scaled
-    # copy of the rows that every step works in, so that the kept array does
-    # not land above the freed one on the heap.
+    # for bit.  kappa is ascending, each column contiguous: the speeds and the
+    # step rule read it column by column.
     unit = np.ldexp(1.0, np.frexp(scale)[1])
     inv = 1.0 / unit
+    r00, r01, r11 = radii = rows[1:]
+    radii *= inv * _HALF_DIAGONAL
     kappa = np.empty((2, s.size))
-    r00, r01, r11 = rows[1:] * (inv * _HALF_DIAGONAL)
     # the eigenvalues half_tr -+ disc, disc = sqrt((R_00 - R_11)**2 / 4 + R_01**2)
     half_tr = np.add(r00, r11, out=kappa[0])
     disc = np.subtract(r00, r11, out=r00)

@@ -19,11 +19,14 @@ Key concepts
   flow stepper's fine grid (``smooth_grid``) takes the shortest one of at
   least ``2L + 2`` points whose prime factors are all at most 5, because the
   real FFT is several times slower on lengths with a large prime factor
-  (``2L + 2 = 514 = 2 * 257`` on the degree-256 fine grid of a degree-128
+  (``2L + 2 = 194 = 2 * 97`` on the degree-96 fine grid of a degree-64
   curve) and slower on a radix-7 length than on a 5-smooth one a little
-  longer (98 = 2 * 7**2 against 100 points on the degree-48 fine grid of a
-  degree-24 surface).  Every other grid keeps ``2L + 2``, which sets the
-  node spacing the time step is scaled by.
+  longer.  Every other grid keeps ``2L + 2``, which sets the node spacing the
+  time step is scaled by.
+- A degree-F grid projects the product of two band-S fields back to band S
+  exactly when 2F + 1 >= 3S, that is F >= ceil((3S - 1) / 2) = floor(3S / 2)
+  (Orszag's 3/2 rule): the integrand against a band-S basis function has
+  degree 3S.  The flow stepper's fine grid has that degree.
 - The colatitude factors are fully normalized associated Legendre functions,
   built on the rings by the sectoral recurrence in m and the three-term
   recurrence in l (Holmes & Featherstone 2002), vectorized over orders and
@@ -124,7 +127,7 @@ class SphereGrid:
         Unit direction vectors.
     weights : ndarray, shape (M,)
         Quadrature weights summing to the sphere area; exact for spherical
-        polynomials up to the design degree 2L.
+        polynomials up to degree 2L + 1.
     ring_size : int
         Equispaced nodes per longitude ring (the whole circle for n=1); nodes
         are stored ring by ring.  2L + 2 unless given: the flow stepper's fine
@@ -205,8 +208,10 @@ def standard_grid(dimension: int, degree: int) -> SphereGrid:
 def smooth_grid(dimension: int, degree: int) -> SphereGrid:
     """Shared degree-``degree`` grids whose ring length is the smallest even
     number of at least 2L + 2 with no prime factor above 5: the flow
-    stepper's fine grids, on which the real FFTs cost least: pocketfft's
-    radix-7 pass costs more than the few extra points of a 5-smooth length.
+    stepper's fine grids, of degree floor(3S / 2) for a band-S body (the 3/2
+    rule of the module docstring), on which the real FFTs cost least:
+    pocketfft's radix-7 pass costs more than the few extra points of a
+    5-smooth length.
 
     Kept apart from ``standard_grid``: the two differ whenever 2L + 2 has a
     prime factor above 5 (2L + 2 = 130 = 2 * 5 * 13 takes 144 at L = 64).
@@ -470,9 +475,13 @@ def _ring_sums(t, spectrum):
     return np.ascontiguousarray(sums.transpose(0, 3, 2, 1))
 
 
-def _irfft(grid, spectra):
-    """Node rows of a stack of ``irfft`` inputs, one row per leading index."""
-    return np.fft.irfft(spectra, n=grid.ring_size, norm="forward").reshape(len(spectra), -1)
+def _irfft(grid, spectra, out=None):
+    """Node rows of a stack of ``irfft`` inputs, one row per leading index,
+    written into the C-contiguous (rows, nodes) array ``out`` if one is given."""
+    if out is None:
+        return np.fft.irfft(spectra, n=grid.ring_size, norm="forward").reshape(len(spectra), -1)
+    np.fft.irfft(spectra, n=grid.ring_size, norm="forward", out=out.reshape(*spectra.shape[:-1], -1))
+    return out
 
 
 def _synthesize(grid, coefficients, order):
@@ -487,16 +496,17 @@ def _synthesize(grid, coefficients, order):
     return _irfft(grid, ring.view(complex).T)[0]
 
 
-def _radii_rows(grid, band, spectrum):
+def _radii_rows(grid, band, spectrum, out=None):
     """Node rows of the support function s with band-``band`` spectrum
     ``spectrum`` and of its radii matrix R = Hess s + s id in the frame
     (e_theta[, e_phi]), by one inverse FFT: (s, r) on the circle, where
     r = s + s'' is one ``1 - m**2`` multiplier, and (s, R_00, R_01, R_11) on
     the sphere, whose ring spectra are one matmul of the band's radii table
-    with the spectrum, batched over m."""
+    with the spectrum, batched over m.  The rows are written into ``out``
+    if it is given."""
     t = grid._band(band)
     if grid.dimension == 1:
-        return _irfft(grid, spectrum * t.radii)
+        return _irfft(grid, spectrum * t.radii, out)
     # the ring spectra, zero-padded to the irfft's input length: the matmul
     # writes them, as real and imaginary parts, through a (m, row and ring,
     # 2) view, from the float view of the spectrum
@@ -506,11 +516,12 @@ def _radii_rows(grid, band, spectrum):
     sums = rows.view(float).reshape(4 * rings, -1, 2)[:, : band + 1].swapaxes(0, 1)
     np.matmul(t.radii, spectrum.view(float).reshape(*spectrum.shape, 2), out=sums)
     rows[2, :, : band + 1] *= 1j  # the table holds R_01 / i
-    return _irfft(grid, rows)
+    return _irfft(grid, rows, out)
 
 
-def _project(grid, band, values):
-    """The band-``band`` spectrum of node ``values`` by quadrature; its slots
+def _project(grid, band, values, out=None):
+    """The band-``band`` spectrum of node ``values`` by quadrature, written
+    into the C-contiguous complex array ``out`` if one is given; its slots
     with no coefficient read zero."""
     values = np.asarray(values, dtype=float)
     if values.shape != (grid.node_count,):
@@ -518,15 +529,18 @@ def _project(grid, band, values):
     t = grid._band(band)
     weighted = grid.weights * values
     if grid.dimension == 1:
-        return np.fft.rfft(weighted)[: band + 1] * t.table
+        return np.multiply(np.fft.rfft(weighted)[: band + 1], t.table, out=out)
+    if out is None:
+        out = np.empty((band + 1, band + 1), complex)
     rings = np.fft.rfft(weighted.reshape(-1, grid.ring_size))[:, : band + 1]
     # (m, ring, 2) real and imaginary parts: the float view of the contiguous
     # transposed spectra; the table is zero for l < m, and its first slab,
     # w P, over w (1 or 1/2) is exactly P
     parts = np.ascontiguousarray(rings.T).view(float).reshape(band + 1, -1, 2)
-    spectrum = t.radii[:, : rings.shape[0]].swapaxes(1, 2) @ parts
+    spectrum = out.view(float).reshape(band + 1, -1, 2)
+    np.matmul(t.radii[:, : rings.shape[0]].swapaxes(1, 2), parts, out=spectrum)
     spectrum[1:] *= 2.0
-    return spectrum.view(complex)[..., 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +593,13 @@ class TruncatedEvaluator:
     """Evaluates and projects low-degree fields on a finer grid.
 
     Evolving degree-S fields while sampling the (nonlinear) speed on a grid
-    of roughly twice the band limit keeps the projected right-hand side
-    alias-free.  ``state`` and ``project`` work on the band-S complex
-    spectrum c_cos - i c_sin, shape (S + 1,) on the circle and (S + 1, S + 1)
-    indexed (m, l) on the sphere, so a time stepper can carry its state in
-    the transforms' own layout; ``spectrum`` and ``coefficients`` convert
-    from and to coefficient vectors.
+    of degree at least floor(3S / 2) keeps the quadratic part of the
+    projected right-hand side alias-free.  ``state`` and ``project`` work on
+    the band-S complex spectrum c_cos - i c_sin, shape (S + 1,) on the
+    circle and (S + 1, S + 1) indexed (m, l) on the sphere, so a time stepper
+    can carry its state in the transforms' own layout, and write into arrays
+    the caller owns when given ``out``; ``spectrum`` and ``coefficients``
+    convert from and to coefficient vectors.
 
     It holds no tables: it reads band S from the fine grid's transform
     cache, so evaluators sharing a grid build them once.
@@ -607,27 +622,46 @@ class TruncatedEvaluator:
         """The source-degree coefficient vector of a spectrum."""
         return _coefficients(self.grid._band(self.source_degree), spectrum)
 
-    def state(self, spectrum: np.ndarray) -> np.ndarray:
+    def state(self, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Support values and radii-matrix entries at the fine nodes.
 
         Rows as in ``radii_rows``: (s, r) on the circle, (s, R_00, R_01,
         R_11) on the sphere, synthesized in ring-spectral space by one
-        inverse FFT.
+        inverse FFT, into ``out`` (a C-contiguous float array of that shape)
+        if it is given.
         """
         if spectrum.shape != self.spectrum_shape:
             raise ValueError(
                 f"spectrum has shape {spectrum.shape}, expected {self.spectrum_shape}"
             )
-        return _radii_rows(self.grid, self.source_degree, spectrum)
+        _check_out(out, (2 * self.grid.dimension, self.grid.node_count), float)
+        return _radii_rows(self.grid, self.source_degree, spectrum, out)
 
-    def project(self, values: np.ndarray) -> np.ndarray:
-        """The source-degree spectrum of a fine-grid node vector.
+    def project(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The source-degree spectrum of a fine-grid node vector, written into
+        ``out`` (a C-contiguous complex array of the spectrum's shape) if it
+        is given.
 
-        Exact for integrands band-limited to source degree plus the fine
-        grid's design margin; the quadratic curvature nonlinearity stays
-        inside that budget when the fine degree is twice the source degree.
+        Exact for integrands band-limited to the source degree plus the fine
+        grid's design margin F: the Gauss rule of F + 1 rings integrates
+        polynomials of degree 2F + 1 and a ring of at least 2F + 2 points
+        trigonometric degree 2F + 1.  A product of two source-degree fields
+        projected on degree S has degree 3S, so F >= (3S - 1) / 2 makes its
+        projection exact (Orszag's 3/2 rule).
         """
-        return _project(self.grid, self.source_degree, values)
+        _check_out(out, self.spectrum_shape, complex)
+        return _project(self.grid, self.source_degree, values, out)
+
+
+def _check_out(out, shape, dtype):
+    """Refuse an ``out`` array that the transforms could not write in place."""
+    if out is not None and (
+        out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
+            f"got {out.dtype} {out.shape}"
+        )
 
 
 def third_derivatives(field: SpectralField) -> np.ndarray:

@@ -9,12 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from curvflow.flow import (
-    estimate_collapse,
-    rescaled_profile,
-    run_flow,
-    sphere_lifetime,
-)
+from curvflow.flow import estimate_collapse, run_flow
 from curvflow.geometry import geombound_check, mixed_volumes, radius_report
 from curvflow.shapes import make_ellipsoid, make_sphere, random_pinched_body
 from curvflow.spectral import standard_grid
@@ -27,6 +22,24 @@ from curvflow.verify import (
 )
 
 MEAN2 = "pow_mean,alpha=2"
+
+
+def sphere_lifetime(radius, speed):
+    """Collapse time of a sphere: r**(1+alpha) / ((1+alpha) f(1,...,1))."""
+    return radius ** (1.0 + speed.alpha) / ((1.0 + speed.alpha) * speed.normalization)
+
+
+def rescaled_profile(snapshot, estimate):
+    """Support values about the collapse point over the radius of the sphere
+    that collapses at the estimated time; a flow converging to a round point
+    flattens these toward 1."""
+    remaining = estimate.time - snapshot.time
+    if remaining <= 0.0:
+        raise ValueError(f"time {snapshot.time} is not before the estimated collapse {estimate.time}")
+    a = estimate.alpha
+    radius = ((1.0 + a) * estimate.rate * remaining) ** (1.0 / (1.0 + a))
+    body = snapshot.body
+    return (body.values - body.grid.nodes @ estimate.point) / radius
 
 
 @pytest.fixture(scope="module")

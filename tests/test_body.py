@@ -213,7 +213,7 @@ def test_non_finite_rows_count_as_lost_convexity(dimension, bad):
     grid = standard_grid(dimension, 6)
     axes = (1.0, 1.2, 1.1)[: dimension + 1]
     good = radii_rows(make_ellipsoid(grid, axes).field)
-    _curvature_from_radii_data(good, DEFAULT_CONVEXITY_TOL)
+    _curvature_from_radii_data(good.copy(), DEFAULT_CONVEXITY_TOL)  # it overwrites R
     for row in range(2 * dimension):
         rows = good.copy()
         rows[row, 3] = bad

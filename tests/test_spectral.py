@@ -7,7 +7,7 @@ from math import isqrt
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 from scipy.spatial.transform import Rotation
@@ -447,6 +447,29 @@ def test_band_record_keeps_one_four_slab_radii_table():
     np.testing.assert_array_equal(band.radii[:, :49], band.table[0] * w)
 
 
+@pytest.mark.parametrize("dimension, degree, band", [(1, 48, 32), (2, 36, 24)])
+def test_state_and_project_write_into_out_arrays_bit_for_bit(dimension, degree, band):
+    # the flow stepper reuses one rows array and one spectrum for every stage
+    ev = TruncatedEvaluator(smooth_grid(dimension, degree), band)
+    rng = np.random.default_rng(degree)
+    spectrum = ev.spectrum(rng.standard_normal(ev.source_count))
+    values = rng.standard_normal(ev.grid.node_count)
+    rows = np.full((2 * dimension, ev.grid.node_count), np.nan)
+    projected = np.full(ev.spectrum_shape, np.nan, complex)
+    assert ev.state(spectrum, out=rows) is rows
+    assert ev.project(values, out=projected) is projected
+    assert rows.tobytes() == ev.state(spectrum).tobytes()
+    assert projected.tobytes() == ev.project(values).tobytes()
+    # an array the transforms could not write in place is refused
+    for bad in (rows[:, ::2], rows[:1], rows.astype(np.float32), np.asfortranarray(rows)):
+        with pytest.raises(ValueError, match="out"):
+            ev.state(spectrum, out=bad)
+    strided = np.empty((*ev.spectrum_shape, 2), complex)[..., 0]
+    for bad in (projected.real.copy(), projected[:-1], strided):
+        with pytest.raises(ValueError, match="out"):
+            ev.project(values, out=bad)
+
+
 def test_truncated_rejects_bad_shapes():
     fine = standard_grid(2, 8)
     with pytest.raises(ValueError):
@@ -520,13 +543,15 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
     smooth=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
+@example(degree=1, smooth=False, seed=128884)
 def test_fused_radii_rows_match_the_hessian_and_synthesis(degree, smooth, seed):
     # the one-matmul radii rows of radii_rows (band L on a degree-L grid) and
-    # of TruncatedEvaluator.state (band L on a degree-2L grid) against the
-    # two-slab path: synthesize for s, tangential_derivatives' Hessian + s id
+    # of TruncatedEvaluator.state (band L on the stepper's degree-3L/2 grid
+    # and on a degree-2L one) against the two-slab path: synthesize for s,
+    # tangential_derivatives' Hessian + s id
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(coefficient_count(2, degree))
-    for fine_degree in (degree, 2 * degree):
+    for fine_degree in dict.fromkeys((degree, 3 * degree // 2, 2 * degree)):
         ring = spectral._smooth_ring_size(fine_degree) if smooth else None
         grid = SphereGrid(2, fine_degree, ring_size=ring)
         padded = np.zeros(grid.coefficient_count)
@@ -538,10 +563,13 @@ def test_fused_radii_rows_match_the_hessian_and_synthesis(degree, smooth, seed):
             ev = TruncatedEvaluator(grid, degree)
             rows = ev.state(ev.spectrum(coeffs))
         reference = _radii_from_hessian(field)  # s is the field's synthesized values
-        # relative to the scale of s and of the whole radii matrix: at degree 1
-        # R_01 is zero up to rounding
-        for ours, ref in ((rows[:1], reference[:1]), (rows[1:], reference[1:])):
-            assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref)), (degree, fine_degree)
+        # s relative to max|s|, the radii rows relative to the larger of max|s|
+        # and max|R|: at degree 1, R = c_00 Y_00 id can be near zero while
+        # the rounding of its rows grows with the l = 1 coefficients
+        s_scale = np.max(np.abs(reference[0]))
+        r_scale = max(s_scale, np.max(np.abs(reference[1:])))
+        assert np.max(np.abs(rows[0] - reference[0])) <= 1e-13 * s_scale, (degree, fine_degree)
+        assert np.max(np.abs(rows[1:] - reference[1:])) <= 1e-13 * r_scale, (degree, fine_degree)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from curvflow.body import curvature, support_from_values
-from curvflow.flow import run_flow, sphere_lifetime
+from curvflow.flow import run_flow
 from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.spectral import (
     field_from_values,
