@@ -218,16 +218,35 @@ class PinchingStatus:
     in_cone: bool
 
 
-def pinching_status(body_or_curv, delta0: float) -> PinchingStatus:
-    """Worst traceless-to-mean curvature ratio and cone membership."""
+def pinching_status(body_or_curv, delta0: float, work: np.ndarray | None = None) -> PinchingStatus:
+    """Worst traceless-to-mean curvature ratio and cone membership.
+
+    The ratio is ``traceless_norm2 / mean**2`` of ``CurvatureField``, bit for
+    bit, read off kappa's columns in one pass through the three node vectors
+    ``work`` (allocated if not given), so that the flow's stepper screens
+    every accepted state in arrays it owns.  The state is in the cone if H > 0
+    at every node and the worst ratio is below ``delta0``; a NaN fails both.
+    """
     curv = body_or_curv if isinstance(body_or_curv, CurvatureField) else curvature(body_or_curv)
-    mean_positive = bool((curv.mean > 0.0).all())
-    if not mean_positive:
-        return PinchingStatus(np.inf, int(np.argmin(curv.mean)), False, False)
-    if curv.kappa.shape[1] == 1 and curv.mean.max() < np.inf:
+    kappa = curv.kappa
+    n = kappa.shape[1]
+    if work is None:
+        work = np.empty((3, len(kappa)))
+    h = np.add(kappa[:, 0], kappa[:, 1], out=work[0]) if n == 2 else kappa[:, 0]
+    i = int(np.argmin(h))
+    if not h[i] > 0.0:  # argmin finds the first NaN
+        return PinchingStatus(np.inf, i, False, False)
+    if n == 1 and h.max() < np.inf:
         # a curve's one curvature has no traceless part: the ratio is 0 everywhere
         return PinchingStatus(0.0, 0, True, 0.0 < delta0)
-    ratio = curv.traceless_norm2 / curv.mean**2
+    average = np.divide(h, n, out=work[1])
+    ratio = np.subtract(kappa[:, 0], average, out=work[2])
+    ratio *= ratio
+    if n == 2:
+        d = np.subtract(kappa[:, 1], average, out=work[1])
+        d *= d
+        ratio += d
+    ratio /= np.multiply(h, h, out=work[1])
     i = int(np.argmax(ratio))
     max_ratio = float(ratio[i])
     return PinchingStatus(max_ratio, i, True, max_ratio < delta0)

@@ -27,8 +27,9 @@ scales with the body grid's node spacing, which keeps 2L + 2 points.  On the
 sphere one evaluation makes one matmul and one inverse FFT for the synthesis
 and one FFT and one matmul for the projection, into arrays the stepper owns.
 The speeds depend on the principal curvatures alone, so a Runge-Kutta stage
-builds nothing else.  Once per accepted state the step rule's D and the
-pinching-cone test are read off kappa's columns in one pass.
+builds nothing else.  Once per accepted state ``body.pinching_status`` and
+the step rule's D are read off kappa's columns, in node vectors the
+stepper owns.
 
 The step size is dt = c_safe H**2 / D.  D is the largest
 F' max(r_max**2, 1) / r_min**2 over the fine nodes: on a curve F' max(kappa**2,
@@ -80,6 +81,7 @@ from .body import (
     SupportFunction,
     _curvature_from_radii_data,
     curvature,
+    pinching_status,
     support_from_coefficients,
 )
 from .geometry import DirectRadii, MixedVolumes, RadiiSolver, direct_radii, mixed_volumes
@@ -201,7 +203,7 @@ class _Stepper:
 
     It owns its work arrays: every evaluation synthesizes into the same
     rows and projects into the same spectrum, and the step bookkeeping
-    works in two node vectors.
+    works in three node vectors.
     """
 
     def __init__(self, grid, speed: Speed, convexity_tol: float):
@@ -213,7 +215,7 @@ class _Stepper:
         self.evaluations = 0
         self._rows = np.empty((2 * grid.dimension, fine.node_count))
         self._projected = np.empty(self.evaluator.spectrum_shape, complex)
-        self._work = np.empty((2, fine.node_count))
+        self._work = np.empty((3, fine.node_count))
 
     def evaluate(self, spectrum: np.ndarray):
         """Curvature on the fine nodes and the spectrum of the projected
@@ -226,27 +228,13 @@ class _Stepper:
 
     def stiffness(self, curv) -> float | None:
         """D = max F' max(r_max**2, 1) / r_min**2 over the fine nodes, the
-        step being c_safe H**2 / D; None if the curvatures have left the
-        speed's pinching cone.
-
-        The cone test is ``pinching_status(curv, delta0).in_cone``: H > 0 at
-        every node and, on a surface, the largest |A0|**2 / H**2 =
-        (kappa_2 - kappa_1)**2 / (2 (kappa_1 + kappa_2)**2) below delta0.  A
-        NaN or an infinite curvature fails it.
-        """
+        step being c_safe H**2 / D; None if ``pinching_status`` puts the
+        curvatures outside the speed's pinching cone."""
+        if not pinching_status(curv, self.speed.delta0, self._work).in_cone:
+            return None
         kappa = curv.kappa
         k_min, k_max = kappa[:, 0], kappa[:, -1]
-        a, b = self._work
-        if kappa.shape[1] == 1:
-            in_cone = 0.0 < k_min.min() and k_min.max() < np.inf
-        else:
-            h = np.add(k_min, k_max, out=b)
-            gap = np.subtract(k_max, k_min, out=a)
-            gap /= h
-            gap *= gap
-            in_cone = h.min() > 0.0 and 0.5 * gap.max() < self.speed.delta0
-        if not in_cone:
-            return None
+        a, b = self._work[:2]
         # as trace * max(1, (1 / k_min)**2) / (1 / k_max)**2, bit for bit
         trace = self.speed.trace_gradient(kappa)
         r2 = np.divide(1.0, k_min, out=a)

@@ -634,7 +634,6 @@ class TruncatedEvaluator:
             raise ValueError(
                 f"spectrum has shape {spectrum.shape}, expected {self.spectrum_shape}"
             )
-        _check_out(out, (2 * self.grid.dimension, self.grid.node_count), float)
         return _radii_rows(self.grid, self.source_degree, spectrum, out)
 
     def project(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -649,19 +648,7 @@ class TruncatedEvaluator:
         projected on degree S has degree 3S, so F >= (3S - 1) / 2 makes its
         projection exact (Orszag's 3/2 rule).
         """
-        _check_out(out, self.spectrum_shape, complex)
         return _project(self.grid, self.source_degree, values, out)
-
-
-def _check_out(out, shape, dtype):
-    """Refuse an ``out`` array that the transforms could not write in place."""
-    if out is not None and (
-        out.shape != shape or out.dtype != dtype or not out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}, "
-            f"got {out.dtype} {out.shape}"
-        )
 
 
 def third_derivatives(field: SpectralField) -> np.ndarray:

@@ -21,25 +21,9 @@ from curvflow.verify import (
     volume_decay_check,
 )
 
+from _helpers import rescaled_profile, sphere_lifetime
+
 MEAN2 = "pow_mean,alpha=2"
-
-
-def sphere_lifetime(radius, speed):
-    """Collapse time of a sphere: r**(1+alpha) / ((1+alpha) f(1,...,1))."""
-    return radius ** (1.0 + speed.alpha) / ((1.0 + speed.alpha) * speed.normalization)
-
-
-def rescaled_profile(snapshot, estimate):
-    """Support values about the collapse point over the radius of the sphere
-    that collapses at the estimated time; a flow converging to a round point
-    flattens these toward 1."""
-    remaining = estimate.time - snapshot.time
-    if remaining <= 0.0:
-        raise ValueError(f"time {snapshot.time} is not before the estimated collapse {estimate.time}")
-    a = estimate.alpha
-    radius = ((1.0 + a) * estimate.rate * remaining) ** (1.0 / (1.0 + a))
-    body = snapshot.body
-    return (body.values - body.grid.nodes @ estimate.point) / radius
 
 
 @pytest.fixture(scope="module")

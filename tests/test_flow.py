@@ -6,7 +6,9 @@ from curvflow import spectral
 from curvflow.body import (
     DEFAULT_CONVEXITY_TOL,
     ConvexityLostError,
+    CurvatureField,
     curvature,
+    pinching_status,
     support_from_coefficients,
 )
 from curvflow.flow import (
@@ -21,6 +23,8 @@ from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.speeds import Speed, make_speed, parse_speed
 from curvflow.spectral import SphereGrid, TruncatedEvaluator, standard_grid
 
+from _helpers import collapse_radius, rescaled_profile, sphere_lifetime
+
 
 def sphere_radius_law(radius, time, speed):
     """Radius of an initially round sphere after flowing for ``time``."""
@@ -29,27 +33,6 @@ def sphere_radius_law(radius, time, speed):
     if remaining < 0.0:
         raise ValueError(f"time {time} exceeds the sphere lifetime")
     return float(remaining ** (1.0 / (1.0 + a)))
-
-
-def sphere_lifetime(radius, speed):
-    """Collapse time of a sphere: r**(1+alpha) / ((1+alpha) f(1,...,1))."""
-    return radius ** (1.0 + speed.alpha) / ((1.0 + speed.alpha) * speed.normalization)
-
-
-def collapse_radius(estimate, time):
-    """Radius of the comparison sphere collapsing at the estimated time."""
-    remaining = estimate.time - time
-    if remaining <= 0.0:
-        raise ValueError(f"time {time} is not before the estimated collapse {estimate.time}")
-    return float(((1.0 + estimate.alpha) * estimate.rate * remaining) ** (1.0 / (1.0 + estimate.alpha)))
-
-
-def rescaled_profile(snapshot, estimate):
-    """Support values about the collapse point, normalized by the comparison
-    sphere; a flow converging to a round point flattens these toward 1."""
-    body = snapshot.body
-    shift = body.grid.nodes @ estimate.point
-    return (body.values - shift) / collapse_radius(estimate, snapshot.time)
 
 
 def limit_point_error(trajectory, estimate, tail_fraction=0.2):
@@ -138,6 +121,40 @@ def test_out_of_cone_stops_immediately():
     traj = run_flow(body, speed)
     assert traj.stop_reason == "cone_exit"
     assert traj.steps == 0
+
+
+@pytest.mark.parametrize(
+    "dimension, case",
+    [(1, "inside"), (1, "nan"), (1, "negative_mean"), (1, "ulp_above_delta0")]
+    + [(2, case) for case in ("inside", "nan", "negative_mean")]
+    + [(2, "ulp_below_delta0"), (2, "at_delta0"), (2, "ulp_above_delta0")],
+)
+def test_stepper_cone_test_is_pinching_status(dimension, case):
+    # the flow stops at cone_exit exactly where pinching_status leaves the
+    # cone, whose ratio is traceless_norm2 / mean**2 bit for bit, and the
+    # stepper's buffers change nothing of its result
+    grid = standard_grid(dimension, 6)
+    nodes = flow_module._Stepper(grid, make_speed("mean", dimension), 1e-8).evaluator.grid.node_count
+    kappa = np.sort(np.random.default_rng(21).uniform(0.5, 1.5, (nodes, dimension)), axis=1)
+    if case == "nan":
+        kappa[7, 0] = np.nan
+    elif case == "negative_mean":
+        kappa[7] = -kappa[7, ::-1]
+    curv = CurvatureField(kappa)
+    ratio = curv.traceless_norm2 / curv.mean**2  # 0 on a curve
+    worst = float(ratio.max())
+    delta0 = {
+        "ulp_below_delta0": np.nextafter(worst, 0.0),
+        "at_delta0": worst,
+        "ulp_above_delta0": np.nextafter(worst, np.inf),
+    }.get(case, 0.3)
+    status = pinching_status(CurvatureField(kappa), delta0)
+    assert status.in_cone == (case in ("inside", "ulp_above_delta0"))
+    if status.mean_positive:
+        assert (status.max_ratio, status.argmax_node) == (worst, int(np.argmax(ratio)))
+    stepper = flow_module._Stepper(grid, make_speed("mean", dimension, delta0=delta0), 1e-8)
+    assert pinching_status(CurvatureField(kappa), delta0, stepper._work) == status
+    assert (stepper.stiffness(CurvatureField(kappa)) is None) == (not status.in_cone)
 
 
 def test_translation_equivariance():

@@ -460,14 +460,6 @@ def test_state_and_project_write_into_out_arrays_bit_for_bit(dimension, degree, 
     assert ev.project(values, out=projected) is projected
     assert rows.tobytes() == ev.state(spectrum).tobytes()
     assert projected.tobytes() == ev.project(values).tobytes()
-    # an array the transforms could not write in place is refused
-    for bad in (rows[:, ::2], rows[:1], rows.astype(np.float32), np.asfortranarray(rows)):
-        with pytest.raises(ValueError, match="out"):
-            ev.state(spectrum, out=bad)
-    strided = np.empty((*ev.spectrum_shape, 2), complex)[..., 0]
-    for bad in (projected.real.copy(), projected[:-1], strided):
-        with pytest.raises(ValueError, match="out"):
-            ev.project(values, out=bad)
 
 
 def test_truncated_rejects_bad_shapes():
