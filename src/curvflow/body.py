@@ -81,9 +81,6 @@ class SupportFunction:
     def coefficients(self) -> np.ndarray:
         return self.field.coefficients
 
-    def mean_radius(self) -> float:
-        return float(np.sum(self.grid.weights * self.values) / self.grid.sphere_area)
-
 
 def support_from_values(grid: SphereGrid, values: np.ndarray) -> SupportFunction:
     if not np.all(np.isfinite(values)):

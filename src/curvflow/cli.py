@@ -6,8 +6,8 @@ so rerunning a command over the same inputs reproduces files byte for byte.
 
 Exit codes: 0 success, 2 failed precondition (bad config, shape outside the
 cone, malformed run files), 3 the flow left the pinching cone, 4 a numerical
-failure or a verification violation, 5 an I/O problem, 6 a run cut off by
-``max_steps`` (its outputs are written).
+failure or a failed flow check (in ``simulate`` too, where no larger code
+applies), 5 an I/O problem, 6 ``max_steps`` ran out (outputs are written).
 """
 
 import os
@@ -50,7 +50,6 @@ from .flow import (
     MAX_SAFETY,
     FlowSnapshot,
     Trajectory,
-    estimate_collapse,
     run_flow,
 )
 from .geometry import RadiiSolver, diskant_bounds, geombound_check
@@ -63,18 +62,12 @@ from .speeds import (
     verify_derivative_bounds,
 )
 from .verify import (
-    CURVE_RESIDUAL_TOL,
-    ENCLOSED_POINT_TOL,
-    TSO_TOL,
-    VOLUME_DECAY_TOL,
-    Z_SIGMA_TOL,
     DiagnosticsRecord,
-    curve_evolution_residual,
     diagnostics_record,
+    flow_checks,
     pinching_monitors,
     run_lemma_suites,
     speed_lowerbound_fit,
-    volume_decay_check,
 )
 
 __all__ = [
@@ -515,9 +508,8 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
     sigma = _monitor_sigma(config.sigma, trajectory)
     t0_index = _anchor_index(trajectory, config.t0_anchor)
     record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
-    estimate = (
-        estimate_collapse(trajectory) if len(trajectory.snapshots) >= 2 else None
-    )
+    checks = flow_checks(trajectory, record)
+    estimate = record.speed_fit.estimate
 
     step_sizes = trajectory.step_sizes or (None,) * len(_STEP_SIZE_KEYS)
     summary = {
@@ -540,8 +532,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         "speed_exponent": record.speed_exponent,
         "gradient_margin": record.gradient_margin,
         "tso_aborted": record.tso.aborted,
-        "tso_violated": record.tso.violated,
-        "smoczyk_worst": float(np.nanmin(record.smoczyk_min)),
+        "checks": {c.name: {"verdict": c.verdict, "worst": c.worst, "tol": c.tol} for c in checks},
         "final_time": float(trajectory.final.time),
         "final_r_minus": float(trajectory.final.radii.r_minus),
     }
@@ -566,6 +557,10 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         f"t = {trajectory.final.time:.6g}, r_- = {trajectory.final.radii.r_minus:.6g}, "
         f"wrote {config.output}"
     )
+    failed = [check.name for check in checks if check.verdict == "FAIL"]
+    if failed:
+        code = max(code, EXIT_NUMERICAL)
+        message += f"; failed checks: {', '.join(failed)}"
     return code, message
 
 
@@ -633,68 +628,9 @@ def cmd_verify(args) -> int:
     trajectory, sigma, t0_index = loaded
     record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
 
-    failures = []
-    tol = Z_SIGMA_TOL * sigma * np.max(record.h_max) ** 2
-    if trajectory.dimension == 1:
-        # a curve's one curvature has no traceless part, so Z_sigma is
-        # -sigma H**2 at every node of every run: a check that cannot fail
-        print("Z_sigma: not applicable on a curve")
-    elif record.z_sigma_max[0] < 0.0:
-        ok = bool(np.all(record.z_sigma_max <= tol))
-        print(
-            f"Z_sigma stays negative: {'ok' if ok else 'FAIL'} "
-            f"(worst {np.max(record.z_sigma_max):.3e}, tol {tol:.3e})"
-        )
-        if not ok:
-            failures.append("z_sigma")
-    else:
-        print("Z_sigma not negative initially; sign preservation not applicable")
-
-    tso = record.tso
-    tso_ok = not tso.violated
-    if tso.q_max.size:
-        # TsoReport.violated allows q_max TSO_TOL above the bound; the bound
-        # is inf at the anchor itself, where the slack is 1
-        slack = 1.0 - np.max(tso.q_max / tso.bound)
-        margin = f"worst relative slack {slack:.3e}, tol {TSO_TOL:.3e}"
-    else:
-        margin = "no snapshot monitored"
-    print(
-        f"interior speed bound: {'ok' if tso_ok else 'FAIL'} ({margin})"
-        + (" (aborted at validity edge)" if tso.aborted else "")
-    )
-    if not tso_ok:
-        failures.append("tso")
-
-    smoczyk_worst = float(np.nanmin(record.smoczyk_min))
-    smoczyk_ok = smoczyk_worst >= ENCLOSED_POINT_TOL
-    print(
-        f"enclosed-point margin: {'ok' if smoczyk_ok else 'FAIL'} "
-        f"(worst {smoczyk_worst:.3e}, tol {ENCLOSED_POINT_TOL:.3e})"
-    )
-    if not smoczyk_ok:
-        failures.append("smoczyk")
-
-    if len(trajectory.snapshots) >= 3:
-        decay = volume_decay_check(trajectory)
-        decay_ok = decay.max_rel_error <= VOLUME_DECAY_TOL
-        print(
-            f"volume decay identity: {'ok' if decay_ok else 'FAIL'} "
-            f"(worst relative error {decay.max_rel_error:.3e}, tol {VOLUME_DECAY_TOL:.3e})"
-        )
-        if not decay_ok:
-            failures.append("volume_decay")
-
-    if trajectory.dimension == 1 and len(trajectory.snapshots) >= 3:
-        worst = float(np.max(curve_evolution_residual(trajectory, "H").relative))
-        residual_ok = worst <= CURVE_RESIDUAL_TOL
-        print(
-            f"curve evolution residual: {'ok' if residual_ok else 'FAIL'} "
-            f"(worst relative {worst:.3e}, tol {CURVE_RESIDUAL_TOL:.3e})"
-        )
-        if not residual_ok:
-            failures.append("curve_residual")
-
+    checks = flow_checks(trajectory, record)
+    for check in checks:
+        print(check.line())
     if record.lambda_hat is not None:
         print(f"lambda_hat = {record.lambda_hat:.4g}")
     if record.speed_exponent is not None:
@@ -702,7 +638,7 @@ def cmd_verify(args) -> int:
             f"speed exponent = {record.speed_exponent:.4g} "
             f"(expected {record.speed_fit.expected:.4g})"
         )
-    return EXIT_NUMERICAL if failures else EXIT_OK
+    return EXIT_NUMERICAL if any(check.verdict == "FAIL" for check in checks) else EXIT_OK
 
 
 def cmd_analyze(args) -> int:

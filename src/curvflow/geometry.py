@@ -46,8 +46,6 @@ __all__ = [
     "direct_radii",
     "DiskantBounds",
     "diskant_bounds",
-    "RadiusReport",
-    "radius_report",
     "GeomboundResult",
     "geombound_check",
     "volume_decay_rate",
@@ -410,35 +408,6 @@ def diskant_bounds(mv: MixedVolumes) -> DiskantBounds:
     denom = v1 ** (1.0 / n) - rad_1 ** (1.0 / (n + 1))
     upper = lam / denom if denom > 0.0 else np.inf
     return DiskantBounds(lower=float(lower), upper=float(upper), clamped=clamped)
-
-
-@dataclass(frozen=True)
-class RadiusReport:
-    """Direct LP radii combined with the Diskant sandwich."""
-
-    r_minus: float
-    r_plus: float
-    incenter: np.ndarray
-    circumcenter: np.ndarray
-    diskant_lower: float
-    diskant_upper: float
-
-    @property
-    def ratio(self) -> float:
-        return self.r_plus / self.r_minus
-
-
-def radius_report(body: SupportFunction, curv: CurvatureField | None = None) -> RadiusReport:
-    direct = direct_radii(body)
-    bounds = diskant_bounds(mixed_volumes(body, curv))
-    return RadiusReport(
-        r_minus=direct.r_minus,
-        r_plus=direct.r_plus,
-        incenter=direct.incenter,
-        circumcenter=direct.circumcenter,
-        diskant_lower=bounds.lower,
-        diskant_upper=bounds.upper,
-    )
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ import re
 import numpy as np
 
 from . import body as bodymod
-from .body import SupportFunction, pinching_status, support_from_coefficients, support_from_values
-from .spectral import SphereGrid, coefficient_count, standard_grid
+from .body import SupportFunction, support_from_coefficients, support_from_values
+from .spectral import SphereGrid
 
 __all__ = [
     "default_cone_threshold",
@@ -16,7 +16,6 @@ __all__ = [
     "make_ellipsoid",
     "make_perturbed_sphere",
     "harmonic_index",
-    "random_pinched_body",
     "resample",
     "parse_shape",
 ]
@@ -90,54 +89,6 @@ def make_perturbed_sphere(grid: SphereGrid, radius: float, perturbations) -> Sup
             )
         coeffs[harmonic_index(grid.dimension, degree_l, order_m)] += amplitude
     return support_from_coefficients(grid, coeffs)
-
-
-def random_pinched_body(
-    grid: SphereGrid,
-    rng: np.random.Generator,
-    radius: float = 1.0,
-    amplitude: float = 0.2,
-    max_degree: int | None = None,
-    delta0: float | None = None,
-) -> SupportFunction:
-    """Random convex body inside the pinching cone.
-
-    Draws random coefficients on degrees >= 2 with a 1/(l(l+1)) falloff and
-    halves the perturbation until the body is uniformly convex and pinched
-    below ``delta0``.  Degree-1 terms are translations, so they stay zero.
-    Band limit defaults to 2L/3 so degree-2 integrands of the result stay
-    inside the quadrature's exactness range.
-    """
-    if max_degree is None:
-        max_degree = max(2, (2 * grid.degree) // 3)
-    max_degree = min(max_degree, grid.degree)
-    if delta0 is None:
-        delta0 = default_cone_threshold(grid.dimension)
-
-    raw = np.zeros(grid.coefficient_count)
-    for degree_l in range(2, max_degree + 1):
-        orders = range(-degree_l, degree_l + 1) if grid.dimension == 2 else (0, -1)
-        for order_m in orders:
-            idx = harmonic_index(grid.dimension, degree_l, order_m)
-            raw[idx] = rng.standard_normal() / (degree_l * (degree_l + 1))
-    norm = np.linalg.norm(raw)
-    if norm > 0:
-        raw *= amplitude * radius / norm
-
-    # exact constant coefficient keeps the stated band limit sharp
-    constant = radius * np.sqrt(grid.sphere_area)
-    for _ in range(60):
-        coeffs = raw.copy()
-        coeffs[0] += constant
-        candidate = support_from_coefficients(grid, coeffs)
-        try:
-            status = pinching_status(candidate, delta0)
-        except bodymod.ConvexityLostError:
-            status = None
-        if status is not None and status.in_cone:
-            return candidate
-        raw *= 0.5
-    raise RuntimeError("could not generate a pinched body; amplitude does not shrink into the cone")
 
 
 def resample(body: SupportFunction, grid: SphereGrid) -> SupportFunction:

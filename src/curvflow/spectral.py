@@ -81,7 +81,6 @@ __all__ = [
     "sphere_area",
     "analyze",
     "synthesize",
-    "field_from_values",
     "field_from_coefficients",
     "coefficient_count",
     "tangential_derivatives",
@@ -260,10 +259,6 @@ def analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 def synthesize(grid: SphereGrid, coefficients: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector at the grid nodes."""
     return _synthesize(grid, coefficients, 0)
-
-
-def field_from_values(grid: SphereGrid, values: np.ndarray) -> SpectralField:
-    return SpectralField(grid, analyze(grid, values))
 
 
 def field_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> SpectralField:

@@ -8,8 +8,8 @@ contraction theory says must stay one-signed: the pinching quantity Z_sigma,
 the time-interior speed bound, the enclosed-point expansion margin, the
 gradient inequality, and the exact volume-decay identity.
 
-Monitors never assert; they return reports so callers decide what counts as
-a failure at which tolerance.
+Monitors never assert; they return reports.  ``flow_checks`` alone judges
+them against the tolerances below, for ``simulate`` and ``verify flow`` alike.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ __all__ = [
     "volume_decay_check",
     "DiagnosticsRecord",
     "diagnostics_record",
+    "Check",
+    "flow_checks",
     "Z_SIGMA_TOL",
     "TSO_TOL",
     "ENCLOSED_POINT_TOL",
@@ -66,7 +68,7 @@ __all__ = [
 # a sample counts as a violation only below this margin
 LEMMA_MARGIN_TOL = 1e-12
 
-# The tolerances of the trajectory verdicts that ``verify flow`` prints.
+# The tolerances of the trajectory verdicts of ``flow_checks``.
 # Z_sigma may exceed 0 by this multiple of sigma * max(H)**2 (rounding).
 Z_SIGMA_TOL = 1e-10
 # The interior speed bound may be exceeded by this relative amount (plus
@@ -203,9 +205,7 @@ def _require_surface(n: int) -> None:
         raise ValueError("lemma suites need dimension >= 2")
 
 
-def lemma_pinch_suite(
-    n: int, samples: int = 100_000, rng: np.random.Generator | None = None
-) -> LemmaReport:
+def lemma_pinch_suite(n: int, samples: int = 100_000) -> LemmaReport:
     """Two-sided principal-curvature bounds from the traceless ratio.
 
     Every kappa with H > 0 must satisfy
@@ -213,7 +213,7 @@ def lemma_pinch_suite(
     with eps = |A-circ|^2 / H^2; the margin is the smaller of the two slacks.
     """
     _require_surface(n)
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     kappa = _sample_kappa_batch(n, samples, rng, pinch_cap=True)
     h, eps, root = _pinch_quantities(kappa)
 
@@ -239,23 +239,19 @@ def _cest_sides(kappa: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lhs, rhs
 
 
-def lemma_cest_suite(
-    n: int, samples: int = 100_000, rng: np.random.Generator | None = None
-) -> LemmaReport:
+def lemma_cest_suite(n: int, samples: int = 100_000) -> LemmaReport:
     """Lower bound for n sum kappa^3 - (1 + n eps) H |A|^2 inside the cone."""
     _require_surface(n)
-    rng = rng or np.random.default_rng(1)
+    rng = np.random.default_rng(1)
     kappa = _sample_kappa_batch(n, samples, rng, pinch_cap=True)
     lhs, rhs = _cest_sides(kappa)
     return _report("cest", n, kappa, lhs - rhs)
 
 
-def lemma_traceless_suite(
-    n: int, samples: int = 100_000, rng: np.random.Generator | None = None
-) -> LemmaReport:
+def lemma_traceless_suite(n: int, samples: int = 100_000) -> LemmaReport:
     """|A-circ|^2 = |A|^2 - H^2/n = (1/n) sum_{i<j} (kappa_i - kappa_j)^2."""
     _require_surface(n)
-    rng = rng or np.random.default_rng(2)
+    rng = np.random.default_rng(2)
     kappa = _sample_kappa_batch(n, samples, rng, pinch_cap=False)
     h = kappa.sum(axis=1)
     direct = np.sum(kappa**2, axis=1) - h**2 / n
@@ -266,12 +262,10 @@ def lemma_traceless_suite(
     return _report("traceless", n, kappa, margins)
 
 
-def lemma_maclaurin_suite(
-    n: int, samples: int = 100_000, rng: np.random.Generator | None = None
-) -> LemmaReport:
+def lemma_maclaurin_suite(n: int, samples: int = 100_000) -> LemmaReport:
     """Chain E_1 >= E_2^(1/2) >= ... >= E_n^(1/n) for positive curvatures."""
     _require_surface(n)
-    rng = rng or np.random.default_rng(3)
+    rng = np.random.default_rng(3)
     kappa = _sample_kappa_batch(n, samples, rng, pinch_cap=False)
     powers = np.empty((kappa.shape[0], n))
     for k in range(1, n + 1):
@@ -636,11 +630,7 @@ class SpeedFitReport:
     estimate: CollapseEstimate | None
 
 
-def speed_lowerbound_fit(
-    trajectory: Trajectory,
-    estimate: CollapseEstimate | None = None,
-    tail_fraction: float = 0.3,
-) -> SpeedFitReport:
+def speed_lowerbound_fit(trajectory: Trajectory, tail_fraction: float = 0.3) -> SpeedFitReport:
     """Fit log(min F) ~ slope * log(T - t) over the trajectory tail.
 
     The theory pins the slope at -alpha/(1+alpha).  Fewer than five usable
@@ -648,8 +638,7 @@ def speed_lowerbound_fit(
     """
     speed = trajectory.speed
     expected = -speed.alpha / (1.0 + speed.alpha)
-    if estimate is None and len(trajectory.snapshots) >= 2:
-        estimate = estimate_collapse(trajectory)
+    estimate = estimate_collapse(trajectory) if len(trajectory.snapshots) >= 2 else None
 
     times = trajectory.times()
     f_min = np.array([float(s.speed_values.min()) for s in trajectory.snapshots])
@@ -836,7 +825,6 @@ def diagnostics_record(
     trajectory: Trajectory,
     sigma: float,
     t0_index: int = 0,
-    eps_grid=DEFAULT_EPS_GRID,
 ) -> DiagnosticsRecord:
     """Run every trajectory monitor once and align the outputs per snapshot.
 
@@ -845,13 +833,12 @@ def diagnostics_record(
     """
     snaps = trajectory.snapshots
 
-    pinching = pinching_monitors(trajectory, sigma, eps_grid)
-    tso = tso_monitor(trajectory, t0_index)
+    pinching = pinching_monitors(trajectory, sigma)
+    tso = tso_monitor(trajectory, t0_index, sigma=np.max(pinching.pinch_max[t0_index:]))
     smoczyk = smoczyk_monitor(trajectory, t0_index)
     fit = speed_lowerbound_fit(trajectory)
 
     count = len(snaps)
-    f_min = np.array([snap.speed_values.min() for snap in snaps])
     f_max = np.array([snap.speed_values.max() for snap in snaps])
 
     q_max = np.full(count, np.nan)
@@ -869,7 +856,7 @@ def diagnostics_record(
     return DiagnosticsRecord(
         times=trajectory.times(),
         h_max=pinching.h_max,
-        f_min=f_min,
+        f_min=fit.f_min,
         f_max=f_max,
         pinch_max=pinching.pinch_max,
         z_sigma_max=pinching.z_sigma_max,
@@ -885,3 +872,75 @@ def diagnostics_record(
         smoczyk=smoczyk,
         speed_fit=fit,
     )
+
+
+# ---------------------------------------------------------------------------
+# verdicts
+
+# what ``verify flow`` prints before each verdict, and the name of its worst value
+_CHECK_LABELS = {
+    "z_sigma": ("Z_sigma stays negative", "worst"),
+    "interior_speed_bound": ("interior speed bound", "worst relative slack"),
+    "enclosed_point": ("enclosed-point margin", "worst"),
+    "volume_decay": ("volume decay identity", "worst relative error"),
+    "curve_residual": ("curve evolution residual", "worst relative"),
+}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One monitor's verdict, "ok", "FAIL" or "not applicable", and the line
+    ``verify flow`` prints for it.  ``worst`` and ``tol`` are None where no
+    verdict applies (``note`` is then the line) or no snapshot was monitored."""
+
+    name: str
+    verdict: str
+    worst: float | None = None
+    tol: float | None = None
+    note: str = ""
+
+    def line(self) -> str:
+        if self.verdict == "not applicable":
+            return self.note
+        label, measure = _CHECK_LABELS[self.name]
+        margin = "no snapshot monitored"
+        if self.worst is not None:
+            margin = f"{measure} {self.worst:.3e}, tol {self.tol:.3e}"
+        return f"{label}: {self.verdict} ({margin}){self.note}"
+
+
+def _judged(name: str, ok, worst, tol: float, note: str = "") -> Check:
+    worst, tol = (None, None) if worst is None else (float(worst), float(tol))
+    return Check(name, "ok" if ok else "FAIL", worst, tol, note)
+
+
+def flow_checks(trajectory: Trajectory, record: DiagnosticsRecord) -> tuple[Check, ...]:
+    """The verdict on each monitor of ``record``, in the order ``verify flow``
+    prints them; the volume decay identity and the curve residual need three
+    snapshots, and the curve residual applies to curves alone."""
+    z_sigma, tso = record.z_sigma_max, record.tso
+    if trajectory.dimension == 1:
+        # a curve's one curvature has no traceless part, so Z_sigma is
+        # -sigma H**2 at every node of every run: a check that cannot fail
+        checks = [Check("z_sigma", "not applicable", note="Z_sigma: not applicable on a curve")]
+    elif z_sigma[0] < 0.0:
+        tol = Z_SIGMA_TOL * record.sigma * np.max(record.h_max) ** 2
+        checks = [_judged("z_sigma", np.all(z_sigma <= tol), np.max(z_sigma), tol)]
+    else:
+        note = "Z_sigma not negative initially; sign preservation not applicable"
+        checks = [Check("z_sigma", "not applicable", note=note)]
+    # TsoReport.violated allows q_max TSO_TOL above the bound; the bound
+    # is inf at the anchor itself, where the slack is 1
+    slack = 1.0 - np.max(tso.q_max / tso.bound) if tso.q_max.size else None
+    note = " (aborted at validity edge)" if tso.aborted else ""
+    checks.append(_judged("interior_speed_bound", not tso.violated, slack, TSO_TOL, note))
+    worst, tol = np.nanmin(record.smoczyk_min), ENCLOSED_POINT_TOL
+    checks.append(_judged("enclosed_point", worst >= tol, worst, tol))
+    if len(trajectory.snapshots) >= 3:
+        worst, tol = volume_decay_check(trajectory).max_rel_error, VOLUME_DECAY_TOL
+        checks.append(_judged("volume_decay", worst <= tol, worst, tol))
+        if trajectory.dimension == 1:
+            worst = np.max(curve_evolution_residual(trajectory, "H").relative)
+            tol = CURVE_RESIDUAL_TOL
+            checks.append(_judged("curve_residual", worst <= tol, worst, tol))
+    return tuple(checks)

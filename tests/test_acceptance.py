@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from curvflow.flow import estimate_collapse, run_flow
-from curvflow.geometry import geombound_check, mixed_volumes, radius_report
-from curvflow.shapes import make_ellipsoid, make_sphere, random_pinched_body
+from curvflow.geometry import geombound_check, mixed_volumes
+from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.spectral import standard_grid
 from curvflow.speeds import check_conditions, parse_speed
 from curvflow.verify import (
@@ -21,7 +21,7 @@ from curvflow.verify import (
     volume_decay_check,
 )
 
-from _helpers import rescaled_profile, sphere_lifetime
+from _helpers import random_pinched_body, radius_report, rescaled_profile, sphere_lifetime
 
 MEAN2 = "pow_mean,alpha=2"
 

@@ -26,10 +26,11 @@ from curvflow.shapes import (
     make_perturbed_sphere,
     make_sphere,
     parse_shape,
-    random_pinched_body,
     resample,
 )
 from curvflow.spectral import radii_rows, standard_grid
+
+from _helpers import mean_radius, random_pinched_body
 
 
 def translate(body, offset):
@@ -172,7 +173,7 @@ def test_steiner_point_and_recenter():
 
 def test_mean_radius():
     grid = standard_grid(1, 6)
-    assert make_sphere(grid, 2.5).mean_radius() == pytest.approx(2.5, abs=1e-12)
+    assert mean_radius(make_sphere(grid, 2.5)) == pytest.approx(2.5, abs=1e-12)
 
 
 def test_convexity_loss_raises():

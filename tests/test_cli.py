@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvflow import cli, flow, geometry
+from curvflow import cli, flow, geometry, verify
 from curvflow.body import load_snapshot
 from curvflow.cli import (
     EXIT_CONE,
@@ -228,8 +228,8 @@ def test_simulate_output_layout(ellipsoid_dir):
     summary = json.loads((ellipsoid_dir / "summary.json").read_text())
     assert len(snaps) == summary["snapshot_count"]
     assert summary["stop_reason"] == "target_radius"
-    assert summary["tso_violated"] is False
-    assert summary["smoczyk_worst"] > 0.0
+    assert summary["checks"]["interior_speed_bound"]["verdict"] == "ok"
+    assert summary["checks"]["enclosed_point"]["worst"] > 0.0
 
     header = (ellipsoid_dir / "series.csv").read_text().splitlines()[0]
     assert header == (
@@ -394,6 +394,22 @@ def test_simulate_step_limit_is_a_truncated_run(tmp_path, capsys):
     assert summary["steps"] == 1
     assert (out / "series.csv").is_file()
     assert len(list((out / "snapshots").glob("snap_*.json"))) == summary["snapshot_count"] == 2
+
+
+def test_simulate_exits_4_on_a_failed_check_and_still_writes_its_outputs(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(verify, "VOLUME_DECAY_TOL", 0.0)
+    out = tmp_path / "out"
+    path = write_config(tmp_path / "c.json", output=str(out))
+    assert main(["simulate", str(path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "target_radius" in err and "failed checks: volume_decay" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["checks"]["volume_decay"]["verdict"] == "FAIL"
+    assert summary["checks"]["volume_decay"]["tol"] == 0.0
+    assert (out / "config.json").is_file() and (out / "series.csv").is_file()
+    assert len(list((out / "snapshots").glob("snap_*.json"))) == summary["snapshot_count"]
 
 
 def test_simulate_jobs_fan_out(tmp_path, capsys):
@@ -567,6 +583,34 @@ def test_verify_flow_prints_each_margin_within_its_tolerance(ellipsoid_dir, caps
     assert tol == -1e-8 and worst > 0.0
     worst, tol = margins["volume decay identity"]
     assert tol == 1e-2 and 0.0 <= worst < tol
+
+
+_CHECK_LABELS = {
+    "z_sigma": "Z_sigma stays negative",
+    "interior_speed_bound": "interior speed bound",
+    "enclosed_point": "enclosed-point margin",
+    "volume_decay": "volume decay identity",
+    "curve_residual": "curve evolution residual",
+}
+
+
+@pytest.mark.parametrize("run_dir", ["ellipsoid_dir", "sphere_dir", "curve_dir"])
+def test_summary_checks_match_the_verify_flow_lines(run_dir, request, capsys):
+    run = request.getfixturevalue(run_dir)
+    checks = json.loads((run / "summary.json").read_text())["checks"]
+    assert main(["verify", "flow", str(run)]) == EXIT_OK
+    out = capsys.readouterr().out
+    names = set(_CHECK_LABELS) - ({"z_sigma"} if run_dir == "curve_dir" else {"curve_residual"})
+    assert set(checks) == names | {"z_sigma"}
+    for name in names:
+        line = rf"^{re.escape(_CHECK_LABELS[name])}: (\S+) \(\D+ (\S+), tol (\S+)\)$"
+        verdict, worst, tol = re.search(line, out, re.M).groups()
+        assert verdict == checks[name]["verdict"] == "ok"
+        assert worst == f"{checks[name]['worst']:.3e}"
+        assert tol == f"{checks[name]['tol']:.3e}"
+    if run_dir == "curve_dir":
+        assert checks["z_sigma"] == {"verdict": "not applicable", "worst": None, "tol": None}
+        assert "Z_sigma: not applicable on a curve" in out.splitlines()
 
 
 def test_verify_flow_reports_an_unmonitored_speed_bound(ellipsoid_dir, monkeypatch, capsys):

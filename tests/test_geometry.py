@@ -21,7 +21,6 @@ from curvflow.geometry import (
     mixed_volumes,
     mixed_volumes_radii,
     mixed_volumes_support,
-    radius_report,
     volume_decay_rate,
 )
 from curvflow.shapes import (
@@ -30,10 +29,11 @@ from curvflow.shapes import (
     make_perturbed_sphere,
     make_sphere,
     parse_shape,
-    random_pinched_body,
 )
 from curvflow.speeds import make_speed
 from curvflow.spectral import standard_grid
+
+from _helpers import random_pinched_body, radius_report
 
 
 def translate(body, offset):

@@ -20,7 +20,6 @@ from curvflow.spectral import (
     analyze,
     coefficient_count,
     field_from_coefficients,
-    field_from_values,
     radii_rows,
     smooth_grid,
     sphere_area,
@@ -29,6 +28,8 @@ from curvflow.spectral import (
     tangential_derivatives,
     third_derivatives,
 )
+
+from _helpers import field_from_values
 
 # ---------------------------------------------------------------------------
 # round trips and normalization

@@ -6,7 +6,6 @@ from curvflow.body import curvature, support_from_values
 from curvflow.flow import run_flow
 from curvflow.shapes import make_ellipsoid, make_sphere
 from curvflow.spectral import (
-    field_from_values,
     standard_grid,
     tangential_derivatives,
 )
@@ -28,6 +27,8 @@ from curvflow.verify import (
     tso_monitor,
     volume_decay_check,
 )
+
+from _helpers import field_from_values
 
 SUITES = (lemma_pinch_suite, lemma_cest_suite, lemma_traceless_suite, lemma_maclaurin_suite)
 
