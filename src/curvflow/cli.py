@@ -65,9 +65,9 @@ from .verify import (
     DiagnosticsRecord,
     diagnostics_record,
     flow_checks,
-    pinching_monitors,
+    gradient_inequality_monitor,
+    kappa_gap_table,
     run_lemma_suites,
-    speed_lowerbound_fit,
 )
 
 __all__ = [
@@ -508,8 +508,12 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
     sigma = _monitor_sigma(config.sigma, trajectory)
     t0_index = _anchor_index(trajectory, config.t0_anchor)
     record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
+    gradient_margin = None
+    if trajectory.dimension == 2:
+        # on the final snapshot, the roundest body of the run
+        gradient_margin = gradient_inequality_monitor(trajectory.final.body).margin_full
     checks = flow_checks(trajectory, record)
-    estimate = record.speed_fit.estimate
+    estimate = record.collapse
 
     step_sizes = trajectory.step_sizes or (None,) * len(_STEP_SIZE_KEYS)
     summary = {
@@ -530,7 +534,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         "collapse_point": None if estimate is None else [float(x) for x in estimate.point],
         "lambda_hat": record.lambda_hat,
         "speed_exponent": record.speed_exponent,
-        "gradient_margin": record.gradient_margin,
+        "gradient_margin": gradient_margin,
         "tso_aborted": record.tso.aborted,
         "checks": {c.name: {"verdict": c.verdict, "worst": c.worst, "tol": c.tol} for c in checks},
         "final_time": float(trajectory.final.time),
@@ -565,6 +569,11 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
 
 
 def cmd_simulate(args) -> int:
+    try:
+        _check_at_least_one(args.jobs, "--jobs")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
     if args.jobs > 1 and len(args.configs) > 1:
         # imported here: multiprocessing costs every other command its start-up
         from concurrent.futures import ProcessPoolExecutor
@@ -581,15 +590,15 @@ def cmd_simulate(args) -> int:
     return worst
 
 
-def _check_samples(samples: int) -> None:
-    if samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {samples}")
+def _check_at_least_one(value: int, option: str) -> None:
+    if value < 1:
+        raise ValueError(f"{option} must be at least 1, got {value}")
 
 
 def cmd_verify(args) -> int:
     if args.scope == "lemmas":
         try:
-            _check_samples(args.samples)
+            _check_at_least_one(args.samples, "--samples")
             dims = _positive_numbers(args.dimensions, int, "--dimensions")
             reports = run_lemma_suites(dimensions=dims, samples=args.samples)
         except ValueError as exc:
@@ -601,7 +610,7 @@ def cmd_verify(args) -> int:
 
     if args.scope == "speeds":
         try:
-            _check_samples(args.samples)
+            _check_at_least_one(args.samples, "--samples")
             if args.dimension < 2:
                 raise ValueError("verify speeds needs --dimension 2 or more (two principal curvatures)")
             speed = parse_speed(args.speed, args.dimension)
@@ -636,7 +645,7 @@ def cmd_verify(args) -> int:
     if record.speed_exponent is not None:
         print(
             f"speed exponent = {record.speed_exponent:.4g} "
-            f"(expected {record.speed_fit.expected:.4g})"
+            f"(expected {record.expected_exponent:.4g})"
         )
     return EXIT_NUMERICAL if any(check.verdict == "FAIL" for check in checks) else EXIT_OK
 
@@ -651,7 +660,7 @@ def cmd_analyze(args) -> int:
     loaded = _load_run(args.directory)
     if isinstance(loaded, int):
         return loaded
-    trajectory, sigma, _ = loaded
+    trajectory, sigma, t0_index = loaded
 
     rows = []
     for snap in trajectory.snapshots:
@@ -667,8 +676,8 @@ def cmd_analyze(args) -> int:
 
     r_plus = trajectory.r_plus()
     roundness = geombound_check(r_plus, r_plus / trajectory.r_minus(), rhos)
-    pinching = pinching_monitors(trajectory, sigma, epsilons)
-    fit = speed_lowerbound_fit(trajectory)
+    gaps = kappa_gap_table(trajectory, epsilons)
+    record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
 
     print(f"wrote {out_path}")
     print("roundness thresholds (largest safe circumradius):")
@@ -676,14 +685,17 @@ def cmd_analyze(args) -> int:
         print(f"  rho={rho:g}: {_fmt(roundness.thresholds[rho])}")
     print(f"ratio monotone under shrinking r_plus: {'yes' if roundness.ratio_monotone else 'no'}")
     print("pinching-gap constants (worst kappa_max - (1+eps) kappa_min):")
-    for eps, value in zip(epsilons, pinching.c1_table):
+    for eps, value in zip(epsilons, gaps):
         print(f"  eps={eps:g}: {_fmt(value)}")
-    if pinching.lambda_hat is None:
+    if record.lambda_hat is None:
         print("lambda_hat: unavailable")
     else:
-        print(f"lambda_hat: {pinching.lambda_hat:.6g}")
-    if fit.available:
-        print(f"speed exponent: {fit.exponent:.6g} (expected {fit.expected:.6g})")
+        print(f"lambda_hat: {record.lambda_hat:.6g}")
+    if record.speed_exponent is not None:
+        print(
+            f"speed exponent: {record.speed_exponent:.6g} "
+            f"(expected {record.expected_exponent:.6g})"
+        )
     else:
         print("speed exponent: unavailable")
     return EXIT_OK

@@ -8,6 +8,7 @@ contraction theory says must stay one-signed: the pinching quantity Z_sigma,
 the time-interior speed bound, the enclosed-point expansion margin, the
 gradient inequality, and the exact volume-decay identity.
 
+``diagnostics_record`` computes each per-snapshot monitor value once.
 Monitors never assert; they return reports.  ``flow_checks`` alone judges
 them against the tolerances below, for ``simulate`` and ``verify flow`` alike.
 """
@@ -42,20 +43,14 @@ __all__ = [
     "run_lemma_suites",
     "GradientInequalityReport",
     "gradient_inequality_monitor",
-    "PinchingReport",
-    "pinching_monitors",
-    "TsoReport",
-    "tso_monitor",
-    "SmoczykReport",
-    "smoczyk_monitor",
-    "SpeedFitReport",
-    "speed_lowerbound_fit",
     "CurveResidualReport",
     "curve_evolution_residual",
     "VolumeDecayReport",
     "volume_decay_check",
+    "TsoReport",
     "DiagnosticsRecord",
     "diagnostics_record",
+    "kappa_gap_table",
     "Check",
     "flow_checks",
     "Z_SIGMA_TOL",
@@ -89,8 +84,6 @@ VOLUME_DECAY_TOL = 1e-2
 # resolve its curvature.  A corrupted snapshot or a blown-up step reads far
 # above the tolerance.
 CURVE_RESIDUAL_TOL = 0.25
-
-DEFAULT_EPS_GRID = (0.01, 0.05, 0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -406,255 +399,6 @@ def gradient_inequality_monitor(body: SupportFunction) -> GradientInequalityRepo
 
 
 # ---------------------------------------------------------------------------
-# trajectory monitors
-
-
-@dataclass(frozen=True)
-class PinchingReport:
-    """Per-snapshot pinching diagnostics plus the fitted decay exponent."""
-
-    sigma: float
-    times: np.ndarray
-    pinch_max: np.ndarray  # max |A-circ|^2 / H^2
-    z_sigma_max: np.ndarray  # max (|A-circ|^2 - sigma H^2)
-    h_max: np.ndarray
-    lambda_hat: float | None
-    eps_grid: np.ndarray
-    c1_table: np.ndarray  # max (kappa_max - (1+eps) kappa_min) per eps
-
-
-def pinching_monitors(
-    trajectory: Trajectory,
-    sigma: float,
-    eps_grid=DEFAULT_EPS_GRID,
-) -> PinchingReport:
-    """Track Z_sigma, the worst pinching ratio, and the decay exponent.
-
-    lambda_hat is minus the slope of log(max pinch ratio) against
-    log(max H / h0) over snapshots where max H has reached its initial
-    supremum h0; fewer than five usable snapshots (the round case) leaves
-    it None.
-    """
-    snaps = trajectory.snapshots
-    times = trajectory.times()
-    pinch = np.empty(len(snaps))
-    z_sigma = np.empty(len(snaps))
-    h_max = np.empty(len(snaps))
-    kappa_spread = np.empty((len(snaps), len(tuple(eps_grid))))
-    eps_grid = np.asarray(tuple(eps_grid), dtype=float)
-    for i, snap in enumerate(snaps):
-        curv = snap.curv
-        ratio = curv.traceless_norm2 / curv.mean**2
-        pinch[i] = ratio.max()
-        z_sigma[i] = (curv.traceless_norm2 - sigma * curv.mean**2).max()
-        h_max[i] = curv.mean.max()
-        lo, hi = curv.kappa[:, 0], curv.kappa[:, -1]
-        kappa_spread[i] = np.max(hi[None, :] - (1.0 + eps_grid)[:, None] * lo[None, :], axis=1)
-
-    lambda_hat = None
-    h0 = h_max[0]
-    # requiring a genuinely nonzero ratio keeps round bodies out of the fit
-    mask = (h_max >= h0) & (pinch > 1e-12)
-    if np.count_nonzero(mask) >= 5:
-        slope = np.polyfit(np.log(h_max[mask] / h0), np.log(pinch[mask]), 1)[0]
-        lambda_hat = float(-slope)
-
-    return PinchingReport(
-        sigma=float(sigma),
-        times=times,
-        pinch_max=pinch,
-        z_sigma_max=z_sigma,
-        h_max=h_max,
-        lambda_hat=lambda_hat,
-        eps_grid=eps_grid,
-        c1_table=kappa_spread.max(axis=0),
-    )
-
-
-@dataclass(frozen=True)
-class TsoReport:
-    """Interior speed bound anchored at one snapshot.
-
-    Monitoring runs from ``t0_index`` until the support over the anchor's
-    incenter stops dominating half the anchor inradius; crossing that line
-    aborts the monitor with a witness (an abort is a lost precondition, not
-    a violated bound).
-    """
-
-    t0_index: int
-    origin: np.ndarray
-    r0: float
-    sigma: float
-    c_tilde: float
-    times: np.ndarray
-    q_max: np.ndarray
-    bound: np.ndarray
-    aborted: bool
-    abort_index: int | None
-    abort_witness: tuple[int, float] | None
-
-    @property
-    def violated(self) -> bool:
-        with np.errstate(invalid="ignore"):
-            return bool(np.any(self.q_max > self.bound * (1.0 + TSO_TOL) + 1e-12))
-
-
-def tso_monitor(
-    trajectory: Trajectory,
-    t0_index: int = 0,
-    sigma: float | None = None,
-) -> TsoReport:
-    """Bound F / (2<X, u> - r0) from the anchor snapshot onwards.
-
-    The origin moves to the anchor incenter and r0 is the anchor inradius.
-    sigma defaults to the pinching bound measured over the monitored window;
-    it feeds the comparison constant
-    c = alpha (1 - sqrt(n(n-1) sigma)) / (n (1 + sqrt(n(n-1) sigma))).
-    """
-    speed = trajectory.speed
-    n, alpha = speed.dimension, speed.alpha
-    snaps = trajectory.snapshots
-    if not 0 <= t0_index < len(snaps):
-        raise IndexError("anchor snapshot index out of range")
-    anchor = snaps[t0_index]
-    origin = np.asarray(anchor.radii.incenter, dtype=float)
-    r0 = float(anchor.radii.r_minus)
-    t0 = anchor.time
-
-    if sigma is None:
-        sigma = max(
-            float((s.curv.traceless_norm2 / s.curv.mean**2).max()) for s in snaps[t0_index:]
-        )
-    root = np.sqrt(n * (n - 1) * sigma) if n > 1 else 0.0
-    if root >= 1.0:
-        raise ValueError("measured pinching too large for the comparison constant")
-    c_tilde = alpha * (1.0 - root) / (n * (1.0 + root))
-
-    times, q_max, bound = [], [], []
-    aborted, abort_index, abort_witness = False, None, None
-    flat_bound = (2.0 * (1.0 + alpha) / c_tilde) ** alpha * r0 ** -(1.0 + alpha)
-    decay_front = ((1.0 + alpha) * c_tilde / (2.0 * alpha)) ** (-alpha / (1.0 + alpha)) / r0
-    for i in range(t0_index, len(snaps)):
-        snap = snaps[i]
-        stilde = snap.body.values - snap.body.grid.nodes @ origin
-        denom = 2.0 * stilde - r0
-        worst = int(np.argmin(denom))
-        if denom[worst] <= 0.0:
-            aborted = True
-            abort_index = i
-            abort_witness = (worst, float(denom[worst]))
-            break
-        times.append(snap.time)
-        q_max.append(float(np.max(snap.speed_values / denom)))
-        dt = snap.time - t0
-        decay = np.inf if dt <= 0.0 else decay_front * dt ** (-alpha / (1.0 + alpha))
-        bound.append(max(flat_bound, decay))
-
-    return TsoReport(
-        t0_index=t0_index,
-        origin=origin,
-        r0=r0,
-        sigma=float(sigma),
-        c_tilde=float(c_tilde),
-        times=np.array(times),
-        q_max=np.array(q_max),
-        bound=np.array(bound),
-        aborted=aborted,
-        abort_index=abort_index,
-        abort_witness=abort_witness,
-    )
-
-
-@dataclass(frozen=True)
-class SmoczykReport:
-    """Minimum of <X - p, u> + (1 + alpha)(t - t0) F per snapshot."""
-
-    t0_index: int
-    point: np.ndarray
-    times: np.ndarray
-    margins: np.ndarray
-
-    @property
-    def worst(self) -> float:
-        return float(self.margins.min())
-
-
-def smoczyk_monitor(
-    trajectory: Trajectory,
-    t0_index: int = 0,
-    point: np.ndarray | None = None,
-) -> SmoczykReport:
-    """Expansion margin for a point enclosed at the anchor snapshot.
-
-    The point must lie strictly inside the anchor body (support minus the
-    point's lift positive everywhere); afterwards the combination
-    <X - p, u> + (1 + alpha)(t - t0) F should stay nonnegative.
-    """
-    snaps = trajectory.snapshots
-    if not 0 <= t0_index < len(snaps):
-        raise IndexError("anchor snapshot index out of range")
-    anchor = snaps[t0_index]
-    if point is None:
-        point = anchor.radii.incenter
-    point = np.asarray(point, dtype=float)
-
-    lifted = anchor.body.grid.nodes @ point
-    slack = anchor.body.values - lifted
-    if slack.min() <= 0.0:
-        worst = int(np.argmin(slack))
-        raise ValueError(
-            f"point is not strictly inside the anchor body "
-            f"(support slack {slack[worst]:.3e} at node {worst})"
-        )
-
-    alpha = trajectory.speed.alpha
-    t0 = anchor.time
-    times = np.array([s.time for s in snaps[t0_index:]])
-    margins = np.empty(times.size)
-    for j, i in enumerate(range(t0_index, len(snaps))):
-        snap = snaps[i]
-        stilde = snap.body.values - snap.body.grid.nodes @ point
-        margins[j] = float(np.min(stilde + (1.0 + alpha) * (snap.time - t0) * snap.speed_values))
-    return SmoczykReport(t0_index=t0_index, point=point, times=times, margins=margins)
-
-
-@dataclass(frozen=True)
-class SpeedFitReport:
-    """Log-log fit of the minimum speed against time to collapse."""
-
-    available: bool
-    exponent: float | None
-    expected: float
-    times: np.ndarray
-    f_min: np.ndarray
-    estimate: CollapseEstimate | None
-
-
-def speed_lowerbound_fit(trajectory: Trajectory, tail_fraction: float = 0.3) -> SpeedFitReport:
-    """Fit log(min F) ~ slope * log(T - t) over the trajectory tail.
-
-    The theory pins the slope at -alpha/(1+alpha).  Fewer than five usable
-    tail snapshots make the fit unavailable.
-    """
-    speed = trajectory.speed
-    expected = -speed.alpha / (1.0 + speed.alpha)
-    estimate = estimate_collapse(trajectory) if len(trajectory.snapshots) >= 2 else None
-
-    times = trajectory.times()
-    f_min = np.array([float(s.speed_values.min()) for s in trajectory.snapshots])
-    count = max(int(np.ceil(tail_fraction * times.size)), 1)
-    keep = np.zeros(times.size, dtype=bool)
-    keep[-count:] = True
-    if estimate is not None:
-        keep &= times < estimate.time
-    if estimate is None or np.count_nonzero(keep) < 5:
-        return SpeedFitReport(False, None, expected, times, f_min, estimate)
-
-    slope = np.polyfit(np.log(estimate.time - times[keep]), np.log(f_min[keep]), 1)[0]
-    return SpeedFitReport(True, float(slope), expected, times, f_min, estimate)
-
-
-# ---------------------------------------------------------------------------
 # evolution-equation residuals
 
 
@@ -791,34 +535,61 @@ def volume_decay_check(trajectory: Trajectory) -> VolumeDecayReport:
 
 
 # ---------------------------------------------------------------------------
-# aggregated per-snapshot diagnostics
+# the per-snapshot monitor record
+
+
+@dataclass(frozen=True)
+class TsoReport:
+    """Interior speed bound anchored at one snapshot.
+
+    Monitoring runs from ``t0_index`` until the support over the anchor's
+    incenter stops dominating half the anchor inradius; crossing that line
+    aborts the monitor with a witness (an abort is a lost precondition, not
+    a violated bound).  ``q_max`` and ``bound`` hold the monitored
+    snapshots, from the anchor up to the abort.
+    """
+
+    t0_index: int
+    origin: np.ndarray
+    r0: float
+    sigma: float
+    c_tilde: float
+    q_max: np.ndarray
+    bound: np.ndarray
+    aborted: bool
+    abort_index: int | None
+    abort_witness: tuple[int, float] | None
+
+    @property
+    def violated(self) -> bool:
+        with np.errstate(invalid="ignore"):
+            return bool(np.any(self.q_max > self.bound * (1.0 + TSO_TOL) + 1e-12))
 
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """Everything the monitors say about one trajectory, snapshot-aligned.
+    """Every trajectory monitor's values for one run, snapshot-aligned.
 
-    Array fields have one entry per snapshot; the Tso and enclosed-point
-    columns are NaN before the anchor index or after a Tso abort.
+    Array fields have one entry per snapshot.  ``q_max`` and ``q_bound``
+    are NaN before the anchor index and from a Tso abort on;
+    ``smoczyk_min`` is NaN before the anchor index only.
     """
 
     times: np.ndarray
     h_max: np.ndarray
     f_min: np.ndarray
     f_max: np.ndarray
-    pinch_max: np.ndarray
-    z_sigma_max: np.ndarray
-    q_max: np.ndarray
+    pinch_max: np.ndarray  # max |A-circ|^2 / H^2
+    z_sigma_max: np.ndarray  # max (|A-circ|^2 - sigma H^2)
+    q_max: np.ndarray  # max F / (2<X - origin, u> - r0)
     q_bound: np.ndarray
-    smoczyk_min: np.ndarray
+    smoczyk_min: np.ndarray  # min <X - origin, u> + (1 + alpha)(t - t0) F
     sigma: float
     lambda_hat: float | None
     speed_exponent: float | None
-    gradient_margin: float | None
-    pinching: PinchingReport
+    expected_exponent: float
+    collapse: CollapseEstimate | None
     tso: TsoReport
-    smoczyk: SmoczykReport
-    speed_fit: SpeedFitReport
 
 
 def diagnostics_record(
@@ -826,52 +597,129 @@ def diagnostics_record(
     sigma: float,
     t0_index: int = 0,
 ) -> DiagnosticsRecord:
-    """Run every trajectory monitor once and align the outputs per snapshot.
+    """Every trajectory monitor's values, each computed once per snapshot.
 
-    The gradient-inequality margin is evaluated on the final snapshot (the
-    roundest body of the run) for surfaces; curves have none.
+    Per snapshot: the worst pinching ratio, Z_sigma and max H; the speed's
+    extremes; and, from the anchor snapshot ``t0_index`` on, with the origin
+    moved to the anchor incenter and r0 the anchor inradius, the interior
+    speed bound Q = F / (2<X, u> - r0) and the enclosed-point margin
+    <X, u> + (1 + alpha)(t - t0) F.  The Tso comparison constant
+    c = alpha (1 - sqrt(n(n-1) s)) / (n (1 + sqrt(n(n-1) s))) takes s, the
+    worst pinching ratio from the anchor on.
+
+    lambda_hat is minus the slope of log(max pinch ratio) against
+    log(max H / h0) over snapshots where max H has reached its initial
+    supremum h0; fewer than five usable snapshots (the round case) leave it
+    None.  ``speed_exponent`` is the slope of log(min F) against
+    log(T - t) over the last 30% of the snapshots before the estimated
+    collapse time T; the theory pins it at ``expected_exponent`` =
+    -alpha/(1+alpha), and fewer than five tail snapshots leave it None.
     """
+    speed = trajectory.speed
+    n, alpha = speed.dimension, speed.alpha
     snaps = trajectory.snapshots
-
-    pinching = pinching_monitors(trajectory, sigma)
-    tso = tso_monitor(trajectory, t0_index, sigma=np.max(pinching.pinch_max[t0_index:]))
-    smoczyk = smoczyk_monitor(trajectory, t0_index)
-    fit = speed_lowerbound_fit(trajectory)
-
+    if not 0 <= t0_index < len(snaps):
+        raise IndexError("anchor snapshot index out of range")
     count = len(snaps)
-    f_max = np.array([snap.speed_values.max() for snap in snaps])
+    times = trajectory.times()
 
-    q_max = np.full(count, np.nan)
-    q_bound = np.full(count, np.nan)
-    stop = t0_index + tso.times.size
-    q_max[t0_index:stop] = tso.q_max
-    q_bound[t0_index:stop] = tso.bound
-    smoczyk_min = np.full(count, np.nan)
-    smoczyk_min[t0_index : t0_index + smoczyk.margins.size] = smoczyk.margins
+    pinch, z_sigma, h_max, f_min, f_max = (np.empty(count) for _ in range(5))
+    for i, snap in enumerate(snaps):
+        curv, f_vals = snap.curv, snap.speed_values
+        pinch[i] = (curv.traceless_norm2 / curv.mean**2).max()
+        z_sigma[i] = (curv.traceless_norm2 - sigma * curv.mean**2).max()
+        h_max[i] = curv.mean.max()
+        f_min[i] = f_vals.min()
+        f_max[i] = f_vals.max()
 
-    gradient_margin = None
-    if trajectory.dimension == 2:
-        gradient_margin = gradient_inequality_monitor(snaps[-1].body).margin_full
+    lambda_hat = None
+    h0 = h_max[0]
+    # requiring a genuinely nonzero ratio keeps round bodies out of the fit
+    mask = (h_max >= h0) & (pinch > 1e-12)
+    if np.count_nonzero(mask) >= 5:
+        slope = np.polyfit(np.log(h_max[mask] / h0), np.log(pinch[mask]), 1)[0]
+        lambda_hat = float(-slope)
+
+    anchor = snaps[t0_index]
+    origin = np.asarray(anchor.radii.incenter, dtype=float)
+    r0 = float(anchor.radii.r_minus)
+    t0 = anchor.time
+    tso_sigma = np.max(pinch[t0_index:])
+    root = np.sqrt(n * (n - 1) * tso_sigma) if n > 1 else 0.0
+    if root >= 1.0:
+        raise ValueError("measured pinching too large for the comparison constant")
+    c_tilde = alpha * (1.0 - root) / (n * (1.0 + root))
+    flat_bound = (2.0 * (1.0 + alpha) / c_tilde) ** alpha * r0 ** -(1.0 + alpha)
+    decay_front = ((1.0 + alpha) * c_tilde / (2.0 * alpha)) ** (-alpha / (1.0 + alpha)) / r0
+
+    q_max, q_bound, smoczyk_min = (np.full(count, np.nan) for _ in range(3))
+    stop, abort_witness = count, None
+    for i in range(t0_index, count):
+        snap = snaps[i]
+        stilde = snap.body.values - snap.body.grid.nodes @ origin
+        smoczyk_min[i] = np.min(stilde + (1.0 + alpha) * (snap.time - t0) * snap.speed_values)
+        if abort_witness is not None:
+            continue
+        denom = 2.0 * stilde - r0
+        worst = int(np.argmin(denom))
+        if denom[worst] <= 0.0:
+            stop, abort_witness = i, (worst, float(denom[worst]))
+            continue
+        q_max[i] = np.max(snap.speed_values / denom)
+        dt = snap.time - t0
+        decay = np.inf if dt <= 0.0 else decay_front * dt ** (-alpha / (1.0 + alpha))
+        q_bound[i] = max(flat_bound, decay)
+
+    tso = TsoReport(
+        t0_index=t0_index,
+        origin=origin,
+        r0=r0,
+        sigma=float(tso_sigma),
+        c_tilde=float(c_tilde),
+        q_max=q_max[t0_index:stop],
+        bound=q_bound[t0_index:stop],
+        aborted=abort_witness is not None,
+        abort_index=None if abort_witness is None else stop,
+        abort_witness=abort_witness,
+    )
+
+    collapse = estimate_collapse(trajectory) if count >= 2 else None
+    speed_exponent = None
+    keep = np.zeros(count, dtype=bool)
+    keep[-max(int(np.ceil(0.3 * count)), 1) :] = True
+    if collapse is not None:
+        keep &= times < collapse.time
+        if np.count_nonzero(keep) >= 5:
+            slope = np.polyfit(np.log(collapse.time - times[keep]), np.log(f_min[keep]), 1)[0]
+            speed_exponent = float(slope)
 
     return DiagnosticsRecord(
-        times=trajectory.times(),
-        h_max=pinching.h_max,
-        f_min=fit.f_min,
+        times=times,
+        h_max=h_max,
+        f_min=f_min,
         f_max=f_max,
-        pinch_max=pinching.pinch_max,
-        z_sigma_max=pinching.z_sigma_max,
+        pinch_max=pinch,
+        z_sigma_max=z_sigma,
         q_max=q_max,
         q_bound=q_bound,
         smoczyk_min=smoczyk_min,
         sigma=float(sigma),
-        lambda_hat=pinching.lambda_hat,
-        speed_exponent=fit.exponent,
-        gradient_margin=gradient_margin,
-        pinching=pinching,
+        lambda_hat=lambda_hat,
+        speed_exponent=speed_exponent,
+        expected_exponent=-alpha / (1.0 + alpha),
+        collapse=collapse,
         tso=tso,
-        smoczyk=smoczyk,
-        speed_fit=fit,
     )
+
+
+def kappa_gap_table(trajectory: Trajectory, eps_grid) -> np.ndarray:
+    """The worst kappa_max - (1 + eps) kappa_min over the run, per eps."""
+    eps_grid = np.asarray(tuple(eps_grid), dtype=float)
+    gaps = np.empty((len(trajectory.snapshots), eps_grid.size))
+    for i, snap in enumerate(trajectory.snapshots):
+        lo, hi = snap.curv.kappa[:, 0], snap.curv.kappa[:, -1]
+        gaps[i] = np.max(hi[None, :] - (1.0 + eps_grid)[:, None] * lo[None, :], axis=1)
+    return gaps.max(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from curvflow.cli import (
 from curvflow.shapes import parse_shape
 from curvflow.spectral import standard_grid
 from curvflow.speeds import Speed, parse_speed
-from curvflow.verify import diagnostics_record
+from curvflow.verify import diagnostics_record, kappa_gap_table
 
 
 def write_config(path, **overrides):
@@ -424,6 +424,16 @@ def test_simulate_jobs_fan_out(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_simulate_jobs_below_one_is_a_precondition_failure(jobs, tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", degree=6, output=str(tmp_path / "out"))
+    assert main(["simulate", str(path), "--jobs", jobs]) == EXIT_PRECONDITION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --jobs must be at least 1, got {jobs}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # trajectory round trip
 
@@ -620,7 +630,7 @@ def test_verify_flow_reports_an_unmonitored_speed_bound(ellipsoid_dir, monkeypat
         record = real_record(*args, **kwargs)
         empty = np.array([])
         tso = dataclasses.replace(
-            record.tso, times=empty, q_max=empty, bound=empty, aborted=True,
+            record.tso, q_max=empty, bound=empty, aborted=True,
             abort_index=record.tso.t0_index, abort_witness=(0, -1.0),
         )
         return dataclasses.replace(record, tso=tso)
@@ -643,6 +653,49 @@ def test_verify_flow_computes_each_speed_value_once(ellipsoid_dir, monkeypatch, 
     assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK
     capsys.readouterr()
     assert len(calls) == len(list((ellipsoid_dir / "snapshots").glob("snap_*.json")))
+
+
+def test_each_command_computes_only_the_values_it_reports(
+    ellipsoid_dir, tmp_path, monkeypatch, capsys
+):
+    calls = {"gradient": 0, "gaps": 0, "record": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for module in (cli, verify):
+        monkeypatch.setattr(
+            module,
+            "gradient_inequality_monitor",
+            counting("gradient", verify.gradient_inequality_monitor),
+        )
+        monkeypatch.setattr(module, "kappa_gap_table", counting("gaps", verify.kappa_gap_table))
+    monkeypatch.setattr(cli, "diagnostics_record", counting("record", verify.diagnostics_record))
+
+    assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK
+    assert calls == {"gradient": 0, "gaps": 0, "record": 1}
+
+    calls.update(record=0)
+    assert main(["analyze", str(ellipsoid_dir)]) == EXIT_OK
+    assert calls == {"gradient": 0, "gaps": 1, "record": 1}
+
+    calls.update(gaps=0, record=0)
+    surface = write_config(tmp_path / "surface.json", degree=6, output=str(tmp_path / "surface"))
+    assert main(["simulate", str(surface)]) == EXIT_OK
+    assert calls == {"gradient": 1, "gaps": 0, "record": 1}
+
+    calls.update(gradient=0, record=0)
+    curve = write_config(
+        tmp_path / "curve.json", dimension=1, shape="ellipsoid 1 1.2", degree=16,
+        output=str(tmp_path / "curve"),
+    )
+    assert main(["simulate", str(curve)]) == EXIT_OK
+    assert calls == {"gradient": 0, "gaps": 0, "record": 1}
+    capsys.readouterr()
 
 
 def test_verify_flow_missing_dir(tmp_path, capsys):
@@ -844,6 +897,22 @@ def test_analyze_sphere_run_degenerate_diagnostics(sphere_dir, capsys):
     out = capsys.readouterr().out
     assert "lambda_hat: unavailable" in out
     assert "inf" in out
+
+
+def test_analyze_prints_its_own_grids_and_the_record(ellipsoid_dir, capsys):
+    argv = ["analyze", str(ellipsoid_dir), "--eps-grid", "0.2,0.3", "--rho-grid", "0.1"]
+    assert main(argv) == EXIT_OK
+    out = capsys.readouterr().out
+    trajectory, summary = load_trajectory(ellipsoid_dir)
+    gaps = kappa_gap_table(trajectory, (0.2, 0.3))
+    assert re.findall(r"^  eps=(\S+): (\S+)$", out, re.M) == [
+        ("0.2", repr(float(gaps[0]))),
+        ("0.3", repr(float(gaps[1]))),
+    ]
+    assert re.findall(r"^  rho=(\S+): ", out, re.M) == ["0.1"]
+    assert re.search(r"^lambda_hat: (\S+)$", out, re.M)[1] == f"{summary['lambda_hat']:.6g}"
+    exponent = re.search(r"^speed exponent: (\S+) \(expected", out, re.M)[1]
+    assert exponent == f"{summary['speed_exponent']:.6g}"
 
 
 @pytest.mark.parametrize("option", ["--rho-grid", "--eps-grid"])

@@ -16,15 +16,12 @@ from curvflow.verify import (
     curve_evolution_residual,
     diagnostics_record,
     gradient_inequality_monitor,
+    kappa_gap_table,
     lemma_cest_suite,
     lemma_maclaurin_suite,
     lemma_pinch_suite,
     lemma_traceless_suite,
-    pinching_monitors,
     run_lemma_suites,
-    smoczyk_monitor,
-    speed_lowerbound_fit,
-    tso_monitor,
     volume_decay_check,
 )
 
@@ -202,18 +199,18 @@ def test_gradient_monitor_rejects_curves():
 
 
 def test_pinching_monitors_sphere(sphere_run):
-    report = pinching_monitors(sphere_run, sigma=0.01)
+    report = diagnostics_record(sphere_run, sigma=0.01)
     assert np.all(report.pinch_max <= 1e-10)
     assert np.all(report.z_sigma_max < 0.0)
     assert report.lambda_hat is None
-    assert np.all(report.c1_table < 0.0)
+    assert np.all(kappa_gap_table(sphere_run, (0.01, 0.05, 0.1, 0.5)) < 0.0)
     assert report.times.shape == report.h_max.shape
 
 
 def test_pinching_monitors_ellipsoid(ellipsoid_run):
-    first = pinching_monitors(ellipsoid_run, sigma=1.0)
+    first = diagnostics_record(ellipsoid_run, sigma=1.0)
     sigma = 1.05 * first.pinch_max[0]
-    report = pinching_monitors(ellipsoid_run, sigma=sigma)
+    report = diagnostics_record(ellipsoid_run, sigma=sigma)
 
     assert report.z_sigma_max[0] < 0.0
     # one-signed up to roundoff relative to sigma H^2
@@ -229,7 +226,7 @@ def test_pinching_monitors_ellipsoid(ellipsoid_run):
 
 
 def test_tso_sphere_matches_closed_form(sphere_run):
-    report = tso_monitor(sphere_run)
+    report = diagnostics_record(sphere_run, sigma=0.01).tso
     r0 = report.r0
     assert r0 == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.abs(report.origin) < 1e-6)
@@ -249,17 +246,22 @@ def test_tso_aborts_past_half_inradius():
     grid = standard_grid(2, 8)
     speed = make_speed("mean", 2, alpha=2.0)
     run = run_flow(make_sphere(grid, 1.0), speed, stop_fraction=0.4, snapshot_every=1)
-    report = tso_monitor(run)
+    record = diagnostics_record(run, sigma=0.01)
+    report = record.tso
     assert report.aborted
     assert report.abort_index is not None
     assert report.abort_witness is not None and report.abort_witness[1] <= 0.0
-    assert report.times.size == report.abort_index
+    assert report.q_max.size == report.abort_index
     assert run.r_minus()[report.abort_index] <= 0.5 + 1e-6
+    # the Tso columns stop at the abort, the enclosed-point column does not
+    assert np.all(np.isnan(record.q_max[report.abort_index :]))
+    assert np.all(np.isnan(record.q_bound[report.abort_index :]))
+    assert np.all(np.isfinite(record.smoczyk_min))
 
 
 def test_tso_anchor_out_of_range(sphere_run):
     with pytest.raises(IndexError):
-        tso_monitor(sphere_run, t0_index=len(sphere_run.snapshots))
+        diagnostics_record(sphere_run, sigma=0.01, t0_index=len(sphere_run.snapshots))
 
 
 # ---------------------------------------------------------------------------
@@ -267,17 +269,12 @@ def test_tso_anchor_out_of_range(sphere_run):
 
 
 def test_smoczyk_sphere_matches_closed_form(sphere_run):
-    report = smoczyk_monitor(sphere_run)
+    margins = diagnostics_record(sphere_run, sigma=0.01).smoczyk_min
     radii = sphere_run.r_minus()
     times = sphere_run.times()
     expected = radii + 3.0 * times * 4.0 * radii**-2
-    assert np.allclose(report.margins, expected, rtol=1e-4)
-    assert report.worst > 0.0
-
-
-def test_smoczyk_rejects_outside_point(sphere_run):
-    with pytest.raises(ValueError):
-        smoczyk_monitor(sphere_run, point=np.array([2.0, 0.0, 0.0]))
+    assert np.allclose(margins, expected, rtol=1e-4)
+    assert margins.min() > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +282,9 @@ def test_smoczyk_rejects_outside_point(sphere_run):
 
 
 def test_speed_fit_sphere_exponent(sphere_run):
-    report = speed_lowerbound_fit(sphere_run)
-    assert report.available
-    assert report.exponent == pytest.approx(-2.0 / 3.0, abs=0.02)
-    assert report.expected == pytest.approx(-2.0 / 3.0, abs=1e-12)
+    report = diagnostics_record(sphere_run, sigma=0.01)
+    assert report.speed_exponent == pytest.approx(-2.0 / 3.0, abs=0.02)
+    assert report.expected_exponent == pytest.approx(-2.0 / 3.0, abs=1e-12)
     assert np.all(report.f_min > 0.0)
 
 
@@ -296,9 +292,8 @@ def test_speed_fit_unavailable_with_few_snapshots():
     grid = standard_grid(2, 8)
     speed = make_speed("mean", 2, alpha=2.0)
     run = run_flow(make_sphere(grid, 1.0), speed, snapshot_every=10, max_steps=20)
-    report = speed_lowerbound_fit(run)
-    assert not report.available
-    assert report.exponent is None
+    report = diagnostics_record(run, sigma=0.01)
+    assert report.speed_exponent is None
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +357,7 @@ def test_volume_decay_ellipsoid_within_percent(ellipsoid_run):
 
 
 def test_diagnostics_record_alignment(ellipsoid_run):
-    first = pinching_monitors(ellipsoid_run, sigma=1.0)
+    first = diagnostics_record(ellipsoid_run, sigma=1.0)
     sigma = 1.05 * first.pinch_max[0]
     record = diagnostics_record(ellipsoid_run, sigma=sigma)
 
@@ -385,6 +380,6 @@ def test_diagnostics_record_alignment(ellipsoid_run):
     assert np.all(record.f_min > 0.0)
     assert record.lambda_hat is not None and record.lambda_hat > 0.0
     assert record.speed_exponent == pytest.approx(-2.0 / 3.0, abs=0.1)
-    assert record.gradient_margin is not None
+    assert record.collapse is not None and record.collapse.time > record.times[-1]
     assert not record.tso.violated
     assert record.sigma == pytest.approx(sigma)
