@@ -6,6 +6,11 @@ matrix ``R = Hess s + s * id`` (covariant Hessian with respect to the round
 metric, orthonormal frame) has the principal radii of curvature as
 eigenvalues; positivity of R is exactly uniform convexity, and the inverse
 eigenvalues are the principal curvatures of the boundary hypersurface.
+
+The body type is ``spectral.SpectralField`` itself, named ``SupportFunction``
+here: a body is its support function's field, with no state beside it.
+``elementary_symmetric`` is the one kernel for sigma_0 .. sigma_n; the
+curvature field, the speeds and the Maclaurin suite all read it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb
 
 import numpy as np
 
@@ -21,7 +25,6 @@ from .spectral import (
     SphereGrid,
     SpectralField,
     analyze,
-    field_from_coefficients,
     radii_rows,
     standard_grid,
 )
@@ -31,6 +34,7 @@ __all__ = [
     "SupportFunction",
     "CurvatureField",
     "PinchingStatus",
+    "elementary_symmetric",
     "support_from_values",
     "support_from_coefficients",
     "curvature",
@@ -62,34 +66,30 @@ class ConvexityLostError(RuntimeError):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class SupportFunction:
-    """A support function on the standard grid: the body's full state."""
-
-    grid: SphereGrid
-    field: SpectralField
-
-    @property
-    def dimension(self) -> int:
-        return self.grid.dimension
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.field.values
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self.field.coefficients
+# a body is the spectral field of its support function: its full state
+SupportFunction = SpectralField
 
 
 def support_from_values(grid: SphereGrid, values: np.ndarray) -> SupportFunction:
     if not np.all(np.isfinite(values)):
         raise ValueError("support function is non-finite on some node")
-    return SupportFunction(grid, SpectralField(grid, analyze(grid, values)))
+    return SupportFunction(grid, analyze(grid, values))
 
 
 def support_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> SupportFunction:
-    return SupportFunction(grid, field_from_coefficients(grid, coefficients))
+    return SupportFunction(grid, coefficients)
+
+
+def elementary_symmetric(x) -> list[np.ndarray]:
+    """sigma_0 .. sigma_n of the n entries along the last axis of ``x``, one
+    array each, by the recursion that appends one entry at a time:
+    sigma_k <- sigma_k + x_i sigma_(k-1)."""
+    x = np.asarray(x, dtype=float)
+    sigma = [np.ones(x.shape[:-1])]
+    for i in range(x.shape[-1]):
+        column = x[..., i]
+        sigma = [sigma[0], *(a + column * b for a, b in zip(sigma[1:], sigma)), column * sigma[-1]]
+    return sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,8 +102,6 @@ class CurvatureField:
     Runge-Kutta stage) never pays for them.  ``radii_sigma[:, k]`` is the
     k-th elementary symmetric function of the principal radii (so
     ``radii_sigma[:, n]`` is the Gauss-chart area element det R).
-    ``elementary[:, k]`` is the normalized mean E_k = sigma_k(kappa) / C(n, k),
-    so E_k = 1 on the unit sphere.
     """
 
     kappa: np.ndarray
@@ -112,13 +110,7 @@ class CurvatureField:
     # slow loops over a short last axis
     @cached_property
     def radii_sigma(self) -> np.ndarray:
-        return np.column_stack(_elementary_symmetric(1.0 / self.kappa))
-
-    @cached_property
-    def elementary(self) -> np.ndarray:
-        n = self.kappa.shape[1]
-        sigma = _elementary_symmetric(self.kappa)
-        return np.column_stack([sigma_k / comb(n, k) for k, sigma_k in enumerate(sigma)])
+        return np.column_stack(elementary_symmetric(1.0 / self.kappa))
 
     @cached_property
     def mean(self) -> np.ndarray:
@@ -134,15 +126,6 @@ class CurvatureField:
     @property
     def area_element(self) -> np.ndarray:
         return self.radii_sigma[:, -1]
-
-
-def _elementary_symmetric(x):
-    """Columns sigma_0 .. sigma_n of the elementary symmetric functions of
-    the n columns of ``x``."""
-    sigma = [np.ones(x.shape[0])]
-    for column in x.T:
-        sigma = [sigma[0], *(a + column * b for a, b in zip(sigma[1:], sigma)), column * sigma[-1]]
-    return sigma
 
 
 _TINY = np.finfo(float).tiny
@@ -204,7 +187,7 @@ def curvature(body: SupportFunction, convexity_tol: float = DEFAULT_CONVEXITY_TO
         If the smallest radii eigenvalue at any node falls below
         ``convexity_tol`` times the body scale.
     """
-    return _curvature_from_radii_data(radii_rows(body.field), convexity_tol)
+    return _curvature_from_radii_data(radii_rows(body), convexity_tol)
 
 
 @dataclass(frozen=True)

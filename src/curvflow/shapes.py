@@ -94,12 +94,14 @@ def make_perturbed_sphere(grid: SphereGrid, radius: float, perturbations) -> Sup
 def resample(body: SupportFunction, grid: SphereGrid) -> SupportFunction:
     """Re-express on another grid by coefficient padding or truncation.
 
-    Raising the band limit is exact; lowering it drops the tail.
+    The body itself on its own grid; on any other, its coefficients
+    expanded on that grid's nodes.  Raising the band limit is exact;
+    lowering it drops the tail.
     """
+    if grid is body.grid:
+        return body
     if grid.dimension != body.grid.dimension:
         raise ValueError("cannot resample across dimensions")
-    if grid.degree == body.grid.degree:
-        return SupportFunction(grid, body.field)
     coeffs = np.zeros(grid.coefficient_count)
     keep = min(grid.coefficient_count, body.coefficients.size)
     coeffs[:keep] = body.coefficients[:keep]

@@ -81,7 +81,6 @@ __all__ = [
     "sphere_area",
     "analyze",
     "synthesize",
-    "field_from_coefficients",
     "coefficient_count",
     "tangential_derivatives",
     "radii_rows",
@@ -232,7 +231,10 @@ def _smooth_ring_size(degree: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """A band-limited scalar field: coefficients plus cached node values."""
+    """A band-limited scalar field: coefficients plus cached node values.
+
+    The body type of curvflow: a convex body is its support function, one
+    such field (``body.SupportFunction`` names this class)."""
 
     grid: SphereGrid
     coefficients: np.ndarray
@@ -245,6 +247,10 @@ class SpectralField:
         object.__setattr__(self, "values", synthesize(self.grid, coeffs))
         for arr in (self.coefficients, self.values):
             arr.flags.writeable = False
+
+    @property
+    def dimension(self) -> int:
+        return self.grid.dimension
 
 
 def analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
@@ -259,10 +265,6 @@ def analyze(grid: SphereGrid, values: np.ndarray) -> np.ndarray:
 def synthesize(grid: SphereGrid, coefficients: np.ndarray) -> np.ndarray:
     """Evaluate a coefficient vector at the grid nodes."""
     return _synthesize(grid, coefficients, 0)
-
-
-def field_from_coefficients(grid: SphereGrid, coefficients: np.ndarray) -> SpectralField:
-    return SpectralField(grid, np.asarray(coefficients, dtype=float))
 
 
 # ---------------------------------------------------------------------------

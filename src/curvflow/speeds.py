@@ -11,17 +11,21 @@ Every speed is homogeneous of degree ``alpha > 1`` and normalized so that
 
 A speed also records the pinching threshold delta0 of the cone on which it
 is used; flows monitor the ratio |A0|^2 / H^2 against it.
+
+``pow_Ek`` reads sigma_k, and each partial derivative sigma_(k-1) of the
+other curvatures, from ``body.elementary_symmetric``, the package's one
+sigma_k kernel; ``pow_mean`` and ``pow_norm`` add whole columns.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 import numpy as np
 
+from .body import elementary_symmetric
 from .shapes import default_cone_threshold
 
 __all__ = [
@@ -34,35 +38,9 @@ __all__ = [
     "ConditionCheck",
     "ConditionReport",
     "DerivativeBoundReport",
-    "elementary_symmetric",
 ]
 
 DEFAULT_ALPHA = 2.0
-
-
-def elementary_symmetric(kappa: np.ndarray, k: int) -> np.ndarray:
-    """Elementary symmetric polynomial sigma_k along the last axis."""
-    n = kappa.shape[-1]
-    if k < 0:
-        return np.zeros(kappa.shape[:-1])
-    if k == 0:
-        return np.ones(kappa.shape[:-1])
-    total = np.zeros(kappa.shape[:-1])
-    for subset in combinations(range(n), k):
-        total += np.prod(kappa[..., subset], axis=-1)
-    return total
-
-
-def _sigma_without(kappa: np.ndarray, k: int, i: int) -> np.ndarray:
-    """sigma_k of the entries with index i removed."""
-    others = [j for j in range(kappa.shape[-1]) if j != i]
-    return elementary_symmetric(kappa[..., others], k)
-
-
-def _sigma_without_pair(kappa: np.ndarray, k: int, i: int, j: int) -> np.ndarray:
-    """sigma_k of the entries with indices i and j removed."""
-    others = [t for t in range(kappa.shape[-1]) if t != i and t != j]
-    return elementary_symmetric(kappa[..., others], k)
 
 
 def _add(columns) -> np.ndarray:
@@ -131,7 +109,7 @@ class Speed:
         if self.kind == "norm":
             return n ** (a / 2.0) * _add(_columns(kappa**2)) ** (a / 2.0)
         k = self.k
-        ek = elementary_symmetric(kappa, k) / comb(n, k)
+        ek = elementary_symmetric(kappa)[k] / comb(n, k)
         return (float(n) ** k * ek) ** (a / k)
 
     def gradient(self, kappa: np.ndarray) -> np.ndarray:
@@ -158,49 +136,11 @@ class Speed:
             return [front * column for column in _columns(kappa)]
         k = self.k
         scaled = float(n) ** k / comb(n, k)
-        base = scaled * elementary_symmetric(kappa, k)  # = n^k E_k
+        base = scaled * elementary_symmetric(kappa)[k]  # = n^k E_k
         front = (a / k) * base ** (a / k - 1.0) * scaled
-        return [front * _sigma_without(kappa, k - 1, i) for i in range(n)]
-
-    def hessian(self, kappa: np.ndarray) -> np.ndarray:
-        """Second partials of f in the principal curvatures, shape (..., n, n)."""
-        kappa = np.asarray(kappa, dtype=float)
-        n, a = self.dimension, self.alpha
-        shape = kappa.shape[:-1]
-        if self.kind == "mean":
-            h = np.sum(kappa, axis=-1)
-            block = a * (a - 1.0) * h ** (a - 2.0)
-            return np.broadcast_to(block[..., None, None], shape + (n, n)).copy()
-        if self.kind == "norm":
-            q = np.sum(kappa**2, axis=-1)
-            front = n ** (a / 2.0) * a
-            outer = kappa[..., :, None] * kappa[..., None, :]
-            eye = np.eye(n).reshape((1,) * len(shape) + (n, n))
-            return front * (
-                (a - 2.0) * q[..., None, None] ** (a / 2.0 - 2.0) * outer
-                + q[..., None, None] ** (a / 2.0 - 1.0) * eye
-            )
-        k = self.k
-        scaled = float(n) ** k / comb(n, k)
-        base = scaled * elementary_symmetric(kappa, k)
-        partial = np.empty(shape + (n,))
-        for i in range(n):
-            partial[..., i] = _sigma_without(kappa, k - 1, i)
-        first = (
-            (a / k)
-            * (a / k - 1.0)
-            * base[..., None, None] ** (a / k - 2.0)
-            * scaled**2
-            * partial[..., :, None]
-            * partial[..., None, :]
-        )
-        front = (a / k) * base ** (a / k - 1.0) * scaled
-        second = np.zeros(shape + (n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    second[..., i, j] = _sigma_without_pair(kappa, k - 2, i, j)
-        return first + front[..., None, None] * second
+        # d sigma_k / d kappa_i is sigma_(k-1) of the other curvatures
+        others = (np.delete(kappa, i, axis=-1) for i in range(n))
+        return [front * elementary_symmetric(rest)[k - 1] for rest in others]
 
 
 def make_speed(

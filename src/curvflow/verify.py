@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .body import SupportFunction
+from .body import SupportFunction, elementary_symmetric
 from .flow import CollapseEstimate, Trajectory, estimate_collapse
 from .geometry import volume_decay_rate
 from .shapes import resample
@@ -31,7 +31,6 @@ from .spectral import (
     tangential_derivatives,
     third_derivatives,
 )
-from .speeds import elementary_symmetric
 
 __all__ = [
     "LEMMA_MARGIN_TOL",
@@ -260,9 +259,10 @@ def lemma_maclaurin_suite(n: int, samples: int = 100_000) -> LemmaReport:
     _require_surface(n)
     rng = np.random.default_rng(3)
     kappa = _sample_kappa_batch(n, samples, rng, pinch_cap=False)
+    sigma = elementary_symmetric(kappa)
     powers = np.empty((kappa.shape[0], n))
     for k in range(1, n + 1):
-        powers[:, k - 1] = (elementary_symmetric(kappa, k) / comb(n, k)) ** (1.0 / k)
+        powers[:, k - 1] = (sigma[k] / comb(n, k)) ** (1.0 / k)
     margins = np.min(powers[:, :-1] - powers[:, 1:], axis=1)
     return _report("maclaurin", n, kappa, margins)
 
@@ -314,8 +314,8 @@ def _gradient_terms(body: SupportFunction) -> tuple[np.ndarray, np.ndarray]:
     fundamental form is R itself, and round derivatives of R get corrected
     by the Levi-Civita difference tensor of G before contracting.
     """
-    grad, hess = tangential_derivatives(body.field)
-    t3 = third_derivatives(body.field)
+    grad, hess = tangential_derivatives(body)
+    t3 = third_derivatives(body)
     s = body.values
     eye = np.eye(2)
 
@@ -417,10 +417,9 @@ class CurveResidualReport:
     """Sup-norm residuals of the curve evolution equation at interior times.
 
     ``rates`` is the sup norm of the equation's right-hand side at the same
-    snapshots, the size of D_t G that each residual is judged against.
+    snapshots, the size of D_t kappa that each residual is judged against.
     """
 
-    quantity: str
     times: np.ndarray
     residuals: np.ndarray
     rates: np.ndarray
@@ -435,57 +434,40 @@ def _angle_derivative(grid, values: np.ndarray) -> np.ndarray:
     return _synthesize(grid, analyze(grid, values), 1)
 
 
-def curve_evolution_residual(
-    trajectory: Trajectory, quantity: str = "H"
-) -> CurveResidualReport:
-    """Residual of D_t G = f'(kappa) (G_ss + kappa^2 F)-type laws on curves.
+def curve_evolution_residual(trajectory: Trajectory) -> CurveResidualReport:
+    """Residual of the curvature law D_t kappa = F_ss + kappa^2 F on curves.
 
-    G is the curvature (quantity "H") or the speed (quantity "F").  The
-    material derivative combines a nonuniform three-point time stencil at
-    fixed normal angle with the tangential drift (F_theta / r) G_theta of
-    the Gauss parametrization.  Needs at least three snapshots, else the
+    The material derivative combines a nonuniform three-point time stencil at
+    fixed normal angle with the tangential drift (F_theta / r) kappa_theta
+    of the Gauss parametrization.  Needs at least three snapshots, else the
     cadence is too coarse to conclude anything.
     """
     if trajectory.dimension != 1:
         raise ValueError("evolution residuals are defined for curves only")
-    if quantity not in ("H", "F"):
-        raise ValueError("quantity must be 'H' or 'F'")
     snaps = trajectory.snapshots
     if len(snaps) < 3:
         raise ValueError("snapshot cadence too coarse: need at least three snapshots")
 
-    speed = trajectory.speed
     grid = snaps[0].body.grid
 
-    g_vals, rhs = [], []
+    kappas, rhs = [], []
     for snap in snaps:
-        curv = snap.curv
-        kappa = curv.kappa[:, 0]
+        kappa = snap.curv.kappa[:, 0]
         r = 1.0 / kappa
         f_vals = snap.speed_values
-        f_theta = _angle_derivative(grid, f_vals)
-        inner = f_theta / r
-        f_ss = _angle_derivative(grid, inner) / r
-        bracket = f_ss + kappa**2 * f_vals
-
-        g = kappa if quantity == "H" else f_vals
-        g_vals.append(g)
-        g_theta = _angle_derivative(grid, g)
-        drift = f_theta / r
-        if quantity == "H":
-            rhs.append(bracket - drift * g_theta)
-        else:
-            rhs.append(speed.gradient(curv.kappa)[:, 0] * bracket - drift * g_theta)
+        drift = _angle_derivative(grid, f_vals) / r
+        f_ss = _angle_derivative(grid, drift) / r
+        kappas.append(kappa)
+        rhs.append(f_ss + kappa**2 * f_vals - drift * _angle_derivative(grid, kappa))
 
     times = trajectory.times()
     out_t, out_res = [], []
     for i in range(1, len(snaps) - 1):
         w0, w1, w2 = _three_point_weights(times[i - 1], times[i], times[i + 1])
-        dt_g = w0 * g_vals[i - 1] + w1 * g_vals[i] + w2 * g_vals[i + 1]
+        dt_kappa = w0 * kappas[i - 1] + w1 * kappas[i] + w2 * kappas[i + 1]
         out_t.append(times[i])
-        out_res.append(float(np.max(np.abs(dt_g - rhs[i]))))
+        out_res.append(float(np.max(np.abs(dt_kappa - rhs[i]))))
     return CurveResidualReport(
-        quantity=quantity,
         times=np.array(out_t),
         residuals=np.array(out_res),
         rates=np.array([float(np.max(np.abs(r))) for r in rhs[1:-1]]),
@@ -545,8 +527,8 @@ class TsoReport:
     Monitoring runs from ``t0_index`` until the support over the anchor's
     incenter stops dominating half the anchor inradius; crossing that line
     aborts the monitor with a witness (an abort is a lost precondition, not
-    a violated bound).  ``q_max`` and ``bound`` hold the monitored
-    snapshots, from the anchor up to the abort.
+    a violated bound).  The monitored values are the record's ``q_max`` and
+    ``q_bound`` columns over ``DiagnosticsRecord.tso_window``.
     """
 
     t0_index: int
@@ -554,16 +536,9 @@ class TsoReport:
     r0: float
     sigma: float
     c_tilde: float
-    q_max: np.ndarray
-    bound: np.ndarray
     aborted: bool
     abort_index: int | None
     abort_witness: tuple[int, float] | None
-
-    @property
-    def violated(self) -> bool:
-        with np.errstate(invalid="ignore"):
-            return bool(np.any(self.q_max > self.bound * (1.0 + TSO_TOL) + 1e-12))
 
 
 @dataclass(frozen=True)
@@ -590,6 +565,21 @@ class DiagnosticsRecord:
     expected_exponent: float
     collapse: CollapseEstimate | None
     tso: TsoReport
+
+    @property
+    def tso_window(self) -> slice:
+        """The snapshots the interior speed bound monitored: from the anchor
+        up to the abort, or to the last snapshot."""
+        stop = self.tso.abort_index
+        return slice(self.tso.t0_index, len(self.times) if stop is None else stop)
+
+    @property
+    def tso_violated(self) -> bool:
+        """Whether q_max exceeds q_bound by more than TSO_TOL (relative, plus
+        1e-12 absolute) at a monitored snapshot."""
+        q_max, q_bound = self.q_max[self.tso_window], self.q_bound[self.tso_window]
+        with np.errstate(invalid="ignore"):
+            return bool(np.any(q_max > q_bound * (1.0 + TSO_TOL) + 1e-12))
 
 
 def diagnostics_record(
@@ -653,7 +643,7 @@ def diagnostics_record(
     decay_front = ((1.0 + alpha) * c_tilde / (2.0 * alpha)) ** (-alpha / (1.0 + alpha)) / r0
 
     q_max, q_bound, smoczyk_min = (np.full(count, np.nan) for _ in range(3))
-    stop, abort_witness = count, None
+    abort_index = abort_witness = None
     for i in range(t0_index, count):
         snap = snaps[i]
         stilde = snap.body.values - snap.body.grid.nodes @ origin
@@ -663,7 +653,7 @@ def diagnostics_record(
         denom = 2.0 * stilde - r0
         worst = int(np.argmin(denom))
         if denom[worst] <= 0.0:
-            stop, abort_witness = i, (worst, float(denom[worst]))
+            abort_index, abort_witness = i, (worst, float(denom[worst]))
             continue
         q_max[i] = np.max(snap.speed_values / denom)
         dt = snap.time - t0
@@ -676,10 +666,8 @@ def diagnostics_record(
         r0=r0,
         sigma=float(tso_sigma),
         c_tilde=float(c_tilde),
-        q_max=q_max[t0_index:stop],
-        bound=q_bound[t0_index:stop],
         aborted=abort_witness is not None,
-        abort_index=None if abort_witness is None else stop,
+        abort_index=abort_index,
         abort_witness=abort_witness,
     )
 
@@ -766,7 +754,7 @@ def flow_checks(trajectory: Trajectory, record: DiagnosticsRecord) -> tuple[Chec
     """The verdict on each monitor of ``record``, in the order ``verify flow``
     prints them; the volume decay identity and the curve residual need three
     snapshots, and the curve residual applies to curves alone."""
-    z_sigma, tso = record.z_sigma_max, record.tso
+    z_sigma = record.z_sigma_max
     if trajectory.dimension == 1:
         # a curve's one curvature has no traceless part, so Z_sigma is
         # -sigma H**2 at every node of every run: a check that cannot fail
@@ -777,18 +765,19 @@ def flow_checks(trajectory: Trajectory, record: DiagnosticsRecord) -> tuple[Chec
     else:
         note = "Z_sigma not negative initially; sign preservation not applicable"
         checks = [Check("z_sigma", "not applicable", note=note)]
-    # TsoReport.violated allows q_max TSO_TOL above the bound; the bound
-    # is inf at the anchor itself, where the slack is 1
-    slack = 1.0 - np.max(tso.q_max / tso.bound) if tso.q_max.size else None
-    note = " (aborted at validity edge)" if tso.aborted else ""
-    checks.append(_judged("interior_speed_bound", not tso.violated, slack, TSO_TOL, note))
+    # tso_violated allows q_max TSO_TOL above the bound; the bound is inf
+    # at the anchor itself, where the slack is 1
+    q_max, q_bound = record.q_max[record.tso_window], record.q_bound[record.tso_window]
+    slack = 1.0 - np.max(q_max / q_bound) if q_max.size else None
+    note = " (aborted at validity edge)" if record.tso.aborted else ""
+    checks.append(_judged("interior_speed_bound", not record.tso_violated, slack, TSO_TOL, note))
     worst, tol = np.nanmin(record.smoczyk_min), ENCLOSED_POINT_TOL
     checks.append(_judged("enclosed_point", worst >= tol, worst, tol))
     if len(trajectory.snapshots) >= 3:
         worst, tol = volume_decay_check(trajectory).max_rel_error, VOLUME_DECAY_TOL
         checks.append(_judged("volume_decay", worst <= tol, worst, tol))
         if trajectory.dimension == 1:
-            worst = np.max(curve_evolution_residual(trajectory, "H").relative)
+            worst = np.max(curve_evolution_residual(trajectory).relative)
             tol = CURVE_RESIDUAL_TOL
             checks.append(_judged("curve_residual", worst <= tol, worst, tol))
     return tuple(checks)

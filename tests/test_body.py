@@ -28,7 +28,8 @@ from curvflow.shapes import (
     parse_shape,
     resample,
 )
-from curvflow.spectral import radii_rows, standard_grid
+from curvflow.geometry import direct_radii
+from curvflow.spectral import radii_rows, smooth_grid, standard_grid, synthesize
 
 from _helpers import mean_radius, random_pinched_body
 
@@ -58,9 +59,6 @@ def test_sphere_curvature_n2():
     np.testing.assert_allclose(curv.kappa, 0.5, atol=1e-12)
     np.testing.assert_allclose(curv.mean, 1.0, atol=1e-12)
     np.testing.assert_allclose(curv.traceless_norm2, 0.0, atol=1e-12)
-    np.testing.assert_allclose(curv.elementary[:, 0], 1.0)
-    np.testing.assert_allclose(curv.elementary[:, 1], 0.5, atol=1e-12)
-    np.testing.assert_allclose(curv.elementary[:, 2], 0.25, atol=1e-12)
     np.testing.assert_allclose(curv.radii_sigma[:, 1], 4.0, atol=1e-11)
     np.testing.assert_allclose(curv.area_element, 4.0, atol=1e-11)
 
@@ -141,7 +139,6 @@ def test_pinching_ratio_value():
     # kappa = (0.5, 1.5): mean 2, traceless norm^2 = 0.5, ratio 1/8
     curv = CurvatureField(kappa=np.array([[0.5, 1.5]]))
     np.testing.assert_allclose(curv.radii_sigma, [[1.0, 8.0 / 3.0, 4.0 / 3.0]], rtol=1e-15)
-    np.testing.assert_allclose(curv.elementary, [[1.0, 1.0, 0.75]], rtol=1e-15)
     np.testing.assert_allclose(curv.mean, [2.0], rtol=1e-15)
     np.testing.assert_allclose(curv.traceless_norm2, [0.5], rtol=1e-15)
     status = pinching_status(curv, delta0=0.45)
@@ -213,7 +210,7 @@ def test_body_scale_is_the_mean_absolute_support_value(dimension, size):
 def test_non_finite_rows_count_as_lost_convexity(dimension, bad):
     grid = standard_grid(dimension, 6)
     axes = (1.0, 1.2, 1.1)[: dimension + 1]
-    good = radii_rows(make_ellipsoid(grid, axes).field)
+    good = radii_rows(make_ellipsoid(grid, axes))
     _curvature_from_radii_data(good.copy(), DEFAULT_CONVEXITY_TOL)  # it overwrites R
     for row in range(2 * dimension):
         rows = good.copy()
@@ -311,6 +308,23 @@ def test_resample_pads_exactly():
     assert lifted.coefficients.size == fine.coefficient_count
     np.testing.assert_array_equal(lifted.coefficients[: grid.coefficient_count], bumpy.coefficients)
     assert np.all(lifted.coefficients[grid.coefficient_count :] == 0.0)
+    assert resample(bumpy, grid) is bumpy
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_resample_onto_a_longer_ring_of_the_same_degree(dimension):
+    # rings of 2L + 2 = 14 nodes on the standard grid, 16 on the smooth one
+    axes = (1.0, 1.2, 1.5)[: dimension + 1]
+    body = make_ellipsoid(standard_grid(dimension, 6), axes)
+    target = smooth_grid(dimension, 6)
+    moved = resample(body, target)
+    assert moved.grid is target
+    assert moved.values.shape == (target.node_count,)
+    np.testing.assert_array_equal(moved.coefficients, body.coefficients)
+    np.testing.assert_array_equal(moved.values, synthesize(target, body.coefficients))
+    radii = direct_radii(moved)
+    assert radii.r_minus == pytest.approx(axes[0], abs=5e-2)
+    assert radii.r_plus == pytest.approx(axes[-1], abs=5e-2)
 
 
 def test_harmonic_index_layout():

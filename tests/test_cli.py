@@ -628,12 +628,11 @@ def test_verify_flow_reports_an_unmonitored_speed_bound(ellipsoid_dir, monkeypat
 
     def aborted_at_anchor(*args, **kwargs):
         record = real_record(*args, **kwargs)
-        empty = np.array([])
+        unmonitored = np.full_like(record.q_max, np.nan)
         tso = dataclasses.replace(
-            record.tso, q_max=empty, bound=empty, aborted=True,
-            abort_index=record.tso.t0_index, abort_witness=(0, -1.0),
+            record.tso, aborted=True, abort_index=record.tso.t0_index, abort_witness=(0, -1.0),
         )
-        return dataclasses.replace(record, tso=tso)
+        return dataclasses.replace(record, q_max=unmonitored, q_bound=unmonitored, tso=tso)
 
     monkeypatch.setattr(cli, "diagnostics_record", aborted_at_anchor)
     assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK

@@ -275,7 +275,7 @@ def test_stages_compute_only_kappa(monkeypatch):
     from curvflow import body as body_module
 
     touched = []
-    for name in ("radii_sigma", "elementary", "mean", "traceless_norm2"):
+    for name in ("radii_sigma", "mean", "traceless_norm2"):
         original = body_module.CurvatureField.__dict__[name].func
 
         def counting(self, original=original):

@@ -15,11 +15,11 @@ from scipy.special import assoc_legendre_p_all
 
 from curvflow import spectral
 from curvflow.spectral import (
+    SpectralField,
     SphereGrid,
     TruncatedEvaluator,
     analyze,
     coefficient_count,
-    field_from_coefficients,
     radii_rows,
     smooth_grid,
     sphere_area,
@@ -193,7 +193,7 @@ def test_divergence_identity(dimension):
     # integral of (trace Hess + n g) equals n * mean(g) * |S^n|
     grid = standard_grid(dimension, 12)
     rng = np.random.default_rng(5 + dimension)
-    f = field_from_coefficients(grid, rng.standard_normal(grid.coefficient_count))
+    f = SpectralField(grid, rng.standard_normal(grid.coefficient_count))
     _, hess = tangential_derivatives(f)
     n = grid.dimension
     lhs = np.sum(grid.weights * (np.trace(hess, axis1=1, axis2=2) + n * f.values))
@@ -208,7 +208,7 @@ def test_every_harmonic_is_a_laplace_eigenfunction(make_grid):
     grid = make_grid(2, 12)
     for k, unit in enumerate(np.eye(grid.coefficient_count)):
         lam = isqrt(k) * (isqrt(k) + 1)
-        f = field_from_coefficients(grid, unit)
+        f = SpectralField(grid, unit)
         tol = 1e-14 * (lam + 2) * np.max(np.abs(f.values))
         _, hess = tangential_derivatives(f)
         np.testing.assert_allclose(np.trace(hess, axis1=1, axis2=2), -lam * f.values, atol=tol)
@@ -373,14 +373,14 @@ def test_truncated_state_matches_padded_field(dimension):
     ev = TruncatedEvaluator(fine, 6)
     rows = ev.state(ev.spectrum(coeffs))
 
-    padded = resample(field_from_coefficients(coarse, coeffs), fine)
+    padded = resample(SpectralField(coarse, coeffs), fine)
     expected = _radii_from_hessian(padded)
     assert rows.shape == (2 * dimension, fine.node_count)
     np.testing.assert_allclose(rows[0], padded.values, rtol=0, atol=1e-11)
     np.testing.assert_allclose(rows[1:], expected[1:], rtol=0, atol=1e-8)
     full = TruncatedEvaluator(fine, 12)
     np.testing.assert_array_equal(
-        radii_rows(padded.field), full.state(full.spectrum(padded.coefficients))
+        radii_rows(padded), full.state(full.spectrum(padded.coefficients))
     )
 
 
@@ -489,19 +489,19 @@ def test_one_grid_serves_two_bands():
     band_spectrum = TruncatedEvaluator(shared, 6).spectrum(band_coeffs)
     state = TruncatedEvaluator(shared, 6).state(band_spectrum)
     values = synthesize(shared, body_coeffs)
-    rows = radii_rows(field_from_coefficients(shared, body_coeffs))
+    rows = radii_rows(SpectralField(shared, body_coeffs))
     state_again = TruncatedEvaluator(shared, 6).state(band_spectrum)
     projected = TruncatedEvaluator(shared, 6).project(values)
 
     body_grid = SphereGrid(2, 12)
-    body_field = field_from_coefficients(body_grid, body_coeffs)
+    body_field = SpectralField(body_grid, body_coeffs)
     np.testing.assert_array_equal(values, synthesize(body_grid, body_coeffs))
     np.testing.assert_array_equal(rows, radii_rows(body_field))
     np.testing.assert_allclose(rows, _radii_from_hessian(body_field), rtol=0, atol=1e-8)
     ref_ev = TruncatedEvaluator(SphereGrid(2, 12), 6)
     np.testing.assert_array_equal(state, ref_ev.state(ref_ev.spectrum(band_coeffs)))
     np.testing.assert_array_equal(state_again, state)
-    padded = resample(field_from_coefficients(standard_grid(2, 6), band_coeffs), shared)
+    padded = resample(SpectralField(standard_grid(2, 6), band_coeffs), shared)
     np.testing.assert_allclose(state, _radii_from_hessian(padded), rtol=0, atol=1e-8)
     np.testing.assert_array_equal(projected, ref_ev.project(values))
 
@@ -549,7 +549,7 @@ def test_fused_radii_rows_match_the_hessian_and_synthesis(degree, smooth, seed):
         grid = SphereGrid(2, fine_degree, ring_size=ring)
         padded = np.zeros(grid.coefficient_count)
         padded[: coeffs.size] = coeffs
-        field = field_from_coefficients(grid, padded)
+        field = SpectralField(grid, padded)
         if fine_degree == degree:
             rows = radii_rows(field)
         else:

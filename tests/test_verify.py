@@ -162,7 +162,7 @@ def test_gradient_terms_match_spectral_mean_curvature_route():
     _, t2 = _gradient_terms(body)
 
     curv = curvature(body)
-    _, hess = tangential_derivatives(body.field)
+    _, hess = tangential_derivatives(body)
     r_mat = hess + body.values[:, None, None] * np.eye(2)
     g_inv = np.linalg.inv(r_mat @ r_mat)
     dh = tangential_derivatives(field_from_values(grid, curv.mean))[0]
@@ -226,20 +226,22 @@ def test_pinching_monitors_ellipsoid(ellipsoid_run):
 
 
 def test_tso_sphere_matches_closed_form(sphere_run):
-    report = diagnostics_record(sphere_run, sigma=0.01).tso
+    record = diagnostics_record(sphere_run, sigma=0.01)
+    report = record.tso
     r0 = report.r0
     assert r0 == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.abs(report.origin) < 1e-6)
     assert not report.aborted
-    assert not report.violated
-    assert np.isinf(report.bound[0])
-    assert np.all(np.isfinite(report.bound[1:]))
+    assert not record.tso_violated
+    q_max, bound = record.q_max[record.tso_window], record.q_bound[record.tso_window]
+    assert np.isinf(bound[0])
+    assert np.all(np.isfinite(bound[1:]))
 
     radii = sphere_run.r_minus()
     expected = 4.0 * radii**-2 / (2.0 * radii - r0)
-    assert np.allclose(report.q_max, expected, rtol=1e-5)
+    assert np.allclose(q_max, expected, rtol=1e-5)
     # Q grows as the sphere shrinks toward the validity edge
-    assert np.all(np.diff(report.q_max) > 0.0)
+    assert np.all(np.diff(q_max) > 0.0)
 
 
 def test_tso_aborts_past_half_inradius():
@@ -251,7 +253,8 @@ def test_tso_aborts_past_half_inradius():
     assert report.aborted
     assert report.abort_index is not None
     assert report.abort_witness is not None and report.abort_witness[1] <= 0.0
-    assert report.q_max.size == report.abort_index
+    assert record.q_max[record.tso_window].size == report.abort_index
+    assert np.all(np.isfinite(record.q_max[record.tso_window]))
     assert run.r_minus()[report.abort_index] <= 0.5 + 1e-6
     # the Tso columns stop at the abort, the enclosed-point column does not
     assert np.all(np.isnan(record.q_max[report.abort_index :]))
@@ -301,8 +304,7 @@ def test_speed_fit_unavailable_with_few_snapshots():
 
 
 def test_curve_residual_small_and_refining(circle_run):
-    report = curve_evolution_residual(circle_run, "H")
-    assert report.quantity == "H"
+    report = curve_evolution_residual(circle_run)
     assert report.times.size == len(circle_run.snapshots) - 2
     assert report.residuals.max() < 0.05
     assert report.residuals[0] < 1e-3
@@ -312,26 +314,19 @@ def test_curve_residual_small_and_refining(circle_run):
     fine_run = run_flow(
         make_sphere(fine_grid, 1.0), speed, stop_fraction=0.6, snapshot_every=1, rk4=True
     )
-    fine = curve_evolution_residual(fine_run, "H")
+    fine = curve_evolution_residual(fine_run)
     # RK4's dt scales with the grid spacing squared, the stencil error with dt^2
     assert fine.residuals.max() < report.residuals.max() / 8.0
 
 
-def test_curve_residual_speed_quantity(circle_run):
-    report = curve_evolution_residual(circle_run, "F")
-    assert report.residuals.max() < 0.1
-
-
 def test_curve_residual_rejects_bad_input(sphere_run, circle_run):
     with pytest.raises(ValueError):
-        curve_evolution_residual(sphere_run, "H")
-    with pytest.raises(ValueError):
-        curve_evolution_residual(circle_run, "kappa")
+        curve_evolution_residual(sphere_run)
     grid = standard_grid(1, 16)
     speed = make_speed("mean", 1, alpha=2.0)
     short = run_flow(make_sphere(grid, 1.0), speed, snapshot_every=10, max_steps=5)
     with pytest.raises(ValueError):
-        curve_evolution_residual(short, "H")
+        curve_evolution_residual(short)
 
 
 # ---------------------------------------------------------------------------
@@ -381,5 +376,5 @@ def test_diagnostics_record_alignment(ellipsoid_run):
     assert record.lambda_hat is not None and record.lambda_hat > 0.0
     assert record.speed_exponent == pytest.approx(-2.0 / 3.0, abs=0.1)
     assert record.collapse is not None and record.collapse.time > record.times[-1]
-    assert not record.tso.violated
+    assert not record.tso_violated
     assert record.sigma == pytest.approx(sigma)
