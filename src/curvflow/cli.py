@@ -46,7 +46,6 @@ from .body import (
 )
 from .flow import (
     DEFAULT_SAFETY,
-    INTEGRATORS,
     MAX_SAFETY,
     FlowSnapshot,
     Trajectory,
@@ -65,7 +64,7 @@ from .verify import (
     DiagnosticsRecord,
     diagnostics_record,
     flow_checks,
-    gradient_inequality_monitor,
+    gradient_margins,
     kappa_gap_table,
     run_lemma_suites,
 )
@@ -137,7 +136,7 @@ def _config_number(value, name: str) -> float:
 
 
 def _sigma_number(value, name: str) -> float:
-    """A configured or stored sigma: a finite number >= 0, where 0 reads as unset."""
+    """A configured sigma: a finite number >= 0, where 0 reads as unset."""
     sigma = _config_number(value, name)
     if not (np.isfinite(sigma) and sigma >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {sigma!r}")
@@ -293,14 +292,17 @@ def save_trajectory(out_dir, config: ExperimentConfig, trajectory: Trajectory, s
         save_snapshot(snap.body, snap.time, snaps / f"snap_{i:06d}.json")
 
 
-def load_trajectory(path) -> tuple[Trajectory, dict]:
-    """Rebuild a trajectory from a simulation output directory.
+def load_trajectory(path) -> tuple[Trajectory, ExperimentConfig]:
+    """Rebuild a trajectory and its config from a simulation output directory.
 
+    A stored run is its ``config.json`` and its snapshots; ``summary.json``
+    is a report and is never read back.  A snapshot whose dimension or
+    degree differs from the config's, or whose time does not follow the
+    previous snapshot's, belongs to another run and raises ValueError.
     A snapshot solves its radii linear programs only when its radii are
     first read, warm-started by the one solver that the loaded snapshots
     share; the radii are the programs' optimal values and the centres
     canonical, so they do not depend on the order of reads beyond rounding.
-    The speed and stop metadata come from the stored config and summary.
     """
     root = Path(path)
     config_path = root / "config.json"
@@ -312,107 +314,58 @@ def load_trajectory(path) -> tuple[Trajectory, dict]:
         # config fields that no output read; run directories written with them still load
         stored = {k: v for k, v in stored.items() if k not in _RETIRED_KEYS}
     config = ExperimentConfig.from_dict(stored)
-    summary_path = root / "summary.json"
-    summary = (
-        json.loads(summary_path.read_text(encoding="utf-8")) if summary_path.is_file() else {}
-    )
-    if not isinstance(summary, dict):
-        raise ValueError(f"summary.json must be a JSON object, got {summary!r}")
-    summary = {k: v for k, v in summary.items() if k not in _RETIRED_KEYS}
-    # verify and analyze read these two; null or 0 sigma means "derive it"
-    if summary.get("sigma") is not None:
-        _sigma_number(summary["sigma"], "summary.json sigma")
-    t0_index = _config_integer(summary.get("t0_index", 0), "summary.json t0_index")
-    if not 0 <= t0_index < len(files):
-        raise ValueError(
-            f"summary.json t0_index must lie in [0, {len(files)}), the snapshot range, "
-            f"got {t0_index}"
-        )
     speed = parse_speed(config.speed, config.dimension)
     solver = RadiiSolver()
     snapshots = []
     for i, file in enumerate(files):
         body, time = load_snapshot(file)
+        if (body.dimension, body.grid.degree) != (config.dimension, config.degree):
+            raise ValueError(
+                f"{file}: snapshot has dimension {body.dimension} and degree "
+                f"{body.grid.degree}, config.json {config.dimension} and {config.degree}"
+            )
+        if snapshots and not time > snapshots[-1].time:
+            raise ValueError(
+                f"{file}: snapshot time {time!r} does not follow {snapshots[-1].time!r}"
+            )
         snapshots.append(
             FlowSnapshot(step=i, time=time, body=body, speed=speed, radii_solver=solver)
         )
-    trajectory = Trajectory(
-        speed=speed,
-        snapshots=tuple(snapshots),
-        stop_reason=summary.get("stop_reason", "loaded"),
-        steps=_summary_count(summary, "steps", len(snapshots) - 1),
-        retries=_summary_count(summary, "retries", 0),
-        rhs_evaluations=_summary_count(summary, "rhs_evaluations", None),
-        integrator=_summary_integrator(summary),
-        step_sizes=_summary_step_sizes(summary),
-    )
-    return trajectory, summary
+    return Trajectory(speed=speed, snapshots=tuple(snapshots)), config
 
 
 _RETIRED_KEYS = ("seed", "rho_grid", "eps_grid", "sigma0")
-_STEP_SIZE_KEYS = ("dt_min", "dt_median", "dt_max")
 
 
-def _summary_count(summary: dict, name: str, default: int | None) -> int | None:
-    if name not in summary:
-        return default
-    count = _config_integer(summary[name], f"summary.json {name}")
-    if count < 0:
-        raise ValueError(f"summary.json {name} must be >= 0, got {count}")
-    return count
+def _sigma_and_anchor(config: ExperimentConfig, trajectory: Trajectory) -> tuple[float, int]:
+    """The monitors' sigma and anchor index (t0_index) for a run of ``config``.
 
-
-def _summary_integrator(summary: dict) -> str | None:
-    integrator = summary.get("integrator")
-    if integrator is not None and integrator not in INTEGRATORS:
-        raise ValueError(
-            f"summary.json integrator must be one of {list(INTEGRATORS)} or null, "
-            f"got {integrator!r}"
-        )
-    return integrator
-
-
-def _summary_step_sizes(summary: dict) -> tuple[float, float, float] | None:
-    """dt_min, dt_median and dt_max: all absent or null, or positive, finite
-    and in order."""
-    if all(summary.get(name) is None for name in _STEP_SIZE_KEYS):
-        return None
-    sizes = tuple(
-        _config_number(summary.get(name), f"summary.json {name}") for name in _STEP_SIZE_KEYS
-    )
-    for name, size in zip(_STEP_SIZE_KEYS, sizes):
-        if not 0.0 < size < np.inf:
-            raise ValueError(f"summary.json {name} must be positive and finite, got {size!r}")
-    if not sizes[0] <= sizes[1] <= sizes[2]:
-        raise ValueError(f"summary.json dt_min <= dt_median <= dt_max fails: {sizes}")
-    return sizes
-
-
-def _anchor_index(trajectory: Trajectory, factor: float) -> int:
+    A configured ``sigma`` is used as given; unset (None or 0), it is 1.05
+    times the initial worst pinching ratio, floored at 1e-10.  The anchor is
+    the first snapshot whose inradius is at most ``t0_anchor`` times the
+    final one.  The radii are read in snapshot order, the order in which
+    ``run_flow`` solves them, so a stored run gives the values ``simulate``
+    gave.
+    """
+    sigma = config.sigma
+    if not sigma:
+        status = pinching_status(trajectory.snapshots[0].curv, np.inf)
+        sigma = max(1.05 * status.max_ratio, 1e-10)
     r = trajectory.r_minus()
-    eligible = np.nonzero(r <= factor * r[-1])[0]
-    return int(eligible[0]) if eligible.size else len(r) - 1
-
-
-def _monitor_sigma(sigma: float | None, trajectory: Trajectory) -> float:
-    """A configured or stored ``sigma`` as given; unset (None or 0), 1.05 times
-    the initial worst pinching ratio, floored at 1e-10."""
-    if sigma:
-        return float(sigma)
-    status = pinching_status(trajectory.snapshots[0].curv, np.inf)
-    return float(max(1.05 * status.max_ratio, 1e-10))
+    eligible = np.nonzero(r <= config.t0_anchor * r[-1])[0]
+    t0_index = int(eligible[0]) if eligible.size else len(r) - 1
+    return float(sigma), t0_index
 
 
 def _load_run(directory) -> tuple[Trajectory, float, int] | int:
     """A stored run with its monitor sigma and anchor index, or, after one
     ``error:`` line, the exit code: 5 for an I/O problem, 2 for malformed files."""
     try:
-        trajectory, summary = load_trajectory(directory)
+        trajectory, config = load_trajectory(directory)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_PRECONDITION
-    sigma = _monitor_sigma(summary.get("sigma"), trajectory)
-    return trajectory, sigma, int(summary.get("t0_index", 0))
+    return trajectory, *_sigma_and_anchor(config, trajectory)
 
 
 # ---------------------------------------------------------------------------
@@ -505,24 +458,25 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
     except ConvexityLostError as exc:
         return EXIT_NUMERICAL, f"error: {config_path}: {exc}"
 
-    sigma = _monitor_sigma(config.sigma, trajectory)
-    t0_index = _anchor_index(trajectory, config.t0_anchor)
+    sigma, t0_index = _sigma_and_anchor(config, trajectory)
     record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
     gradient_margin = None
     if trajectory.dimension == 2:
         # on the final snapshot, the roundest body of the run
-        gradient_margin = gradient_inequality_monitor(trajectory.final.body).margin_full
+        gradient_margin = gradient_margins(trajectory.final.body)[0]
     checks = flow_checks(trajectory, record)
     estimate = record.collapse
 
-    step_sizes = trajectory.step_sizes or (None,) * len(_STEP_SIZE_KEYS)
+    dt_min, dt_median, dt_max = trajectory.step_sizes or (None, None, None)
     summary = {
         "stop_reason": trajectory.stop_reason,
         "steps": trajectory.steps,
         "retries": trajectory.retries,
         "rhs_evaluations": trajectory.rhs_evaluations,
         "integrator": trajectory.integrator,
-        **dict(zip(_STEP_SIZE_KEYS, step_sizes)),
+        "dt_min": dt_min,
+        "dt_median": dt_median,
+        "dt_max": dt_max,
         "snapshot_count": len(trajectory.snapshots),
         "dimension": config.dimension,
         "degree": config.degree,

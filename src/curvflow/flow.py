@@ -90,7 +90,6 @@ from .spectral import TruncatedEvaluator, smooth_grid
 __all__ = [
     "FlowSnapshot",
     "Trajectory",
-    "INTEGRATORS",
     "run_flow",
     "CollapseEstimate",
     "estimate_collapse",
@@ -160,26 +159,26 @@ class Trajectory:
     retry budget), or ``max_steps``.  ``rhs_evaluations`` counts the
     right-hand side evaluations, failed stages included; ``integrator`` is
     "rk4" or "etdrk4", and ``step_sizes`` holds the minimum, median and
-    maximum accepted time step (None when no step was accepted).  A run
-    directory written before a record was kept loads it as None.
+    maximum accepted time step (None when no step was accepted).
+
+    A trajectory loaded from a run directory has the defaults: ``stop_reason``
+    "loaded" and None for every step counter; each snapshot's ``step`` is
+    its index, because a stored run keeps its snapshots, not how they were
+    stepped.
     """
 
     speed: Speed
     snapshots: tuple[FlowSnapshot, ...]
-    stop_reason: str
-    steps: int
-    retries: int
-    rhs_evaluations: int | None
-    integrator: str | None
-    step_sizes: tuple[float, float, float] | None
+    stop_reason: str = "loaded"
+    steps: int | None = None
+    retries: int | None = None
+    rhs_evaluations: int | None = None
+    integrator: str | None = None
+    step_sizes: tuple[float, float, float] | None = None
 
     @property
     def dimension(self) -> int:
         return self.snapshots[0].body.dimension
-
-    @property
-    def degree(self) -> int:
-        return self.snapshots[0].body.grid.degree
 
     @property
     def final(self) -> FlowSnapshot:
@@ -319,9 +318,6 @@ class _Etdrk4:
         c = e_half * a + dt_q * (2.0 * n_b - n_u)
         n_c = remainder(c)
         return e * state + dt * (f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
-
-
-INTEGRATORS = (_Rk4.name, _Etdrk4.name)
 
 
 def run_flow(

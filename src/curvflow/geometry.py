@@ -414,8 +414,6 @@ def diskant_bounds(mv: MixedVolumes) -> DiskantBounds:
 class GeomboundResult:
     """Empirical roundness thresholds from a sequence of radius pairs."""
 
-    r_plus: np.ndarray
-    ratio: np.ndarray
     thresholds: dict[float, float]  # rho -> largest safe circumradius
     ratio_monotone: bool
 
@@ -436,9 +434,7 @@ def geombound_check(r_plus, ratio, rho_grid) -> GeomboundResult:
         thresholds[float(rho)] = float(np.min(r_plus[violating])) if np.any(violating) else np.inf
     order = np.argsort(r_plus)[::-1]  # shrinking circumradius
     monotone = bool(np.all(np.diff(ratio[order]) <= 1e-12))
-    return GeomboundResult(
-        r_plus=r_plus, ratio=ratio, thresholds=thresholds, ratio_monotone=monotone
-    )
+    return GeomboundResult(thresholds=thresholds, ratio_monotone=monotone)
 
 
 def volume_decay_rate(

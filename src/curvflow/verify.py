@@ -41,6 +41,7 @@ __all__ = [
     "lemma_maclaurin_suite",
     "run_lemma_suites",
     "GradientInequalityReport",
+    "gradient_margins",
     "gradient_inequality_monitor",
     "CurveResidualReport",
     "curve_evolution_residual",
@@ -347,7 +348,9 @@ def _gradient_terms(body: SupportFunction) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _gradient_margins(body: SupportFunction) -> tuple[float, float, float]:
+def gradient_margins(body: SupportFunction) -> tuple[float, float, float]:
+    """``GradientInequalityReport``'s margin_full, margin_traceless and scale
+    on ``body``'s own grid (n = 2)."""
     n = body.grid.dimension
     t1, t2 = _gradient_terms(body)
     full = t1 - (3.0 / (n + 2)) * t2
@@ -365,12 +368,12 @@ def gradient_inequality_monitor(body: SupportFunction) -> GradientInequalityRepo
     """
     if body.grid.dimension != 2:
         raise ValueError("gradient inequality monitor needs a surface (n = 2)")
-    margin_full, margin_traceless, scale = _gradient_margins(body)
+    margin_full, margin_traceless, scale = gradient_margins(body)
 
     coarse_full = coarse_traceless = None
     if body.grid.degree >= 8:
         coarse = resample(body, standard_grid(2, body.grid.degree // 2))
-        coarse_full, coarse_traceless, _ = _gradient_margins(coarse)
+        coarse_full, coarse_traceless, _ = gradient_margins(coarse)
         tol_disc = max(
             abs(margin_full - coarse_full),
             abs(margin_traceless - coarse_traceless),

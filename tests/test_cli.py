@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvflow import cli, flow, geometry, verify
-from curvflow.body import load_snapshot
+from curvflow.body import load_snapshot, save_snapshot
 from curvflow.cli import (
     EXIT_CONE,
     EXIT_IO,
@@ -439,11 +439,16 @@ def test_simulate_jobs_below_one_is_a_precondition_failure(jobs, tmp_path, capsy
 
 
 def test_load_trajectory_round_trip(ellipsoid_dir):
-    trajectory, summary = load_trajectory(ellipsoid_dir)
-    assert trajectory.stop_reason == "target_radius"
-    assert trajectory.dimension == 2
-    assert len(trajectory.snapshots) == summary["snapshot_count"]
-    assert trajectory.speed.describe() == summary["speed"]
+    trajectory, config = load_trajectory(ellipsoid_dir)
+    assert config == ExperimentConfig.load(ellipsoid_dir / "config.json")
+    assert trajectory.dimension == config.dimension == 2
+    assert trajectory.speed.describe() == parse_speed(config.speed, 2).describe()
+    # a stored run keeps its snapshots, not how they were stepped
+    assert trajectory.stop_reason == "loaded"
+    counters = (trajectory.steps, trajectory.retries, trajectory.rhs_evaluations)
+    assert counters == (None, None, None)
+    assert (trajectory.integrator, trajectory.step_sizes) == (None, None)
+    assert [snap.step for snap in trajectory.snapshots] == list(range(len(trajectory.snapshots)))
     # stored support values survive unchanged
     body, time = load_snapshot(sorted((ellipsoid_dir / "snapshots").glob("*.json"))[-1])
     assert time == trajectory.final.time
@@ -470,9 +475,10 @@ def test_stored_snapshots_compute_each_value_once(ellipsoid_dir, monkeypatch):
         geometry.RadiiSolver, "_centre", counting("centre", geometry.RadiiSolver._centre)
     )
     monkeypatch.setattr(flow, "curvature", counting("curvature", flow.curvature))
-    trajectory, summary = load_trajectory(ellipsoid_dir)
+    trajectory, config = load_trajectory(ellipsoid_dir)
     assert calls["lp"] == 0 and calls["centre"] == 0
-    record = diagnostics_record(trajectory, sigma=summary["sigma"], t0_index=summary["t0_index"])
+    sigma, t0_index = cli._sigma_and_anchor(config, trajectory)
+    record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
     cli.time_series(trajectory, record)
     assert calls["curvature"] == len(trajectory.snapshots)
 
@@ -492,8 +498,7 @@ def _copy_with_config(run_dir, tmp_path, **fields):
 
 
 def test_run_directories_with_retired_config_fields_still_load(ellipsoid_dir, tmp_path, capsys):
-    # config.json as written before seed, rho_grid, eps_grid and sigma0 were
-    # retired, and summary.json as written before sigma0 was
+    # config.json as written before seed, rho_grid, eps_grid and sigma0 were retired
     retired = {
         "eps_grid": [0.01, 0.05, 0.1, 0.5],
         "rho_grid": [0.01, 0.05],
@@ -501,10 +506,6 @@ def test_run_directories_with_retired_config_fields_still_load(ellipsoid_dir, tm
         "sigma0": None,
     }
     run = _copy_with_config(ellipsoid_dir, tmp_path, **retired)
-    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
-    summary["sigma0"] = summary["sigma"]
-    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
-    assert "sigma0" not in load_trajectory(run)[1]
     outputs = []
     for directory in (ellipsoid_dir, run):
         assert main(["verify", "flow", str(directory)]) == EXIT_OK
@@ -518,6 +519,80 @@ def test_run_directories_with_retired_config_fields_still_load(ellipsoid_dir, tm
         assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and err.count("\n") == 1
+
+
+def _verify_and_analyze(run, capsys):
+    """(exit codes, stdout with the run path replaced, analysis.csv bytes)."""
+    codes = (main(["verify", "flow", str(run)]), main(["analyze", str(run)]))
+    out = capsys.readouterr().out.replace(str(run), "RUN")
+    return codes, out, (run / "analysis.csv").read_bytes()
+
+
+@pytest.mark.parametrize("variant", ["deleted", "not an object", "wrong sigma and anchor"])
+@pytest.mark.parametrize("run_dir", ["ellipsoid_dir", "sphere_dir", "curve_dir"])
+def test_verify_flow_and_analyze_never_read_the_summary(
+    run_dir, variant, request, tmp_path, capsys
+):
+    # a stored run is its config and its snapshots: sigma and the anchor are
+    # derived from them as simulate derives them
+    intact = request.getfixturevalue(run_dir)
+    capsys.readouterr()
+    run = tmp_path / "run"
+    shutil.copytree(intact, run)
+    summary = run / "summary.json"
+    if variant == "deleted":
+        summary.unlink()
+    elif variant == "not an object":
+        summary.write_text("[]", encoding="utf-8")
+    else:
+        stored = json.loads(summary.read_text(encoding="utf-8"))
+        assert stored["t0_index"] > 0
+        stored.update(sigma=10.0 * stored["sigma"], t0_index=0)
+        summary.write_text(json.dumps(stored), encoding="utf-8")
+    expected = _verify_and_analyze(intact, capsys)
+    assert expected[0] == (EXIT_OK, EXIT_OK)
+    assert _verify_and_analyze(run, capsys) == expected
+
+
+def _intruder_curve(run, curve_dir):
+    # the last snapshot of a curve run, stored after this run's last one
+    shutil.copy(sorted((curve_dir / "snapshots").glob("snap_*.json"))[-1], run / "snap_999999.json")
+
+
+def _intruder_degree(run, curve_dir):
+    # a degree-16 surface between this degree-8 run's first two snapshots
+    files = sorted(run.glob("snap_*.json"))
+    times = [load_snapshot(f)[1] for f in files[:2]]
+    body = parse_shape("ellipsoid 1 1 1.1", standard_grid(2, 16))
+    save_snapshot(body, 0.5 * sum(times), run / "snap_000000b.json")
+
+
+def _intruder_duplicate(run, curve_dir):
+    shutil.copy(run / "snap_000001.json", run / "snap_000001b.json")
+
+
+@pytest.mark.parametrize(
+    "intrude",
+    [_intruder_curve, _intruder_degree, _intruder_duplicate],
+    ids=["curve snapshot", "degree-16 snapshot", "duplicated snapshot"],
+)
+def test_a_run_directory_that_mixes_runs_is_a_precondition_failure(
+    ellipsoid_dir, curve_dir, tmp_path, intrude, capsys
+):
+    run = tmp_path / "run"
+    shutil.copytree(ellipsoid_dir, run)
+    (run / "analysis.csv").unlink(missing_ok=True)
+    intrude(run / "snapshots", curve_dir)
+    (intruder,) = set(os.listdir(run / "snapshots")) - set(os.listdir(ellipsoid_dir / "snapshots"))
+    for command in (["verify", "flow"], ["analyze"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, str(run)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert intruder in captured.err
+    assert not (run / "analysis.csv").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -667,11 +742,7 @@ def test_each_command_computes_only_the_values_it_reports(
         return counted
 
     for module in (cli, verify):
-        monkeypatch.setattr(
-            module,
-            "gradient_inequality_monitor",
-            counting("gradient", verify.gradient_inequality_monitor),
-        )
+        monkeypatch.setattr(module, "gradient_margins", counting("gradient", verify.gradient_margins))
         monkeypatch.setattr(module, "kappa_gap_table", counting("gaps", verify.kappa_gap_table))
     monkeypatch.setattr(cli, "diagnostics_record", counting("record", verify.diagnostics_record))
 
@@ -683,7 +754,9 @@ def test_each_command_computes_only_the_values_it_reports(
     assert calls == {"gradient": 0, "gaps": 1, "record": 1}
 
     calls.update(gaps=0, record=0)
-    surface = write_config(tmp_path / "surface.json", degree=6, output=str(tmp_path / "surface"))
+    # at degree 8 gradient_inequality_monitor would add a half-band pass: simulate
+    # stores the full margin only
+    surface = write_config(tmp_path / "surface.json", degree=8, output=str(tmp_path / "surface"))
     assert main(["simulate", str(surface)]) == EXIT_OK
     assert calls == {"gradient": 1, "gaps": 0, "record": 1}
 
@@ -702,96 +775,19 @@ def test_verify_flow_missing_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
-def _copy_with_summary(run_dir, tmp_path, **fields):
-    run = tmp_path / "run"
-    shutil.copytree(run_dir, run)
-    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
-    summary.update(fields)
-    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
-    return run
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("t0_index", 99),
-        ("t0_index", -1),
-        ("t0_index", "abc"),
-        ("t0_index", 0.5),
-        ("sigma", "x"),
-        ("sigma", float("nan")),
-        ("steps", 2.7),
-        ("steps", "x"),
-        ("steps", -1),
-        ("retries", "x"),
-        ("retries", -1),
-        ("rhs_evaluations", 1.5),
-        ("rhs_evaluations", None),
-        ("rhs_evaluations", -1),
-        ("integrator", "rk5"),
-        ("integrator", 4),
-        ("dt_min", "x"),
-        ("dt_min", 1.0),
-        ("dt_median", -1e-3),
-        ("dt_max", float("inf")),
-        ("dt_max", None),
-    ],
-)
-def test_verify_flow_malformed_summary_is_a_precondition_failure(
-    ellipsoid_dir, tmp_path, field, value, capsys
-):
-    run = _copy_with_summary(ellipsoid_dir, tmp_path, **{field: value})
-    assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: summary.json {field}")
-    assert captured.err.count("\n") == 1
-
-
-def test_summary_counts_right_hand_side_evaluations(ellipsoid_dir, tmp_path, capsys):
+def test_summary_counts_right_hand_side_evaluations(ellipsoid_dir):
     summary = json.loads((ellipsoid_dir / "summary.json").read_text(encoding="utf-8"))
     # one evaluation of the initial state, then four per step without retries
     assert summary["retries"] == 0
     assert summary["rhs_evaluations"] == 4 * summary["steps"] + 1
-    trajectory, _ = load_trajectory(ellipsoid_dir)
-    assert trajectory.rhs_evaluations == summary["rhs_evaluations"]
-    # a summary.json written before the counter existed still loads and verifies alike
-    run = tmp_path / "run"
-    shutil.copytree(ellipsoid_dir, run)
-    del summary["rhs_evaluations"]
-    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
-    assert load_trajectory(run)[0].rhs_evaluations is None
-    outputs = []
-    for directory in (ellipsoid_dir, run):
-        assert main(["verify", "flow", str(directory)]) == EXIT_OK
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
-def test_summary_records_the_integrator_and_step_sizes(
-    ellipsoid_dir, curve_dir, tmp_path, capsys
-):
+def test_summary_records_the_integrator_and_step_sizes(ellipsoid_dir, curve_dir):
     for directory, integrator in ((ellipsoid_dir, "rk4"), (curve_dir, "etdrk4")):
         summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
         sizes = (summary["dt_min"], summary["dt_median"], summary["dt_max"])
         assert summary["integrator"] == integrator
         assert 0.0 < sizes[0] <= sizes[1] <= sizes[2]
-        trajectory, _ = load_trajectory(directory)
-        assert (trajectory.integrator, trajectory.step_sizes) == (integrator, sizes)
-    # a summary.json written before the record existed loads it as None
-    run = tmp_path / "run"
-    shutil.copytree(ellipsoid_dir, run)
-    summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
-    for key in ("integrator", "dt_min", "dt_median", "dt_max"):
-        del summary[key]
-    (run / "summary.json").write_text(json.dumps(summary), encoding="utf-8")
-    trajectory, _ = load_trajectory(run)
-    assert trajectory.integrator is None and trajectory.step_sizes is None
-    outputs = []
-    for directory in (ellipsoid_dir, run):
-        assert main(["verify", "flow", str(directory)]) == EXIT_OK
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
 def test_verify_flow_judges_the_curve_evolution_residual(curve_dir, tmp_path, capsys):
@@ -834,23 +830,6 @@ def test_run_directories_with_indented_snapshots_read_alike(ellipsoid_dir, tmp_p
         outputs.append(capsys.readouterr().out.replace(str(directory), "RUN"))
     assert outputs[0] == outputs[1]
     assert (run / "analysis.csv").read_bytes() == (ellipsoid_dir / "analysis.csv").read_bytes()
-
-
-def test_verify_flow_rejects_a_summary_that_is_not_an_object(ellipsoid_dir, tmp_path, capsys):
-    run = tmp_path / "run"
-    shutil.copytree(ellipsoid_dir, run)
-    (run / "summary.json").write_text("[]", encoding="utf-8")
-    assert main(["verify", "flow", str(run)]) == EXIT_PRECONDITION
-    err = capsys.readouterr().err
-    assert err.startswith("error: summary.json must be a JSON object") and err.count("\n") == 1
-
-
-def test_verify_flow_accepts_null_sigma_and_integral_float_index(ellipsoid_dir, tmp_path, capsys):
-    stored = json.loads((ellipsoid_dir / "summary.json").read_text(encoding="utf-8"))
-    index = float(stored["t0_index"])
-    run = _copy_with_summary(ellipsoid_dir, tmp_path, sigma=None, t0_index=index)
-    assert main(["verify", "flow", str(run)]) == EXIT_OK
-    assert "Z_sigma stays negative: ok" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -902,13 +881,15 @@ def test_analyze_prints_its_own_grids_and_the_record(ellipsoid_dir, capsys):
     argv = ["analyze", str(ellipsoid_dir), "--eps-grid", "0.2,0.3", "--rho-grid", "0.1"]
     assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
-    trajectory, summary = load_trajectory(ellipsoid_dir)
+    trajectory, _ = load_trajectory(ellipsoid_dir)
     gaps = kappa_gap_table(trajectory, (0.2, 0.3))
     assert re.findall(r"^  eps=(\S+): (\S+)$", out, re.M) == [
         ("0.2", repr(float(gaps[0]))),
         ("0.3", repr(float(gaps[1]))),
     ]
     assert re.findall(r"^  rho=(\S+): ", out, re.M) == ["0.1"]
+    # the record analyze derives from the stored run is the one simulate wrote
+    summary = json.loads((ellipsoid_dir / "summary.json").read_text(encoding="utf-8"))
     assert re.search(r"^lambda_hat: (\S+)$", out, re.M)[1] == f"{summary['lambda_hat']:.6g}"
     exponent = re.search(r"^speed exponent: (\S+) \(expected", out, re.M)[1]
     assert exponent == f"{summary['speed_exponent']:.6g}"
