@@ -25,6 +25,7 @@ from .spectral import (
     SphereGrid,
     SpectralField,
     analyze,
+    coefficient_count,
     radii_rows,
     standard_grid,
 )
@@ -251,14 +252,37 @@ def snapshot_to_text(body: SupportFunction, time: float) -> str:
     return json.dumps(record)
 
 
+_NUMBER_TYPES = {int, float}
+
+
 def snapshot_from_text(text: str) -> tuple[SupportFunction, float]:
+    """The body and time of a snapshot; ValueError if the text is not a
+    snapshot object with integer ``dimension`` and ``degree``, a list of
+    ``coefficients`` of the degree's count, and a ``time``, all finite."""
     record = json.loads(text)
-    if record.get("format") != SNAPSHOT_FORMAT:
+    if not isinstance(record, dict) or record.get("format") != SNAPSHOT_FORMAT:
         raise ValueError("not a support-function snapshot")
     if record.get("version") != 1:
         raise ValueError(f"unsupported snapshot version {record.get('version')!r}")
-    grid = standard_grid(int(record["dimension"]), int(record["degree"]))
-    coeffs = np.asarray(record["coefficients"], dtype=float)
+    missing = [k for k in ("dimension", "degree", "coefficients", "time") if k not in record]
+    if missing:
+        raise ValueError(f"snapshot lacks {', '.join(missing)}")
+    dimension, degree, values = record["dimension"], record["degree"], record["coefficients"]
+    for key, value in (("dimension", dimension), ("degree", degree)):
+        if type(value) is not int:
+            raise ValueError(f"snapshot {key} must be an integer, got {value!r}")
+    if type(record["time"]) not in _NUMBER_TYPES:
+        raise ValueError(f"snapshot time must be a number, got {record['time']!r}")
+    if not isinstance(values, list) or not set(map(type, values)) <= _NUMBER_TYPES:
+        raise ValueError("snapshot coefficients must be a list of numbers")
+    # checked before the grid is built, whose size the degree sets
+    if len(values) != coefficient_count(dimension, degree):
+        raise ValueError(
+            f"snapshot has {len(values)} coefficients, degree {degree} needs "
+            f"{coefficient_count(dimension, degree)}"
+        )
+    grid = standard_grid(dimension, degree)
+    coeffs = np.asarray(values, dtype=float)
     time = float(record["time"])
     # json reads NaN and Infinity, and overflows a number such as 1e400 to inf
     if not np.all(np.isfinite(coeffs)):

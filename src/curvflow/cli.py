@@ -296,9 +296,10 @@ def load_trajectory(path) -> tuple[Trajectory, ExperimentConfig]:
     """Rebuild a trajectory and its config from a simulation output directory.
 
     A stored run is its ``config.json`` and its snapshots; ``summary.json``
-    is a report and is never read back.  A snapshot whose dimension or
-    degree differs from the config's, or whose time does not follow the
-    previous snapshot's, belongs to another run and raises ValueError.
+    is a report and is never read back.  A malformed snapshot raises
+    ValueError naming its file, and so does one whose dimension or degree
+    differs from the config's, or whose time does not follow the previous
+    snapshot's, since it belongs to another run.
     A snapshot solves its radii linear programs only when its radii are
     first read, warm-started by the one solver that the loaded snapshots
     share; the radii are the programs' optimal values and the centres
@@ -318,7 +319,10 @@ def load_trajectory(path) -> tuple[Trajectory, ExperimentConfig]:
     solver = RadiiSolver()
     snapshots = []
     for i, file in enumerate(files):
-        body, time = load_snapshot(file)
+        try:
+            body, time = load_snapshot(file)
+        except ValueError as exc:
+            raise ValueError(f"{file}: {exc}") from exc
         if (body.dimension, body.grid.degree) != (config.dimension, config.degree):
             raise ValueError(
                 f"{file}: snapshot has dimension {body.dimension} and degree "
@@ -478,6 +482,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         "dt_median": dt_median,
         "dt_max": dt_max,
         "snapshot_count": len(trajectory.snapshots),
+        "radii_solves": trajectory.final.radii_solver.radii_solves,
         "dimension": config.dimension,
         "degree": config.degree,
         "speed": speed.describe(),

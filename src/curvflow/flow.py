@@ -34,36 +34,35 @@ stepper owns.
 The step size is dt = c_safe H**2 / D.  D is the largest
 F' max(r_max**2, 1) / r_min**2 over the fine nodes: on a curve F' max(kappa**2,
 1), at least the diffusion coefficient F' kappa**2 of the linearized flow.
-H is a length in angle, and the integrator depends on the body's dimension.
+H is a length in angle.
 
-Surfaces, and curves given ``rk4=True``, step with classic fourth-order
-Runge-Kutta and H = h, the body grid's node spacing.  The flows are
-parabolic, so stability, not accuracy, bounds this dt: the top curve mode's
-decay rate times dt is at most c_safe pi**2 (L - 1) / (L + 1), and
-``c_safe`` may not exceed ``MAX_SAFETY`` = 2.785 / pi**2, the edge of RK4's
-real stability interval over pi**2.  The default 0.25 puts that mode at 87%
-of the interval.
+Every body steps with the exponential integrator ETDRK4 (Cox and Matthews
+2002).  About the round n-sphere the flow's linearization is diagonal in
+the spectrum, with multiplier (F' kappa**2 / n)(n - lambda) on a mode of
+Laplace eigenvalue -lambda: m**2 on mode m of a curve, l (l + 1) on degree
+l of a surface.  The stepper splits off the linear part (D / n)(n - lambda),
+integrates it exactly, and treats the remainder with the scheme's four
+stages; no mode limits the step.  On a curve the remainder's diffusion
+coefficient F' kappa**2 - D is never positive, so it adds no stiffness; on
+a surface the split is exact about the round sphere, which the flows
+approach.  H is max(h, ``ETD_SPACING``), h the body grid's node spacing, so
+the step stops shrinking with the band limit once h is finer (L >= 22): on
+the (1, 1.2) ellipse down to half its
+inradius it takes 386 steps at L = 32, 64 and 128, where RK4 takes 852,
+3,304 and 13,014, and on the (1, 1, 1.1) ellipsoid under H**2 down to 0.9
+of its inradius 80 at L = 24, 32 and 48, where RK4 takes 100, 160 and 320.
+Since dt D = c_safe H**2 whatever the state, each mode's z = (dt D / n)(n -
+lambda) is fixed for the run, so the scheme's phi-function tables are built
+once per run, and once more for each halving a retried step needs, as the
+32-point contour means of Kassam and Trefethen (2005).
 
-Curves otherwise step with the exponential integrator ETDRK4 (Cox and
-Matthews 2002).  About a circle the flow's linearization is diagonal in the
-spectrum, with multiplier F' kappa**2 (1 - m**2) on mode m.  The stepper
-splits off the linear part D (1 - m**2), integrates it exactly, and treats
-the remainder, whose diffusion coefficient F' kappa**2 - D is never
-positive and so adds no stiffness, with the scheme's four stages; no mode
-limits the step.  H is
-then max(h, ``ETD_SPACING``), so the step stops shrinking with the band
-limit: on the (1, 1.2) ellipse down to half its inradius it takes 386 steps
-at L = 32, 64 and 128, where RK4 takes 852, 3,304 and 13,014.  Since
-dt D = c_safe H**2 whatever the state, each mode's z = dt D (1 - m**2) is
-fixed for the run, so the scheme's phi-function tables are built once per
-run, and once more for each halving a retried step needs, as the 32-point
-contour means of Kassam and Trefethen (2005).
-
-Surfaces keep RK4.  ETDRK4 split per degree on the sphere, with the same
-step rule, took 80 steps rather than RK4's 100 on the benchmark's degree-24
-(1, 1, 1.1) ellipsoid down to 0.9 of its inradius, and the benchmark's
-surface checks passed.  The gain grows as L**2, so surfaces switch only once
-a workload at a higher degree can show it.
+Given ``rk4=True``, a body steps with classic fourth-order Runge-Kutta and
+H = h instead, the reference the exponential steps are measured against.
+The flows are parabolic, so stability, not accuracy, bounds its dt: the top
+curve mode's decay rate times dt is at most c_safe pi**2 (L - 1) / (L + 1),
+and ``c_safe`` may not exceed ``MAX_SAFETY`` = 2.785 / pi**2, the edge of
+RK4's real stability interval over pi**2, whichever integrator steps.  The
+default 0.25 puts that mode at 87% of the interval.
 """
 
 from __future__ import annotations
@@ -101,10 +100,12 @@ DEFAULT_SAFETY = 0.25
 # c_safe * pi**2 * (L - 1) / (L + 1) < c_safe * pi**2, so a c_safe of at most
 # 2.785 / pi**2 (about 0.282) keeps every mode inside that interval.
 MAX_SAFETY = 2.785 / np.pi**2
-# ETDRK4's length H on curves is at least this angle, so dt D = 0.02 c_safe
-# once the node spacing is finer (L >= 22).  At the default c_safe that
-# keeps r_- and r_+ within 1e-8 relative of RK4 at c_safe 0.05 on the
-# (1, 1.2) and (1, 1.6) ellipses at L = 32, 64 and 128.
+# ETDRK4's length H is at least this angle, so dt D = 0.02 c_safe once the
+# node spacing is finer (L >= 22).  At the default c_safe that keeps r_- and
+# r_+ within 1e-8 relative of RK4 at c_safe 0.05 on the (1, 1.2) and
+# (1, 1.6) ellipses at L = 32, 64 and 128, and within 2e-8 on the reference
+# surfaces (1.4e-8 at most, pow_norm with alpha = 3 on the (1, 1.2, 1.6)
+# ellipsoid at L = 16).
 ETD_SPACING = 0.02**0.5
 CONTOUR_POINTS = 32
 MAX_STEP_RETRIES = 20
@@ -288,13 +289,18 @@ def _etdrk4_tables(z: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 class _Etdrk4:
-    """Cox-Matthews ETDRK4 on the curve spectrum, with linear part
-    D (1 - m**2) on mode m and dt D = ``theta`` before any halving."""
+    """Cox-Matthews ETDRK4 on the band-L spectrum of an n-dimensional body,
+    with linear part (D / n) (n - lambda) on a mode of Laplace eigenvalue
+    -lambda (m**2 on the circle, l (l + 1) on the sphere) and dt D =
+    ``theta`` before any halving.  On the sphere z depends on l alone, so its
+    tables broadcast over m in the (m, l) spectrum."""
 
     name = "etdrk4"
 
-    def __init__(self, degree: int, theta: float):
-        self.z = theta * (1.0 - np.arange(degree + 1.0) ** 2)
+    def __init__(self, dimension: int, degree: int, theta: float):
+        k = np.arange(degree + 1.0)
+        lam = k**2 if dimension == 1 else k * (k + 1.0)
+        self.z = (theta / dimension) * (dimension - lam)
         self.tables = {}
 
     def step(self, evaluate, state, rhs, dt, halvings):
@@ -302,22 +308,41 @@ class _Etdrk4:
         dt D = theta."""
         if halvings not in self.tables:
             z = self.z * 0.5**halvings
-            self.tables[halvings] = (z, *_etdrk4_tables(z))
-        z, e, e_half, q, f1, f2, f3 = self.tables[halvings]
-        linear = z / dt
+            e, e_half, q, f1, f2, f3 = _etdrk4_tables(z)
+            # complex once here, as each product with the spectrum would cast
+            # them; 2 f2 is exact, so the bits are those of the plain formulas
+            weights = (e, e_half, f1, 2.0 * f2, f3)
+            self.tables[halvings] = (z, q, *(w.astype(complex) for w in weights))
+        z, q, e, e_half, f1, f2_twice, f3 = self.tables[halvings]
+        linear = (z / dt).astype(complex)
+        dt_q = (dt * q).astype(complex)
 
         def remainder(u):
             return evaluate(u)[0] - linear * u
 
+        # in place; each product and sum has the operands of the scheme's
+        # formulas, and IEEE products and sums commute, so the bits are theirs
         n_u = rhs - linear * state
-        dt_q = dt * q
-        a = e_half * state + dt_q * n_u
+        half = e_half * state
+        a = dt_q * n_u
+        a += half
         n_a = remainder(a)
-        b = e_half * state + dt_q * n_a
+        b = dt_q * n_a
+        b += half
         n_b = remainder(b)
-        c = e_half * a + dt_q * (2.0 * n_b - n_u)
+        c = 2.0 * n_b
+        c -= n_u
+        c *= dt_q
+        c += e_half * a
         n_c = remainder(c)
-        return e * state + dt * (f1 * n_u + 2.0 * f2 * (n_a + n_b) + f3 * n_c)
+        out = f1 * n_u
+        n_a += n_b
+        n_a *= f2_twice
+        out += n_a
+        out += f3 * n_c
+        out *= dt
+        out += e * state
+        return out
 
 
 def run_flow(
@@ -334,10 +359,10 @@ def run_flow(
     """Contract ``body`` under ``speed`` until the inradius hits
     ``stop_fraction`` times its initial value (checked at snapshot cadence).
 
-    Curves step with ETDRK4 and surfaces with RK4; ``rk4=True`` steps a
-    curve with RK4 too, the reference the exponential steps are measured
-    against.  Every accepted step is screened against the speed's pinching
-    cone; state that leaves it stops the run with ``cone_exit``.  A stage
+    Every body steps with ETDRK4; ``rk4=True`` steps with RK4 instead, the
+    reference the exponential steps are measured against.  Every accepted
+    step is screened against the speed's pinching cone; state that leaves it
+    stops the run with ``cone_exit``.  A stage
     that loses convexity halves the step and retries, up to
     ``MAX_STEP_RETRIES`` halvings, after which the run stops with the last
     valid state and ``convexity_lost``.
@@ -369,12 +394,12 @@ def run_flow(
     grid = body.grid
     stepper = _Stepper(grid, speed, convexity_tol)
     h_min = grid.min_spacing()
-    if rk4 or body.dimension != 1:
+    if rk4:
         scale = c_safe * h_min**2
         integrator = _Rk4()
     else:
         scale = c_safe * max(h_min, ETD_SPACING) ** 2
-        integrator = _Etdrk4(grid.degree, scale)
+        integrator = _Etdrk4(grid.dimension, grid.degree, scale)
 
     evaluator = stepper.evaluator
     state = evaluator.spectrum(body.coefficients)

@@ -198,7 +198,9 @@ class RadiiSolver:
     centre range it takes the centre's box.  A singular, ill-conditioned or
     dual-infeasible basis is replaced by the cold start, and Bland's rule takes
     over once the objective stalls.  The bases are kept for the last grid seen
-    and belong to this object alone; ``pivots`` and ``restarts`` count its work.
+    and belong to this object alone; ``radii_solves``, ``pivots`` and
+    ``restarts`` count its work: its ``radii`` calls, simplex pivots and cold
+    starts.
 
     ``radii`` runs the two radius programs only.  The 2d centre-range programs
     of each centre run when the returned ``DirectRadii`` is first asked for
@@ -209,6 +211,7 @@ class RadiiSolver:
     def __init__(self):
         self._grid = None
         self._bases: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+        self.radii_solves = 0
         self.pivots = 0
         self.restarts = 0
 
@@ -231,6 +234,7 @@ class RadiiSolver:
 
     def radii(self, body: SupportFunction) -> DirectRadii:
         """Both radii of ``body``; its centres are solved on first read."""
+        self.radii_solves += 1
         if body.grid is not self._grid:
             self._set_grid(body.grid)
         s = body.values

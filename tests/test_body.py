@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import curvflow.body as body_module
 from curvflow.body import (
     DEFAULT_CONVEXITY_TOL,
     ConvexityLostError,
@@ -256,9 +257,27 @@ def test_indented_snapshots_load_bit_for_bit():
         assert snapshot_to_text(back, t) == compact
 
 
-def test_snapshot_rejects_other_json():
-    with pytest.raises(ValueError):
-        snapshot_from_text('{"format": "something-else", "version": 1}')
+def test_snapshot_rejects_other_json(monkeypatch):
+    # JSON that is not a snapshot object, lacks a field or gives one the wrong
+    # type is a ValueError, found before a grid of the stated degree is built
+    record = json.loads(snapshot_to_text(make_sphere(standard_grid(2, 4), 1.0), 0.5))
+    texts = ['{"format": "something-else", "version": 1}', "[1]", '"snapshot"', "null"]
+    texts += [json.dumps({k: v for k, v in record.items() if k != key}) for key in
+              ("dimension", "degree", "coefficients", "time")]
+    edits = [
+        ("dimension", "2"), ("degree", None), ("degree", 4.0), ("degree", 10**6),
+        ("coefficients", {"0": 1.0}), ("coefficients", [True] * 25),
+        ("time", None), ("time", "0.5"), ("time", [0.5]),
+    ]
+    texts += [json.dumps({**record, key: value}) for key, value in edits]
+
+    def no_grid(*args):
+        raise AssertionError(f"built the grid {args} for a malformed snapshot")
+
+    monkeypatch.setattr(body_module, "standard_grid", no_grid)
+    for text in texts:
+        with pytest.raises(ValueError):
+            snapshot_from_text(text)
 
 
 @pytest.mark.parametrize(

@@ -782,11 +782,19 @@ def test_summary_counts_right_hand_side_evaluations(ellipsoid_dir):
     assert summary["rhs_evaluations"] == 4 * summary["steps"] + 1
 
 
+def test_summary_counts_one_radii_solve_per_snapshot(ellipsoid_dir, curve_dir):
+    # the run's one warm solver solves each snapshot's radii once
+    for directory in (ellipsoid_dir, curve_dir):
+        summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
+        assert summary["radii_solves"] == summary["snapshot_count"] > 2
+
+
 def test_summary_records_the_integrator_and_step_sizes(ellipsoid_dir, curve_dir):
-    for directory, integrator in ((ellipsoid_dir, "rk4"), (curve_dir, "etdrk4")):
+    # every body steps with ETDRK4; RK4 is reachable only through run_flow
+    for directory in (ellipsoid_dir, curve_dir):
         summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
         sizes = (summary["dt_min"], summary["dt_median"], summary["dt_max"])
-        assert summary["integrator"] == integrator
+        assert summary["integrator"] == "etdrk4"
         assert 0.0 < sizes[0] <= sizes[1] <= sizes[2]
 
 
@@ -910,17 +918,26 @@ def test_analyze_missing_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["analyze"], ["verify", "flow"]])
 def test_non_finite_snapshot_is_a_precondition_failure(ellipsoid_dir, tmp_path, command, capsys):
-    run = tmp_path / "run"
-    shutil.copytree(ellipsoid_dir, run)
-    snap = sorted((run / "snapshots").glob("snap_*.json"))[1]
-    record = json.loads(snap.read_text(encoding="utf-8"))
-    record["coefficients"][0] = float("nan")
-    snap.write_text(json.dumps(record), encoding="utf-8")
-    assert main([*command, str(run)]) == EXIT_PRECONDITION
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error:") and "non-finite" in captured.err
-    assert captured.err.count("\n") == 1
+    # so is a snapshot that is not an object or has a null degree: one error
+    # line that names the file, never a traceback
+    name = sorted((ellipsoid_dir / "snapshots").glob("snap_*.json"))[1].name
+    record = json.loads((ellipsoid_dir / "snapshots" / name).read_text(encoding="utf-8"))
+    poisoned = [float("nan"), *record["coefficients"][1:]]
+    cases = [
+        (json.dumps({**record, "coefficients": poisoned}), "non-finite"),
+        ("[1]", "not a support-function snapshot"),
+        (json.dumps({**record, "degree": None}), "degree must be an integer"),
+    ]
+    for i, (text, message) in enumerate(cases):
+        run = tmp_path / f"run{i}"
+        shutil.copytree(ellipsoid_dir, run)
+        snap = run / "snapshots" / name
+        snap.write_text(text, encoding="utf-8")
+        assert main([*command, str(run)]) == EXIT_PRECONDITION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {snap}: ") and message in captured.err
+        assert captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -489,7 +489,8 @@ def test_spectrum_layout_changes_no_bit(axes, degree):
 
 def test_default_curve_steps_do_not_grow_with_the_band_limit():
     # ETDRK4 takes the same step at every rung of criterion 12's ladder, where
-    # RK4 takes 852 / 3,304 / 13,014
+    # RK4 takes 852 / 3,304 / 13,014, and 80 steps on the benchmark's
+    # ellipsoid at degrees 24 and 32, where RK4 takes 100 and 160
     speed = parse_speed("pow_mean,alpha=2", 1)
     counts = []
     for degree in (32, 64, 128):
@@ -500,6 +501,13 @@ def test_default_curve_steps_do_not_grow_with_the_band_limit():
         counts.append(traj.steps)
     assert max(counts) <= 1.01 * min(counts)
     assert 10 * counts[-1] <= 13_014
+
+    speed = parse_speed("pow_mean,alpha=2", 2)
+    for degree in (24, 32):
+        body = make_ellipsoid(standard_grid(2, degree), (1.0, 1.0, 1.1))
+        traj = run_flow(body, speed, stop_fraction=0.9, snapshot_every=20)
+        assert (traj.stop_reason, traj.retries) == ("target_radius", 0)
+        assert (traj.integrator, traj.steps) == ("etdrk4", 80)
 
 
 def _rk4_reference(body, speed, times, c_safe=0.05):
@@ -528,22 +536,26 @@ def _radii_error(traj, reference):
     return max(abs(final.r_minus / reference[0] - 1.0), abs(final.r_plus / reference[1] - 1.0))
 
 
-@pytest.mark.parametrize("axes", [(1.0, 1.2), (1.0, 1.6)])
+@pytest.mark.parametrize("axes", [(1.0, 1.2), (1.0, 1.6), (1.0, 1.2, 1.6)])
 def test_etdrk4_is_fourth_order_against_a_fine_rk4_reference(axes):
     # r_- and r_+ within 1e-8 relative of RK4 at c_safe 0.05 at the same
-    # time (1.4e-10 and 6.7e-9 measured), and a halved step scale cuts the
-    # error by about 2**4 (15.1 and 12.9 measured)
-    body = make_ellipsoid(standard_grid(1, 32), axes)
-    speed = parse_speed("pow_mean,alpha=2", 1)
+    # time on the curves at L = 32 (1.4e-10 and 6.7e-9 measured), within
+    # the surfaces' 2e-8 on the surface at L = 22, where H = ETD_SPACING > h
+    # (8.7e-11 measured), and a halved step scale cuts the error by about
+    # 2**4 (15.1, 12.9 and 20.6 measured)
+    dimension = len(axes) - 1
+    degree, stop, every, tol = (32, 0.5, 2, 1e-8) if dimension == 1 else (22, 0.8, 20, 2e-8)
+    body = make_ellipsoid(standard_grid(dimension, degree), axes)
+    speed = parse_speed("pow_mean,alpha=2", dimension)
     runs = [
-        run_flow(body, speed, c_safe=c_safe, stop_fraction=0.5, snapshot_every=2)
+        run_flow(body, speed, c_safe=c_safe, stop_fraction=stop, snapshot_every=every)
         for c_safe in (DEFAULT_SAFETY, DEFAULT_SAFETY / 2)
     ]
     assert [traj.integrator for traj in runs] == ["etdrk4", "etdrk4"]
     ends = sorted(traj.final.time for traj in runs)
     reference = dict(zip(ends, _rk4_reference(body, speed, ends)))
     errors = [_radii_error(traj, reference[traj.final.time]) for traj in runs]
-    assert errors[0] <= 1e-8
+    assert errors[0] <= tol
     assert errors[0] >= 12.0 * errors[1]
 
 
@@ -564,16 +576,20 @@ def test_contour_tables_are_exact_at_the_translation_and_growing_modes():
         ]
 
     theta = DEFAULT_SAFETY * flow_module.ETD_SPACING**2
-    z = theta * (1.0 - np.arange(129.0) ** 2)  # m = 0 grows, m = 1 translates
-    tables = np.array(flow_module._etdrk4_tables(z))
-    # z = 0: exp(z), exp(z/2) and the weights' limits, 1/2 and 1/6
-    np.testing.assert_allclose(tables[:, 1], [1, 1, 1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=1e-15)
-    growing = np.array([float(v) for v in closed_form(z[0])])
-    np.testing.assert_allclose(tables[:, 0], growing, rtol=1e-15)
-    # elsewhere the contour passes near 0 for z near -1, which costs ~1e-12
-    for m in range(2, 129):
-        exact = np.array([float(v) for v in closed_form(z[m])])
-        np.testing.assert_allclose(tables[:, m], exact, rtol=1e-11, atol=1e-300)
+    # z = theta (1 - m**2) on the circle and (theta / 2)(2 - l (l + 1)) on
+    # the sphere: on both, mode 0 grows and mode 1 translates
+    for dimension in (1, 2):
+        z = flow_module._Etdrk4(dimension, 128, theta).z
+        assert (z[0], z[1]) == (theta, 0.0)
+        tables = np.array(flow_module._etdrk4_tables(z))
+        # z = 0: exp(z), exp(z/2) and the weights' limits, 1/2 and 1/6
+        np.testing.assert_allclose(tables[:, 1], [1, 1, 1 / 2, 1 / 6, 1 / 6, 1 / 6], rtol=1e-15)
+        growing = np.array([float(v) for v in closed_form(z[0])])
+        np.testing.assert_allclose(tables[:, 0], growing, rtol=1e-15)
+        # elsewhere the contour passes near 0 for z near -1, which costs ~1e-12
+        for k in range(2, 129):
+            exact = np.array([float(v) for v in closed_form(z[k])])
+            np.testing.assert_allclose(tables[:, k], exact, rtol=1e-11, atol=1e-300)
 
 
 def test_a_poisoned_curve_run_builds_one_table_set_per_halving(monkeypatch):
