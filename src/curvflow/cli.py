@@ -483,6 +483,7 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         "dt_max": dt_max,
         "snapshot_count": len(trajectory.snapshots),
         "radii_solves": trajectory.final.radii_solver.radii_solves,
+        "target_solves": trajectory.final.radii_solver.target_solves,
         "dimension": config.dimension,
         "degree": config.degree,
         "speed": speed.describe(),

@@ -198,9 +198,9 @@ class RadiiSolver:
     centre range it takes the centre's box.  A singular, ill-conditioned or
     dual-infeasible basis is replaced by the cold start, and Bland's rule takes
     over once the objective stalls.  The bases are kept for the last grid seen
-    and belong to this object alone; ``radii_solves``, ``pivots`` and
-    ``restarts`` count its work: its ``radii`` calls, simplex pivots and cold
-    starts.
+    and belong to this object alone; ``radii_solves``, ``target_solves``,
+    ``pivots`` and ``restarts`` count its work: its ``radii`` calls,
+    ``inradius`` calls, simplex pivots and cold starts.
 
     ``radii`` runs the two radius programs only.  The 2d centre-range programs
     of each centre run when the returned ``DirectRadii`` is first asked for
@@ -212,6 +212,7 @@ class RadiiSolver:
         self._grid = None
         self._bases: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
         self.radii_solves = 0
+        self.target_solves = 0
         self.pivots = 0
         self.restarts = 0
 
@@ -235,6 +236,19 @@ class RadiiSolver:
     def radii(self, body: SupportFunction) -> DirectRadii:
         """Both radii of ``body``; its centres are solved on first read."""
         self.radii_solves += 1
+        s = body.values
+        t_in = self._inradius(body)
+        t_out = self._program("circumradius", -s)
+        return DirectRadii(r_minus=t_in, r_plus=-t_out, solver=self, grid=body.grid, support=s)
+
+    def inradius(self, body: SupportFunction) -> float:
+        """The inradius of ``body`` alone, the one program a flow's stop test
+        needs; it shares its warm start with ``radii``, so a ``radii`` call
+        on the same body next reads the same value."""
+        self.target_solves += 1
+        return self._inradius(body)
+
+    def _inradius(self, body: SupportFunction) -> float:
         if body.grid is not self._grid:
             self._set_grid(body.grid)
         s = body.values
@@ -243,8 +257,7 @@ class RadiiSolver:
         t_in = self._program("inradius", s)
         if not t_in >= 0.0:
             raise RuntimeError(f"inradius LP failed: the node half-spaces hold no ball (t = {t_in})")
-        t_out = self._program("circumradius", -s)
-        return DirectRadii(r_minus=t_in, r_plus=-t_out, solver=self, grid=body.grid, support=s)
+        return t_in
 
     def _program(self, label: str, b: np.ndarray) -> float:
         """Optimal t of max t s.t. <c, u_i> + t <= b_i."""

@@ -84,6 +84,7 @@ __all__ = [
     "coefficient_count",
     "tangential_derivatives",
     "radii_rows",
+    "sup_bound",
     "third_derivatives",
 ]
 
@@ -316,6 +317,32 @@ class _Band:
 
 def _circle_normalization(band):
     return np.where(np.arange(band + 1) == 0, 1.0 / np.sqrt(2.0 * np.pi), 1.0 / np.sqrt(np.pi))
+
+
+@lru_cache(maxsize=32)
+def _degree_peaks(dimension: int, band: int) -> np.ndarray:
+    """Per degree, the largest root sum of squares of its basis functions at
+    one point: the normalization on the circle, sqrt((2l + 1) / 4 pi) on the
+    sphere (Unsold's addition theorem)."""
+    if dimension == 1:
+        return _circle_normalization(band)
+    return np.sqrt((2.0 * np.arange(band + 1.0) + 1.0) / (4.0 * np.pi))
+
+
+def sup_bound(spectrum: np.ndarray) -> float:
+    """A bound on |f| everywhere on the circle or sphere for the field f of a
+    complex spectrum in ``TruncatedEvaluator``'s layout.
+
+    Each degree adds the norm of its coefficients times its peak: on the
+    circle |c_cos cos kt + c_sin sin kt| <= |c_cos - i c_sin|, and on the
+    sphere Cauchy-Schwarz over m bounds degree l by its coefficient norm
+    times sqrt(sum_m Y_lm(x)**2) = sqrt((2l + 1) / 4 pi).  A single mode or
+    degree attains it at a point where its kernel peaks.
+    """
+    power = spectrum.real**2 + spectrum.imag**2
+    if spectrum.ndim == 2:
+        power = power.sum(axis=0)
+    return float(np.sqrt(power) @ _degree_peaks(spectrum.ndim, spectrum.shape[-1] - 1))
 
 
 def _build_band(grid: SphereGrid, band: int) -> _Band:

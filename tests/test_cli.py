@@ -789,6 +789,14 @@ def test_summary_counts_one_radii_solve_per_snapshot(ellipsoid_dir, curve_dir):
         assert summary["radii_solves"] == summary["snapshot_count"] > 2
 
 
+def test_summary_counts_the_stop_tests_inradius_solves(ellipsoid_dir, curve_dir):
+    # the inradius programs that the stop test solves between snapshots;
+    # radii_solves counts the snapshots' solves alone
+    for directory in (ellipsoid_dir, curve_dir):
+        summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
+        assert 0 < summary["target_solves"] <= 3
+
+
 def test_summary_records_the_integrator_and_step_sizes(ellipsoid_dir, curve_dir):
     # every body steps with ETDRK4; RK4 is reachable only through run_flow
     for directory in (ellipsoid_dir, curve_dir):

@@ -19,7 +19,7 @@ from curvflow.flow import (
     run_flow,
 )
 from curvflow.geometry import RadiiSolver, direct_radii, mixed_volumes
-from curvflow.shapes import make_ellipsoid, make_sphere
+from curvflow.shapes import make_ellipsoid, make_sphere, parse_shape
 from curvflow.speeds import Speed, make_speed, parse_speed
 from curvflow.spectral import SphereGrid, TruncatedEvaluator, standard_grid
 
@@ -112,6 +112,50 @@ def test_snapshot_cadence():
     traj = run_flow(make_sphere(grid, 1.0), make_speed("mean", 2), max_steps=25, snapshot_every=10)
     assert [snap.step for snap in traj.snapshots] == [0, 10, 20, 25]
     assert traj.stop_reason == "max_steps"
+
+
+def test_stop_step_does_not_depend_on_the_snapshot_cadence():
+    # the stop is the first accepted step at or below the target, whatever
+    # the cadence: 63 steps on the benchmark's ellipsoid, and 440 on the
+    # ellipse, which a test at snapshot steps alone ran to step 1,000
+    body = make_ellipsoid(standard_grid(2, 24), (1.0, 1.0, 1.1))
+    speed = parse_speed("pow_mean,alpha=2", 2)
+    finals = set()
+    for every in (1, 7, 20):
+        traj = run_flow(body, speed, stop_fraction=0.9, snapshot_every=every)
+        assert (traj.stop_reason, traj.steps, traj.final.step) == ("target_radius", 63, 63)
+        finals.add((np.float64(traj.final.time).tobytes(), traj.final.body.coefficients.tobytes()))
+    assert len(finals) == 1
+
+    body = make_ellipsoid(standard_grid(1, 16), (1.0, 1.2))
+    traj = run_flow(body, parse_speed("pow_mean,alpha=2", 1), snapshot_every=1000)
+    assert (traj.stop_reason, traj.steps) == ("target_radius", 440)
+    assert traj.final.radii.r_minus <= 0.2 * traj.snapshots[0].radii.r_minus
+
+
+@pytest.mark.parametrize(
+    "dimension, degree, shape, speed, stop, every",
+    [
+        (2, 12, "sphere 1 + Y(1,1)*0.3 + Y(2,0)*0.05", "pow_gauss", 0.4, 1000),
+        (2, 12, "ellipsoid 1 1.2 1.3", "pow_Ek:2,alpha=1.5", 0.3, 20),
+        (1, 24, "sphere 1 + Y(1,1)*0.5 + Y(3,1)*0.02", "pow_mean,alpha=2", 0.3, 1000),
+    ],
+)
+def test_certified_stop_matches_a_test_on_every_step(dimension, degree, shape, speed, stop, every):
+    # between snapshots the inradius is solved only where the spectral bound
+    # cannot rule out the target; that stops on the step of a run that solves
+    # every step, the off-centre bodies included, with a few extra solves
+    body = parse_shape(shape, standard_grid(dimension, degree))
+    speed = parse_speed(speed, dimension)
+    reference = run_flow(body, speed, stop_fraction=stop, snapshot_every=1)
+    traj = run_flow(body, speed, stop_fraction=stop, snapshot_every=every)
+    assert reference.stop_reason == traj.stop_reason == "target_radius"
+    assert reference.final.radii_solver.target_solves == 0
+    assert traj.final.radii_solver.target_solves <= 3
+    assert traj.steps == reference.steps
+    assert traj.final.time == reference.final.time
+    assert traj.final.radii.r_minus == reference.final.radii.r_minus
+    assert traj.final.radii_solver.radii_solves == len(traj.snapshots)
 
 
 def test_out_of_cone_stops_immediately():
@@ -430,9 +474,9 @@ def test_a_surface_evaluation_makes_one_fft_each_way(monkeypatch):
 def test_curve_step_count_is_unchanged_by_the_fine_ring():
     # the smooth fine ring moves each time step by under 1e-3 relative, not
     # the RK4 step count of criterion 12's first rung: 1064 steps at c_safe
-    # 0.2, 852 at the default 0.25
+    # 0.2, 851 at the default 0.25
     grid = standard_grid(1, 32)
-    for c_safe, steps in ((0.2, 1064), (DEFAULT_SAFETY, 852)):
+    for c_safe, steps in ((0.2, 1064), (DEFAULT_SAFETY, 851)):
         traj = run_flow(
             make_ellipsoid(grid, (1.0, 1.2)),
             parse_speed("pow_mean,alpha=2", 1),
@@ -489,8 +533,8 @@ def test_spectrum_layout_changes_no_bit(axes, degree):
 
 def test_default_curve_steps_do_not_grow_with_the_band_limit():
     # ETDRK4 takes the same step at every rung of criterion 12's ladder, where
-    # RK4 takes 852 / 3,304 / 13,014, and 80 steps on the benchmark's
-    # ellipsoid at degrees 24 and 32, where RK4 takes 100 and 160
+    # RK4 takes 851 / 3,304 / 13,013, and 63 steps on the benchmark's
+    # ellipsoid at degrees 24 and 32, where RK4 takes 84 and 144
     speed = parse_speed("pow_mean,alpha=2", 1)
     counts = []
     for degree in (32, 64, 128):
@@ -507,7 +551,7 @@ def test_default_curve_steps_do_not_grow_with_the_band_limit():
         body = make_ellipsoid(standard_grid(2, degree), (1.0, 1.0, 1.1))
         traj = run_flow(body, speed, stop_fraction=0.9, snapshot_every=20)
         assert (traj.stop_reason, traj.retries) == ("target_radius", 0)
-        assert (traj.integrator, traj.steps) == ("etdrk4", 80)
+        assert (traj.integrator, traj.steps) == ("etdrk4", 63)
 
 
 def _rk4_reference(body, speed, times, c_safe=0.05):

@@ -24,10 +24,12 @@ from curvflow.spectral import (
     smooth_grid,
     sphere_area,
     standard_grid,
+    sup_bound,
     synthesize,
     tangential_derivatives,
     third_derivatives,
 )
+from curvflow.flow import TARGET_SLACK
 
 from _helpers import field_from_values
 
@@ -563,6 +565,48 @@ def test_fused_radii_rows_match_the_hessian_and_synthesis(degree, smooth, seed):
         r_scale = max(s_scale, np.max(np.abs(reference[1:])))
         assert np.max(np.abs(rows[0] - reference[0])) <= 1e-13 * s_scale, (degree, fine_degree)
         assert np.max(np.abs(rows[1:] - reference[1:])) <= 1e-13 * r_scale, (degree, fine_degree)
+
+
+# ---------------------------------------------------------------------------
+# the bound on node values
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dimension, max_degree", [(1, 48), (2, 24)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_sup_bound_covers_every_node_value(dimension, max_degree, data):
+    # B (1 + TARGET_SLACK) bounds |f| at every node, for spectra whose degrees
+    # span eight decades and for single degrees
+    degree = data.draw(st.integers(1, max_degree), label="degree")
+    single = data.draw(st.none() | st.integers(0, degree), label="single degree")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    grid = SphereGrid(dimension, degree)
+    ev = TruncatedEvaluator(grid, degree)
+    spectrum = ev.spectrum(rng.standard_normal(ev.source_count))
+    spectrum *= 10.0 ** rng.uniform(-8.0, 0.0, degree + 1)
+    if single is not None:
+        spectrum[..., np.arange(degree + 1) != single] = 0.0
+    values = synthesize(grid, ev.coefficients(spectrum))
+    assert np.max(np.abs(values)) <= (1.0 + TARGET_SLACK) * sup_bound(spectrum)
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+@pytest.mark.parametrize("degree", [8, 24])
+def test_sup_bound_is_attained_by_each_degree_of_a_node_kernel(dimension, degree):
+    # the degree-l part of the kernel at a node peaks there at exactly B, so
+    # only rounding separates the two, which TARGET_SLACK covers
+    grid = standard_grid(dimension, degree)
+    ev = TruncatedEvaluator(grid, degree)
+    node = grid.node_count // 3
+    delta = np.zeros(grid.node_count)
+    delta[node] = 1.0 / grid.weights[node]
+    kernel = ev.spectrum(analyze(grid, delta))  # every basis function at the node
+    for l in range(degree + 1):
+        spectrum = np.where(np.arange(degree + 1) == l, kernel, 0.0)
+        values = synthesize(grid, ev.coefficients(spectrum))
+        ratio = np.max(np.abs(values)) / sup_bound(spectrum)
+        assert 1.0 - 1e-13 <= ratio <= 1.0 + TARGET_SLACK, (l, ratio)
 
 
 # ---------------------------------------------------------------------------
