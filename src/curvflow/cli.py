@@ -64,7 +64,6 @@ from .verify import (
     DiagnosticsRecord,
     diagnostics_record,
     flow_checks,
-    gradient_margins,
     kappa_gap_table,
     run_lemma_suites,
 )
@@ -89,6 +88,20 @@ EXIT_CONE = 3
 EXIT_NUMERICAL = 4
 EXIT_IO = 5
 EXIT_TRUNCATED = 6
+
+# The largest degree L that a config or ``shape --degree`` may ask for.  A
+# band-L surface steps on a fine grid of degree F = floor(3L/2), whose radii
+# table holds 4 (F + 1) (L + 1)**2 doubles (``spectral._radii_table``); L = 176
+# is the largest degree that keeps it within 256 MiB (253 MiB; L = 177 needs
+# 257 MiB).  One cap serves curves too: criterion 12 runs them to L = 128.
+MAX_DEGREE = 176
+
+
+def _check_degree(degree: int) -> None:
+    """Reject a degree above ``MAX_DEGREE`` before any grid is built."""
+    if degree > MAX_DEGREE:
+        raise ValueError(f"degree must be at most {MAX_DEGREE}, got {degree}")
+
 
 _CONFIG_DEFAULTS = {
     "dimension": 2,
@@ -200,6 +213,7 @@ class ExperimentConfig:
             raise ValueError("dimension must be 1 or 2")
         if config.degree < 2:
             raise ValueError("degree must be at least 2")
+        _check_degree(config.degree)
         if not 0.0 < config.stop_fraction < 1.0:
             raise ValueError("stop_fraction must lie in (0, 1)")
         if not 0.0 < config.c_safe <= MAX_SAFETY:
@@ -378,6 +392,7 @@ def _load_run(directory) -> tuple[Trajectory, float, int] | int:
 
 def cmd_shape(args) -> int:
     try:
+        _check_degree(args.degree)
         grid = standard_grid(args.dimension, args.degree)
         body = parse_shape(args.spec, grid)
         if args.speed is not None:
@@ -464,10 +479,6 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
 
     sigma, t0_index = _sigma_and_anchor(config, trajectory)
     record = diagnostics_record(trajectory, sigma=sigma, t0_index=t0_index)
-    gradient_margin = None
-    if trajectory.dimension == 2:
-        # on the final snapshot, the roundest body of the run
-        gradient_margin = gradient_margins(trajectory.final.body)[0]
     checks = flow_checks(trajectory, record)
     estimate = record.collapse
 
@@ -494,7 +505,6 @@ def _simulate_one(config_path: str) -> tuple[int, str]:
         "collapse_point": None if estimate is None else [float(x) for x in estimate.point],
         "lambda_hat": record.lambda_hat,
         "speed_exponent": record.speed_exponent,
-        "gradient_margin": gradient_margin,
         "tso_aborted": record.tso.aborted,
         "checks": {c.name: {"verdict": c.verdict, "worst": c.worst, "tol": c.tol} for c in checks},
         "final_time": float(trajectory.final.time),

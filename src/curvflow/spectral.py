@@ -46,20 +46,11 @@ Key concepts
   per-ring factors (``cot theta``, ``1/sin theta``) and the ``(i m)**b``
   multipliers, with the associated Legendre ODE for the second derivative;
   its first slab serves plain synthesis and projection.
-- The other derivatives (the gradient and Hessian, the third covariant
-  derivative) are built in ring-spectral space from two ring sums per
-  coefficient vector: the Legendre values and first colatitude derivatives
-  summed over ``l`` on each ring against the spectrum and against
-  ``l(l + 1)`` times it, over a two-slab Legendre table built when they
-  first need it.  The Legendre ODE turns these into the second and third
-  colatitude derivatives, the ring factors and multipliers combine them,
-  and one inverse FFT gives the node rows.  On the circle each derivative
-  is one multiplier.
 - The transforms read and write the complex spectrum c_cos - i c_sin of a
   band, shape (S + 1,) on the circle and (S + 1, S + 1) indexed (m, l) on
   the sphere, whose slots with no coefficient (the m = 0 sine part, l < m)
-  read zero.  ``analyze``, ``synthesize`` and the derivative functions
-  convert coefficient vectors at their edge; ``TruncatedEvaluator`` works on
+  read zero.  ``analyze``, ``synthesize`` and ``radii_rows`` convert
+  coefficient vectors at their edge; ``TruncatedEvaluator`` works on
   spectra, so the flow stepper carries its state in that layout.
 - Fields are evaluated only at the quadrature nodes.  The frame degenerates
   at the poles, which the Gauss-Legendre rings never touch.
@@ -68,7 +59,7 @@ Key concepts
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -82,10 +73,8 @@ __all__ = [
     "analyze",
     "synthesize",
     "coefficient_count",
-    "tangential_derivatives",
     "radii_rows",
     "sup_bound",
-    "third_derivatives",
 ]
 
 
@@ -108,9 +97,7 @@ class SphereGrid:
     The grid keeps one transform record per band, for as long as it lives:
     synthesis uses the grid's own degree and ``TruncatedEvaluator`` a lower
     one.  On the sphere a band-S record holds the radii table, 4 (L+1) (S+1)^2
-    numbers, and builds the normalized colatitude factors and their first
-    colatitude derivatives, 2 (L+1) (S+1)^2 more, only when a derivative
-    function reads them; on the circle only O(S) multipliers.
+    numbers; on the circle only O(S) multipliers.
 
     Attributes
     ----------
@@ -279,40 +266,25 @@ class _Band:
 
     ``cos_index``/``sin_index`` give the coefficient slot of the cosine and
     sine part of each (m, l) on the sphere, or of each k on the circle, with
-    ``count`` (one past the end) where there is none.  ``synth[b]`` maps a
-    ring spectrum to the ``irfft`` input of its b-th longitude (circle: angle)
-    derivative.  ``radii`` maps a spectrum to the ``irfft`` inputs of the
-    support function s and its radii matrix: on the circle two multipliers,
-    for s and r = s + s''; on the sphere one real (m, 4 rings, l) table whose
-    four slabs give, summed over l against the spectrum, the ring spectra of
-    s, R_00, R_01 / i and R_11 (``_radii_table``).  Its first slab is the
-    weighted Legendre values w P, which synthesis reads and projection reads
-    divided by w.
+    ``count`` (one past the end) where there is none.  ``radii`` maps a
+    spectrum to the ``irfft`` inputs of the support function s and its radii
+    matrix: on the circle two multipliers, for s and r = s + s''; on the
+    sphere one real (m, 4 rings, l) table whose four slabs give, summed over
+    l against the spectrum, the ring spectra of s, R_00, R_01 / i and R_11
+    (``_radii_table``).  Its first slab is the weighted Legendre values w P,
+    which synthesis reads and projection reads divided by w.
 
-    On the sphere the rest serves the other derivative functions alone.
-    ``lam[l]`` is l(l + 1), ``ring`` holds ``cot theta``, ``1/sin theta``
-    and ``1/sin(theta)**2`` per ring as (3, rings, 1) columns, and ``theta``
-    the ring colatitudes (all None on the circle).  ``table`` is built on
-    first read: ``table[a, m, ring, l]`` (a = 0, 1) is the a-th colatitude
-    derivative of the normalized colatitude factor of Y_lm.  On the circle
-    ``table[k]`` is the basis normalization, which projection reads.
+    On the circle ``synth[b]`` maps a spectrum to the ``irfft`` input of its
+    b-th angle derivative (b = 0, 1), and ``norm[k]`` is the basis
+    normalization, which projection reads; both are None on the sphere.
     """
 
     count: int
     cos_index: np.ndarray
     sin_index: np.ndarray
-    lam: np.ndarray | None
-    synth: np.ndarray
-    ring: np.ndarray | None
     radii: np.ndarray
-    theta: np.ndarray | None
-
-    @cached_property
-    def table(self) -> np.ndarray:
-        band = self.synth.shape[1] - 1
-        if self.theta is None:
-            return _circle_normalization(band)
-        return _colatitude_table(self.theta, band)
+    synth: np.ndarray | None = None
+    norm: np.ndarray | None = None
 
 
 def _circle_normalization(band):
@@ -351,25 +323,21 @@ def _build_band(grid: SphereGrid, band: int) -> _Band:
     # unscaled irfft(X)[k] = X_0 + 2 Re sum_m X_m exp(i m phi_k) for 0 < m < N/2
     weight = np.where(m == 0, 1.0, 0.5)
     if grid.dimension == 1:
-        weight = weight * _circle_normalization(band)
+        norm = _circle_normalization(band)
+        w = weight * norm
         cos_index = np.maximum(2 * m - 1, 0)
         sin_index = np.where(m == 0, count, 2 * m)
-        lam = ring = theta = None
-    else:
-        mm, l = np.meshgrid(m, m, indexing="ij")
-        cos_index = np.where(l >= mm, l * l + l + mm, count)
-        sin_index = np.where((l >= mm) & (mm > 0), l * l + l - mm, count)
-        theta = grid.theta[:: grid.ring_size]
-        lam = m * (m + 1.0)
-        csc = 1.0 / np.sin(theta)
-        ring = np.stack([np.cos(theta) * csc, csc, csc * csc])[:, :, None]
-    synth = np.stack([weight * 1j**b * m**b for b in range(4)])
-    if grid.dimension == 1:
-        w, _, w_m2 = synth[:3]  # w_m2 = -w m**2
-        radii = np.stack([w, w + w_m2])
-    else:
-        radii = _radii_table(_colatitude_table(theta, band), lam, ring, weight)
-    return _Band(count, cos_index, sin_index, lam, synth, ring, radii, theta)
+        synth = np.stack([w * 1j**b * m**b for b in range(2)])
+        return _Band(count, cos_index, sin_index, np.stack([w, w - w * m**2]), synth, norm)
+    mm, l = np.meshgrid(m, m, indexing="ij")
+    cos_index = np.where(l >= mm, l * l + l + mm, count)
+    sin_index = np.where((l >= mm) & (mm > 0), l * l + l - mm, count)
+    theta = grid.theta[:: grid.ring_size]
+    lam = m * (m + 1.0)
+    csc = 1.0 / np.sin(theta)
+    ring = np.stack([np.cos(theta) * csc, csc, csc * csc])[:, :, None]
+    radii = _radii_table(_colatitude_table(theta, band), lam, ring, weight)
+    return _Band(count, cos_index, sin_index, radii)
 
 
 def _radii_table(table, lam, ring, weight):
@@ -426,8 +394,8 @@ def _colatitude_table(theta, degree):
         2 dPbar_lm/dtheta = sqrt((l - m)(l + m + 1)) Pbar_{l,m+1}
                             - sqrt((l + m)(l - m + 1)) Pbar_{l,m-1},
 
-    with Pbar_{l,-1} = -Pbar_{l,1}.  Higher colatitude derivatives are not
-    stored: ``_ring_sums`` takes them from the associated Legendre ODE.
+    with Pbar_{l,-1} = -Pbar_{l,1}.  ``_radii_table`` takes the second
+    derivative from the associated Legendre ODE.
     """
     st, ct = np.sin(theta), np.cos(theta)
     # p[l + 1, m] holds Pbar_lm on every ring; the row l = -1 and the column
@@ -478,27 +446,6 @@ def _coefficients(t, spectrum):
     return c[:-1]
 
 
-def _ring_sums(t, spectrum):
-    """The ring sums of a band-``t`` spectrum on the sphere: ``((S0, L0), (S1,
-    L1))``, each of shape (rings, m), where S_a sums the a-th colatitude
-    derivative of the Legendre factors against the spectrum over l on each
-    ring and L_a does the same for l(l + 1) times the spectrum.
-
-    The associated Legendre ODE gives the higher derivatives per ring, with
-    q = m**2 / sin(theta)**2:
-
-        S2 = -cot(theta) S1 + q S0 - L0,
-        S3 = S1 / sin(theta)**2 - cot(theta) S2 - 2 q cot(theta) S0 + q S1 - L1.
-    """
-    # the l-sums as one real matmul batched over slab and m: the float view
-    # of [c, lam c] interleaves real and imaginary parts in 4 columns
-    columns = np.empty((*spectrum.shape, 2), complex)
-    columns[..., 0] = spectrum
-    np.multiply(spectrum, t.lam, out=columns[..., 1])
-    sums = (t.table @ columns.view(float)).view(complex)  # (slab, m, ring, [c, lam c])
-    return np.ascontiguousarray(sums.transpose(0, 3, 2, 1))
-
-
 def _irfft(grid, spectra, out=None):
     """Node rows of a stack of ``irfft`` inputs, one row per leading index,
     written into the C-contiguous (rows, nodes) array ``out`` if one is given."""
@@ -510,8 +457,9 @@ def _irfft(grid, spectra, out=None):
 
 def _synthesize(grid, coefficients, order):
     """Node values of degree-L coefficients, or on the circle of their
-    ``order``-th angle derivative; on the sphere (order 0 only) the weighted
-    Legendre values, the first slab of the radii table, are summed alone."""
+    ``order``-th angle derivative (order 0 or 1); on the sphere (order 0
+    only) the weighted Legendre values, the first slab of the radii table,
+    are summed alone."""
     t = grid._band(grid.degree)
     spectrum = _spectrum(t, coefficients)
     if grid.dimension == 1:
@@ -553,7 +501,7 @@ def _project(grid, band, values, out=None):
     t = grid._band(band)
     weighted = grid.weights * values
     if grid.dimension == 1:
-        return np.multiply(np.fft.rfft(weighted)[: band + 1], t.table, out=out)
+        return np.multiply(np.fft.rfft(weighted)[: band + 1], t.norm, out=out)
     if out is None:
         out = np.empty((band + 1, band + 1), complex)
     rings = np.fft.rfft(weighted.reshape(-1, grid.ring_size))[:, : band + 1]
@@ -568,40 +516,8 @@ def _project(grid, band, values, out=None):
 
 
 # ---------------------------------------------------------------------------
-# derivatives on the grid
+# the radii matrix on the grid
 # ---------------------------------------------------------------------------
-
-
-def tangential_derivatives(field: SpectralField) -> tuple[np.ndarray, np.ndarray]:
-    """Covariant gradient and Hessian at the grid nodes.
-
-    Returns
-    -------
-    gradient : ndarray, shape (M, n)
-        Components in the orthonormal frame (e_theta[, e_phi]).
-    hessian : ndarray, shape (M, n, n)
-        Covariant Hessian with respect to the round metric, same frame.
-    """
-    grid = field.grid
-    t = grid._band(grid.degree)
-    spectrum = _spectrum(t, field.coefficients)
-    if grid.dimension == 1:
-        gradient, hessian = _irfft(grid, spectrum * t.synth[1:3])
-        return gradient[:, None], hessian[:, None, None]
-    # with p_ab the partial d^a/dtheta^a d^b/dphi^b: the frame gradient
-    # (p_10, p_01 / sin(theta)), then the Hessian H_00 = p_20, H_01 = (p_11 -
-    # cot(theta) p_01) / sin(theta), H_11 = p_02 / sin(theta)**2 + cot(theta)
-    # p_10, where the Legendre ODE gives p_20 = S2 w = -(L0 w + H_11)
-    (s, lam_s), (s_t, _) = _ring_sums(t, spectrum)
-    w, w_im, w_m2 = t.synth[:3]  # w_m2 = -w m**2
-    cot, csc, csc2 = t.ring
-    h_11 = cot * s_t * w + csc2 * s * w_m2
-    rows = np.stack(
-        [s_t * w, s * csc * w_im, -(lam_s * w + h_11), (s_t - cot * s) * csc * w_im, h_11]
-    )
-    rows = _irfft(grid, rows)
-    gradient = np.ascontiguousarray(rows[:2].T)
-    return gradient, np.ascontiguousarray(rows[[2, 3, 3, 4]].T).reshape(-1, 2, 2)
 
 
 def radii_rows(field: SpectralField) -> np.ndarray:
@@ -673,39 +589,3 @@ class TruncatedEvaluator:
         projection exact (Orszag's 3/2 rule).
         """
         return _project(self.grid, self.source_degree, values, out)
-
-
-def third_derivatives(field: SpectralField) -> np.ndarray:
-    """Covariant third derivative T[a,b,c] = (round) nabla_a Hess_bc at nodes.
-
-    Only the surface case needs this (gradient-inequality diagnostics); for
-    curves it is the plain third angle derivative.
-
-    On the sphere the frame derivatives of the Hessian entries, with their
-    round-metric connection terms, are combinations of the angle partials
-    p_ab = S_a (i m)**b w, so the six distinct entries (T is symmetric in
-    b, c) come from the ring sums S0..S3 and one inverse FFT.
-    """
-    grid = field.grid
-    if grid.dimension == 1:
-        return _synthesize(grid, field.coefficients, 3)[:, None, None, None]
-
-    t = grid._band(grid.degree)
-    (s0, l0), (s1, l1) = _ring_sums(t, _spectrum(t, field.coefficients))
-    cot, csc, csc2 = t.ring
-    q = csc2 * np.arange(grid.degree + 1) ** 2
-    s2 = q * s0 - cot * s1 - l0
-    s3 = csc2 * s1 - cot * s2 - 2.0 * q * cot * s0 + q * s1 - l1
-    w, w_im, w_m2, w_m3 = t.synth
-    cot2 = cot * cot
-    d_pp = csc2 * (s1 - 2.0 * cot * s0) * w_m2  # shared by T_011 and T_101
-    rows = [
-        s3 * w,  # T_000
-        csc * (s2 - 2.0 * cot * s1 + (1.0 + 2.0 * cot2) * s0) * w_im,  # T_001 = T_010
-        d_pp + (cot * s2 - csc2 * s1) * w,  # T_011
-        csc * (s2 - 2.0 * cot * s1 + 2.0 * cot2 * s0) * w_im,  # T_100
-        d_pp + cot * (s2 - cot * s1) * w,  # T_101 = T_110
-        csc * (csc2 * s0 * w_m3 + (3.0 * cot * s1 - 2.0 * cot2 * s0) * w_im),  # T_111
-    ]
-    rows = _irfft(grid, np.stack(rows))
-    return np.ascontiguousarray(rows[[0, 1, 1, 2, 3, 4, 4, 5]].T).reshape(-1, 2, 2, 2)

@@ -5,8 +5,8 @@ inequalities on random samples spanning the pinching cone, boundary cases
 included, and report a worst margin with a witness.  The monitors consume a
 flow trajectory (or a single body) and check the quantities that the
 contraction theory says must stay one-signed: the pinching quantity Z_sigma,
-the time-interior speed bound, the enclosed-point expansion margin, the
-gradient inequality, and the exact volume-decay identity.
+the time-interior speed bound, the enclosed-point expansion margin, and
+the exact volume-decay identity.
 
 ``diagnostics_record`` computes each per-snapshot monitor value once.
 Monitors never assert; they return reports.  ``flow_checks`` alone judges
@@ -20,17 +20,10 @@ from math import comb
 
 import numpy as np
 
-from .body import SupportFunction, elementary_symmetric
+from .body import elementary_symmetric
 from .flow import CollapseEstimate, Trajectory, estimate_collapse
 from .geometry import volume_decay_rate
-from .shapes import resample
-from .spectral import (
-    _synthesize,
-    analyze,
-    standard_grid,
-    tangential_derivatives,
-    third_derivatives,
-)
+from .spectral import _synthesize, analyze
 
 __all__ = [
     "LEMMA_MARGIN_TOL",
@@ -40,9 +33,6 @@ __all__ = [
     "lemma_traceless_suite",
     "lemma_maclaurin_suite",
     "run_lemma_suites",
-    "GradientInequalityReport",
-    "gradient_margins",
-    "gradient_inequality_monitor",
     "CurveResidualReport",
     "curve_evolution_residual",
     "VolumeDecayReport",
@@ -281,124 +271,6 @@ def run_lemma_suites(
         reports.append(lemma_traceless_suite(n, samples))
         reports.append(lemma_maclaurin_suite(n, samples))
     return tuple(reports)
-
-
-# ---------------------------------------------------------------------------
-# gradient inequality on a single surface
-
-
-@dataclass(frozen=True)
-class GradientInequalityReport:
-    """Pointwise margins of the curvature-gradient inequalities (n = 2).
-
-    ``margin_full`` is the minimum of |grad A|^2 - (3/(n+2)) |grad H|^2 over
-    the nodes; ``margin_traceless`` the minimum of
-    |grad A-circ|^2 - (2(n-1)/3n) |grad A|^2.  ``scale`` is max |grad A|^2.
-    The verdict compares against ``tol_disc``, a discretization-error
-    estimate from recomputing at half the band limit.
-    """
-
-    margin_full: float
-    margin_traceless: float
-    scale: float
-    tol_disc: float
-    coarse_margin_full: float | None
-    coarse_margin_traceless: float | None
-    verdict: str
-
-
-def _gradient_terms(body: SupportFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Node arrays (|grad A|^2, |grad H|^2) in the induced metric (n = 2).
-
-    Everything is pulled back to the Gauss chart: with R the radii matrix,
-    the induced metric in the orthonormal round frame is G = R R, the second
-    fundamental form is R itself, and round derivatives of R get corrected
-    by the Levi-Civita difference tensor of G before contracting.
-    """
-    grad, hess = tangential_derivatives(body)
-    t3 = third_derivatives(body)
-    s = body.values
-    eye = np.eye(2)
-
-    r_mat = hess + s[:, None, None] * eye
-    d_r = t3 + grad[:, :, None, None] * eye
-
-    r_inv = np.linalg.inv(r_mat)
-    g_inv = r_inv @ r_inv
-
-    # grad G = (grad R) R + R (grad R), then the difference tensor
-    # Delta^d_ab = (1/2) G^{de} (D_a G_be + D_b G_ae - D_e G_ab)
-    d_g = np.einsum("mabe,mec->mabc", d_r, r_mat) + np.einsum(
-        "mbe,maec->mabc", r_mat, d_r
-    )
-    term = d_g + np.einsum("mbae->mabe", d_g) - np.einsum("meab->mabe", d_g)
-    delta = 0.5 * np.einsum("mde,mabe->mdab", g_inv, term)
-
-    # covariant derivative of the second fundamental form
-    t_r = (
-        d_r
-        - np.einsum("meab,mec->mabc", delta, r_mat)
-        - np.einsum("meac,mbe->mabc", delta, r_mat)
-    )
-    t1 = np.einsum("mad,mbe,mcf,mabc,mdef->m", g_inv, g_inv, g_inv, t_r, t_r)
-
-    # H = tr(R^-1) differentiates through the inverse
-    d_h = -np.einsum("mbc,macd,mdb->ma", r_inv, d_r, r_inv)
-    t2 = np.einsum("mab,ma,mb->m", g_inv, d_h, d_h)
-    return t1, t2
-
-
-def gradient_margins(body: SupportFunction) -> tuple[float, float, float]:
-    """``GradientInequalityReport``'s margin_full, margin_traceless and scale
-    on ``body``'s own grid (n = 2)."""
-    n = body.grid.dimension
-    t1, t2 = _gradient_terms(body)
-    full = t1 - (3.0 / (n + 2)) * t2
-    traceless = (t1 - t2 / n) - (2.0 * (n - 1) / (3.0 * n)) * t1
-    return float(full.min()), float(traceless.min()), float(t1.max())
-
-
-def gradient_inequality_monitor(body: SupportFunction) -> GradientInequalityReport:
-    """Check the pointwise gradient inequalities on one surface (n = 2).
-
-    The same margins are recomputed at half the band limit; their change is
-    the discretization tolerance.  A margin that is negative beyond it but
-    still improving under refinement is reported ``inconclusive`` rather
-    than ``violated``.
-    """
-    if body.grid.dimension != 2:
-        raise ValueError("gradient inequality monitor needs a surface (n = 2)")
-    margin_full, margin_traceless, scale = gradient_margins(body)
-
-    coarse_full = coarse_traceless = None
-    if body.grid.degree >= 8:
-        coarse = resample(body, standard_grid(2, body.grid.degree // 2))
-        coarse_full, coarse_traceless, _ = gradient_margins(coarse)
-        tol_disc = max(
-            abs(margin_full - coarse_full),
-            abs(margin_traceless - coarse_traceless),
-            1e-12 * max(scale, 1.0),
-        )
-    else:
-        tol_disc = 1e-8 * max(scale, 1.0)
-
-    if margin_full >= -tol_disc and margin_traceless >= -tol_disc:
-        verdict = "holds"
-    elif coarse_full is None or min(margin_full, margin_traceless) > min(
-        coarse_full, coarse_traceless
-    ):
-        verdict = "inconclusive"
-    else:
-        verdict = "violated"
-    return GradientInequalityReport(
-        margin_full=margin_full,
-        margin_traceless=margin_traceless,
-        scale=scale,
-        tol_disc=tol_disc,
-        coarse_margin_full=coarse_full,
-        coarse_margin_traceless=coarse_traceless,
-        verdict=verdict,
-    )
 
 
 # ---------------------------------------------------------------------------

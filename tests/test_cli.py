@@ -732,7 +732,7 @@ def test_verify_flow_computes_each_speed_value_once(ellipsoid_dir, monkeypatch, 
 def test_each_command_computes_only_the_values_it_reports(
     ellipsoid_dir, tmp_path, monkeypatch, capsys
 ):
-    calls = {"gradient": 0, "gaps": 0, "record": 0}
+    calls = {"gaps": 0, "record": 0}
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -742,32 +742,96 @@ def test_each_command_computes_only_the_values_it_reports(
         return counted
 
     for module in (cli, verify):
-        monkeypatch.setattr(module, "gradient_margins", counting("gradient", verify.gradient_margins))
         monkeypatch.setattr(module, "kappa_gap_table", counting("gaps", verify.kappa_gap_table))
     monkeypatch.setattr(cli, "diagnostics_record", counting("record", verify.diagnostics_record))
 
     assert main(["verify", "flow", str(ellipsoid_dir)]) == EXIT_OK
-    assert calls == {"gradient": 0, "gaps": 0, "record": 1}
+    assert calls == {"gaps": 0, "record": 1}
 
     calls.update(record=0)
     assert main(["analyze", str(ellipsoid_dir)]) == EXIT_OK
-    assert calls == {"gradient": 0, "gaps": 1, "record": 1}
+    assert calls == {"gaps": 1, "record": 1}
 
     calls.update(gaps=0, record=0)
-    # at degree 8 gradient_inequality_monitor would add a half-band pass: simulate
-    # stores the full margin only
     surface = write_config(tmp_path / "surface.json", degree=8, output=str(tmp_path / "surface"))
     assert main(["simulate", str(surface)]) == EXIT_OK
-    assert calls == {"gradient": 1, "gaps": 0, "record": 1}
+    assert calls == {"gaps": 0, "record": 1}
 
-    calls.update(gradient=0, record=0)
+    calls.update(record=0)
     curve = write_config(
         tmp_path / "curve.json", dimension=1, shape="ellipsoid 1 1.2", degree=16,
         output=str(tmp_path / "curve"),
     )
     assert main(["simulate", str(curve)]) == EXIT_OK
-    assert calls == {"gradient": 0, "gaps": 0, "record": 1}
+    assert calls == {"gaps": 0, "record": 1}
     capsys.readouterr()
+
+
+SUMMARY_KEYS = [
+    "checks",
+    "collapse_point",
+    "collapse_time",
+    "degree",
+    "dimension",
+    "dt_max",
+    "dt_median",
+    "dt_min",
+    "final_r_minus",
+    "final_time",
+    "integrator",
+    "lambda_hat",
+    "radii_solves",
+    "retries",
+    "rhs_evaluations",
+    "shape",
+    "sigma",
+    "snapshot_count",
+    "speed",
+    "speed_exponent",
+    "steps",
+    "stop_reason",
+    "t0_index",
+    "target_solves",
+    "tso_aborted",
+]
+
+
+def test_summary_writes_exactly_its_documented_keys(ellipsoid_dir, curve_dir):
+    # a surface run and a curve run write the same keys; adding, renaming or
+    # dropping one is a format change and must update this list
+    for directory in (ellipsoid_dir, curve_dir):
+        summary = json.loads((directory / "summary.json").read_text(encoding="utf-8"))
+        assert sorted(summary) == SUMMARY_KEYS
+
+
+def test_degree_above_the_cap_is_rejected_before_any_grid(tmp_path, monkeypatch, capsys):
+    # the cap keeps the fine grid's radii table, 4 (floor(3L/2) + 1) (L + 1)**2
+    # doubles, within 256 MiB; a larger degree is one error line and exit 2
+    cap = cli.MAX_DEGREE
+
+    def table_bytes(degree):
+        return 32 * (3 * degree // 2 + 1) * (degree + 1) ** 2
+
+    assert table_bytes(cap) <= 2**28 < table_bytes(cap + 1)
+
+    def no_grid(*args):
+        raise AssertionError(f"built the grid {args} for an out-of-range degree")
+
+    monkeypatch.setattr(cli, "standard_grid", no_grid)
+    for dimension, degree in ((2, cap + 1), (1, cap + 1), (2, 10**5)):
+        config = write_config(
+            tmp_path / "config.json", dimension=dimension, degree=degree, output=str(tmp_path / "run")
+        )
+        assert main(["simulate", str(config)]) == EXIT_PRECONDITION
+        shape = ["shape", "sphere 1", "--dimension", str(dimension), "--degree", str(degree)]
+        assert main(shape) == EXIT_PRECONDITION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(f"degree must be at most {cap}" in line for line in err)
+        assert all(line.startswith("error: ") for line in err)
+    assert not (tmp_path / "run").exists()
+    # the cap itself and criterion 12's L = 128 curve validate
+    ExperimentConfig.from_dict({"degree": cap})
+    ExperimentConfig.from_dict({"dimension": 1, "degree": 128})
 
 
 def test_verify_flow_missing_dir(tmp_path, capsys):

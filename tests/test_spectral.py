@@ -1,4 +1,4 @@
-"""Checks for the spectral basis, quadrature, and tangential derivatives."""
+"""Checks for the spectral basis, quadrature, and the radii matrix."""
 
 import tracemalloc
 from itertools import product
@@ -26,8 +26,6 @@ from curvflow.spectral import (
     standard_grid,
     sup_bound,
     synthesize,
-    tangential_derivatives,
-    third_derivatives,
 )
 from curvflow.flow import TARGET_SLACK
 
@@ -132,7 +130,7 @@ def test_colatitude_table_matches_scipy(degree):
     # values and first colatitude derivatives of every (l, m) through the degree
     grid = SphereGrid(2, degree)
     theta = grid.theta[:: grid.ring_size]
-    table = grid._band(degree).table
+    table = spectral._colatitude_table(theta, degree)
     p, dp = assoc_legendre_p_all(degree, degree, np.cos(theta), norm=True, diff_n=1)
     m = np.arange(degree + 1)
     scale = (np.where(m == 0, 1.0, np.sqrt(2.0)) / np.sqrt(2.0 * np.pi))[:, None, None]
@@ -153,16 +151,15 @@ def test_quadrature_gram_matrix_is_identity(degree):
 
 
 # ---------------------------------------------------------------------------
-# derivatives
+# the radii matrix
 # ---------------------------------------------------------------------------
 
 
 def test_circle_harmonic_identity():
-    # s = cos(theta) solves s'' + s = 0
+    # s = cos(theta) solves s'' + s = 0, so its radius of curvature r vanishes
     grid = standard_grid(1, 8)
     f = field_from_values(grid, np.cos(grid.theta))
-    _, hess = tangential_derivatives(f)
-    np.testing.assert_allclose(hess[:, 0, 0] + f.values, 0.0, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(radii_rows(f)[1], 0.0, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
@@ -170,50 +167,44 @@ def test_linear_field_has_vanishing_radii_matrix(axis):
     # s = <p, u>: covariant Hessian + s * metric = 0 (support function of a point)
     grid = standard_grid(2, 10)
     f = field_from_values(grid, grid.nodes[:, axis])
-    _, hess = tangential_derivatives(f)
-    radii = hess + f.values[:, None, None] * np.eye(2)
-    assert np.max(np.abs(radii)) < 1e-10
+    assert np.max(np.abs(radii_rows(f)[1:])) < 1e-10
 
 
 def test_zonal_quadratic_hessian_closed_form():
-    # s = cos^2(theta): Hess_tt = -2cos(2 theta), Hess_pp = -2cos^2,
-    # off-diagonal zero, trace equals the Laplacian 2 - 6 cos^2.
+    # s = cos^2(theta): Hess_tt = -2cos(2 theta), Hess_pp = -2cos^2 and the
+    # off-diagonal zero, so R_00 = cos^2 - 2cos(2 theta) and R_11 = -cos^2
     grid = standard_grid(2, 12)
     ct = np.cos(grid.theta)
-    f = field_from_values(grid, ct**2)
-    _, hess = tangential_derivatives(f)
-    np.testing.assert_allclose(hess[:, 0, 0], -2.0 * np.cos(2 * grid.theta), atol=1e-11)
-    np.testing.assert_allclose(hess[:, 1, 1], -2.0 * ct**2, atol=1e-11)
-    np.testing.assert_allclose(hess[:, 0, 1], 0.0, atol=1e-11)
-    np.testing.assert_allclose(
-        hess[:, 0, 0] + hess[:, 1, 1], 2.0 - 6.0 * ct**2, atol=1e-11
-    )
+    _, r00, r01, r11 = radii_rows(field_from_values(grid, ct**2))
+    np.testing.assert_allclose(r00, ct**2 - 2.0 * np.cos(2 * grid.theta), atol=1e-11)
+    np.testing.assert_allclose(r11, -(ct**2), atol=1e-11)
+    np.testing.assert_allclose(r01, 0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
 def test_divergence_identity(dimension):
-    # integral of (trace Hess + n g) equals n * mean(g) * |S^n|
+    # the trace of R = Hess g + g id integrates to n * mean(g) * |S^n|, since
+    # the Laplacian integrates to zero
     grid = standard_grid(dimension, 12)
     rng = np.random.default_rng(5 + dimension)
     f = SpectralField(grid, rng.standard_normal(grid.coefficient_count))
-    _, hess = tangential_derivatives(f)
+    rows = radii_rows(f)
     n = grid.dimension
-    lhs = np.sum(grid.weights * (np.trace(hess, axis1=1, axis2=2) + n * f.values))
+    trace = rows[1] if n == 1 else rows[1] + rows[3]
+    lhs = np.sum(grid.weights * trace)
     mean = np.sum(grid.weights * f.values) / grid.sphere_area
     assert abs(lhs - n * mean * grid.sphere_area) < 1e-9 * max(1.0, abs(mean))
 
 
 @pytest.mark.parametrize("make_grid", [standard_grid, smooth_grid])
 def test_every_harmonic_is_a_laplace_eigenfunction(make_grid):
-    # every real Y_lm through degree 12, every order m: the Hessian's trace
-    # is -l(l + 1) Y_lm and R_00 + R_11 is (2 - l(l + 1)) Y_lm at the nodes
+    # every real Y_lm through degree 12, every order m: R_00 + R_11, the
+    # Laplacian plus 2 Y_lm, is (2 - l(l + 1)) Y_lm at the nodes
     grid = make_grid(2, 12)
     for k, unit in enumerate(np.eye(grid.coefficient_count)):
         lam = isqrt(k) * (isqrt(k) + 1)
         f = SpectralField(grid, unit)
         tol = 1e-14 * (lam + 2) * np.max(np.abs(f.values))
-        _, hess = tangential_derivatives(f)
-        np.testing.assert_allclose(np.trace(hess, axis1=1, axis2=2), -lam * f.values, atol=tol)
         rows = radii_rows(f)
         np.testing.assert_allclose(rows[1] + rows[3], (2 - lam) * f.values, atol=tol)
 
@@ -223,9 +214,7 @@ def test_every_harmonic_is_a_laplace_eigenfunction(make_grid):
 #
 # A polynomial G of degree d on R^(n+1), restricted to the unit sphere, is a
 # field of band limit d.  In an orthonormal tangent frame e its covariant
-# derivatives follow from the ambient ones: the gradient is DG(e), the Hessian
-# D^2G(e, e) - DG(u) g, and the third derivative
-# D^3G(X,Y,Z) - <X,Y> D^2G(u,Z) - <X,Z> D^2G(u,Y) - (D^2G(u,X) + DG(X)) <Y,Z>.
+# Hessian follows from the ambient derivatives: D^2G(e, e) - DG(u) g.
 # ---------------------------------------------------------------------------
 
 
@@ -234,31 +223,44 @@ class _AmbientPolynomial:
 
     def __init__(self, rng, degree, rotation):
         dim = rotation.shape[0]
-        self.exponents = np.array(
-            [e for e in product(range(degree + 1), repeat=dim) if sum(e) <= degree], dtype=float
-        )
+        self.exponents = [e for e in product(range(degree + 1), repeat=dim) if sum(e) <= degree]
         self.coefficients = rng.standard_normal(len(self.exponents))
         self.rotation = rotation
 
-    def _derivative(self, x, axes):
-        """d/dy_axes F at the points y = Q x, shape (P,)."""
-        exps = self.exponents.copy()
-        factor = np.ones(len(exps))
-        for a in axes:
-            factor = factor * exps[:, a]
-            exps[:, a] = np.maximum(exps[:, a] - 1.0, 0.0)
-        y = x @ self.rotation.T
-        return np.prod(y[:, None, :] ** exps, axis=-1) @ (factor * self.coefficients)
+    def _derivative(self, axes):
+        """The coefficients of d/dy_axes F over the monomials of F."""
+        slot = {e: i for i, e in enumerate(self.exponents)}
+        out = np.zeros(len(self.exponents))
+        for e, c in zip(self.exponents, self.coefficients):
+            e = list(e)
+            for a in axes:
+                c, e[a] = c * e[a], max(e[a] - 1, 0)
+            out[slot[tuple(e)]] += c
+        return out
 
     def derivatives(self, x, order):
         """Ambient derivative tensor of G of the given order at the points x."""
         dim = self.rotation.shape[0]
+        y = x @ self.rotation.T
+        exps = np.array(self.exponents)
+        monomials = np.ones((x.shape[0], len(exps)))
+        for a in range(dim):
+            monomials *= (y[:, a, None] ** np.arange(exps.max() + 1))[:, exps[:, a]]
         out = np.empty((x.shape[0],) + (dim,) * order)
         for axes in product(range(dim), repeat=order):
-            out[(slice(None),) + axes] = self._derivative(x, axes)
+            out[(slice(None),) + axes] = monomials @ self._derivative(axes)
         for _ in range(order):  # D^kG = D^kF(Q., ..., Q.)
             out = np.tensordot(out, self.rotation, axes=([1], [0]))
         return out
+
+
+def _random_polynomial(rng, dimension, degree):
+    """An ``_AmbientPolynomial`` on R^(n+1) under a random rotation."""
+    if dimension == 2:
+        return _AmbientPolynomial(rng, degree, Rotation.random(rng=rng).as_matrix())
+    ang = rng.uniform(0, 2 * np.pi)
+    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
+    return _AmbientPolynomial(rng, degree, rot)
 
 
 def _frames(grid):
@@ -272,94 +274,54 @@ def _frames(grid):
     return np.stack([e_theta, e_phi], axis=1)
 
 
-def _frame_derivatives(poly, grid):
-    """Closed-form value, frame gradient, Hessian and third derivative."""
+def _closed_form_radii(poly, grid):
+    """The rows of ``radii_rows`` for s = G at the grid nodes, from the
+    ambient derivatives: s, then R = Hess s + s id in the frame, r on the
+    circle and R_00, R_01, R_11 on the sphere."""
     u, e = grid.nodes, _frames(grid)
-    n = grid.dimension
     value = poly.derivatives(u, 0)
-    d1, d2, d3 = (poly.derivatives(u, k) for k in (1, 2, 3))
-    g = np.eye(n)
-    radial = np.einsum("px,px->p", d1, u)
-    d2_u = np.einsum("pxy,px,pay->pa", d2, u, e)  # D^2G(u, e_a)
-    grad = np.einsum("px,pax->pa", d1, e)
-    hess = np.einsum("pxy,pax,pby->pab", d2, e, e) - radial[:, None, None] * g
-    third = (
-        np.einsum("pxyz,pax,pby,pcz->pabc", d3, e, e, e)
-        - np.einsum("ab,pc->pabc", g, d2_u)
-        - np.einsum("ac,pb->pabc", g, d2_u)
-        - np.einsum("pa,bc->pabc", d2_u + grad, g)
-    )
-    return value, grad, hess, third
+    radial = np.einsum("px,px->p", poly.derivatives(u, 1), u)
+    hess = np.einsum("pxy,pax,pby->pab", poly.derivatives(u, 2), e, e)
+    radii = hess + (value - radial)[:, None, None] * np.eye(grid.dimension)
+    entries = [(0, 0)] if grid.dimension == 1 else [(0, 0), (0, 1), (1, 1)]
+    return np.stack([value, *(radii[:, a, b] for a, b in entries)])
+
+
+def _assert_closed_form(rows, reference, band):
+    # relative to the largest reference entry; the coefficients' rounding
+    # reaches R through l(l + 1), so a clean band-L transform reads up to
+    # about 3e-15 (L + 1)**2, and a 0.1% slip in one term of the radii table
+    # reads 1e-4 or more
+    error = np.max(np.abs(rows - reference)) / np.max(np.abs(reference))
+    assert error < 2e-14 * (band + 1) ** 2, error
+
+
+def _assert_both_paths_match_the_closed_form(poly, dimension, degree):
+    # radii_rows on the body grid, and TruncatedEvaluator.state on the flow
+    # stepper's fine grid, of the band-``degree`` field of G
+    grid = standard_grid(dimension, degree)
+    f = field_from_values(grid, poly.derivatives(grid.nodes, 0))
+    _assert_closed_form(radii_rows(f), _closed_form_radii(poly, grid), degree)
+    ev = TruncatedEvaluator(smooth_grid(dimension, 3 * degree // 2), degree)
+    state = ev.state(ev.spectrum(f.coefficients))
+    _assert_closed_form(state, _closed_form_radii(poly, ev.grid), degree)
 
 
 def test_rotation_commutes_with_differentiation():
-    # rotating an ambient polynomial rotates its derivatives along with it
-    grid = standard_grid(2, 10)
+    # rotating an ambient polynomial rotates its radii matrix along with it
     rng = np.random.default_rng(17)
-    for rot in Rotation.random(10, rng=rng).as_matrix():
-        poly = _AmbientPolynomial(np.random.default_rng(17), 6, rot)
-        value, grad, hess, _ = _frame_derivatives(poly, grid)
-        f = field_from_values(grid, value)
-        grad_frame, hess_frame = tangential_derivatives(f)
-        np.testing.assert_allclose(f.values, value, atol=1e-8)
-        np.testing.assert_allclose(grad_frame, grad, atol=1e-8)
-        np.testing.assert_allclose(hess_frame, hess, atol=1e-8)
+    for _ in range(10):
+        _assert_both_paths_match_the_closed_form(_random_polynomial(rng, 2, 6), 2, 10)
 
 
 def test_circle_rotation_commutes():
-    grid = standard_grid(1, 10)
     rng = np.random.default_rng(23)
-    ang = rng.uniform(0, 2 * np.pi)
-    rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
-    poly = _AmbientPolynomial(rng, 8, rot)
-    value, grad, hess, _ = _frame_derivatives(poly, grid)
-    f = field_from_values(grid, value)
-    grad_frame, hess_frame = tangential_derivatives(f)
-    np.testing.assert_allclose(f.values, value, atol=1e-9)
-    np.testing.assert_allclose(grad_frame, grad, atol=1e-9)
-    np.testing.assert_allclose(hess_frame, hess, atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# third derivatives
-# ---------------------------------------------------------------------------
-
-
-def test_third_derivative_against_finite_differences():
-    # reference: the closed form of an ambient polynomial on every node, which
-    # replaces centred differences of the Hessian off the grid
-    grid = standard_grid(2, 8)
-    rng = np.random.default_rng(31)
-    poly = _AmbientPolynomial(rng, 8, Rotation.random(rng=rng).as_matrix())
-    value, _, _, expect = _frame_derivatives(poly, grid)
-    t = third_derivatives(field_from_values(grid, value))
-    scale = np.max(np.abs(t))
-    np.testing.assert_allclose(t, expect, atol=1e-5 * scale)
-
-
-def test_third_derivative_vanishes_for_linear_field():
-    grid = standard_grid(2, 8)
-    f = field_from_values(grid, 0.3 * grid.nodes[:, 0] - 0.2 * grid.nodes[:, 2])
-    t = third_derivatives(f)
-    # Hess of <p,u> is -<p,u> g; its covariant derivative is -grad <p,u> g
-    grad, _ = tangential_derivatives(f)
-    expect = -np.einsum("pa,bc->pabc", grad, np.eye(2))
-    np.testing.assert_allclose(t, expect, atol=1e-9)
+    _assert_both_paths_match_the_closed_form(_random_polynomial(rng, 1, 8), 1, 10)
 
 
 # ---------------------------------------------------------------------------
 # truncated evaluation on a finer grid
 # ---------------------------------------------------------------------------
-
-
-def _radii_from_hessian(field):
-    """Rows (s, R_00[, R_01, R_11]) of R = Hess s + s id from the node
-    Hessian of ``tangential_derivatives``."""
-    _, hess = tangential_derivatives(field)
-    s = field.values
-    if field.grid.dimension == 1:
-        return np.stack([s, hess[:, 0, 0] + s])
-    return np.stack([s, hess[:, 0, 0] + s, hess[:, 0, 1], hess[:, 1, 1] + s])
 
 
 @pytest.mark.parametrize("dimension", [1, 2])
@@ -368,18 +330,14 @@ def test_truncated_state_matches_padded_field(dimension):
 
     coarse = standard_grid(dimension, 6)
     fine = standard_grid(dimension, 12)
-    rng = np.random.default_rng(11)
-    coeffs = rng.standard_normal(coarse.coefficient_count) * 0.1
-    coeffs[0] += 3.0
+    poly = _random_polynomial(np.random.default_rng(11), dimension, 6)
+    coeffs = field_from_values(coarse, poly.derivatives(coarse.nodes, 0)).coefficients
 
     ev = TruncatedEvaluator(fine, 6)
     rows = ev.state(ev.spectrum(coeffs))
-
-    padded = resample(SpectralField(coarse, coeffs), fine)
-    expected = _radii_from_hessian(padded)
     assert rows.shape == (2 * dimension, fine.node_count)
-    np.testing.assert_allclose(rows[0], padded.values, rtol=0, atol=1e-11)
-    np.testing.assert_allclose(rows[1:], expected[1:], rtol=0, atol=1e-8)
+    _assert_closed_form(rows, _closed_form_radii(poly, fine), 6)
+    padded = resample(SpectralField(coarse, coeffs), fine)
     full = TruncatedEvaluator(fine, 12)
     np.testing.assert_array_equal(
         radii_rows(padded), full.state(full.spectrum(padded.coefficients))
@@ -433,8 +391,7 @@ def test_spectrum_layout_round_trips_and_its_empty_slots_read_zero(dimension, de
 
 
 def test_band_record_keeps_one_four_slab_radii_table():
-    # s, R_00, R_01 / i and R_11 on each of the 49 rings; the two-slab Legendre
-    # table is built only when a derivative function reads it
+    # s, R_00, R_01 / i and R_11 on each of the 49 rings, and no other table
     grid = SphereGrid(2, 48, ring_size=100)
     ev = TruncatedEvaluator(grid, 24)
     band = grid._band(24)
@@ -442,12 +399,13 @@ def test_band_record_keeps_one_four_slab_radii_table():
     assert band.radii.nbytes == 980_000
     ev.project(ev.state(ev.spectrum(np.ones(ev.source_count)))[0])
     synthesize(grid, np.ones(grid.coefficient_count))
-    assert "table" not in vars(band) and "table" not in vars(grid._band(48))
-    assert band.table.shape == (2, 25, 49, 25)
-    np.testing.assert_array_equal(band.lam, [l * (l + 1) for l in range(25)])
+    for record in (band, grid._band(48)):
+        arrays = {k for k, v in vars(record).items() if isinstance(v, np.ndarray)}
+        assert arrays == {"cos_index", "sin_index", "radii"}
     # slab 0 is the Legendre values times w = 1 (m = 0) or 1/2
     w = np.where(np.arange(25) == 0, 1.0, 0.5)[:, None, None]
-    np.testing.assert_array_equal(band.radii[:, :49], band.table[0] * w)
+    table = spectral._colatitude_table(grid.theta[:: grid.ring_size], 24)
+    np.testing.assert_array_equal(band.radii[:, :49], table[0] * w)
 
 
 @pytest.mark.parametrize("dimension, degree, band", [(1, 48, 32), (2, 36, 24)])
@@ -481,12 +439,12 @@ def test_truncated_rejects_bad_shapes():
 def test_one_grid_serves_two_bands():
     # the degree-12 grid is both a body grid and the fine grid for band 6;
     # its cache must keep the two bands apart whatever the call order
-    from curvflow.shapes import resample
-
     shared = standard_grid(2, 12)
     rng = np.random.default_rng(5)
-    body_coeffs = rng.standard_normal(shared.coefficient_count)
-    band_coeffs = rng.standard_normal(coefficient_count(2, 6))
+    body_poly, band_poly = _random_polynomial(rng, 2, 8), _random_polynomial(rng, 2, 6)
+    body_coeffs = analyze(shared, body_poly.derivatives(shared.nodes, 0))
+    band_grid = standard_grid(2, 6)
+    band_coeffs = analyze(band_grid, band_poly.derivatives(band_grid.nodes, 0))
 
     band_spectrum = TruncatedEvaluator(shared, 6).spectrum(band_coeffs)
     state = TruncatedEvaluator(shared, 6).state(band_spectrum)
@@ -499,12 +457,11 @@ def test_one_grid_serves_two_bands():
     body_field = SpectralField(body_grid, body_coeffs)
     np.testing.assert_array_equal(values, synthesize(body_grid, body_coeffs))
     np.testing.assert_array_equal(rows, radii_rows(body_field))
-    np.testing.assert_allclose(rows, _radii_from_hessian(body_field), rtol=0, atol=1e-8)
+    _assert_closed_form(rows, _closed_form_radii(body_poly, body_grid), 12)
     ref_ev = TruncatedEvaluator(SphereGrid(2, 12), 6)
     np.testing.assert_array_equal(state, ref_ev.state(ref_ev.spectrum(band_coeffs)))
     np.testing.assert_array_equal(state_again, state)
-    padded = resample(SpectralField(standard_grid(2, 6), band_coeffs), shared)
-    np.testing.assert_allclose(state, _radii_from_hessian(padded), rtol=0, atol=1e-8)
+    _assert_closed_form(state, _closed_form_radii(band_poly, shared), 6)
     np.testing.assert_array_equal(projected, ref_ev.project(values))
 
 
@@ -542,29 +499,21 @@ def test_truncated_project_inverts_state_at_random_bands(dimension, max_degree, 
 def test_fused_radii_rows_match_the_hessian_and_synthesis(degree, smooth, seed):
     # the one-matmul radii rows of radii_rows (band L on a degree-L grid) and
     # of TruncatedEvaluator.state (band L on the stepper's degree-3L/2 grid
-    # and on a degree-2L one) against the two-slab path: synthesize for s,
-    # tangential_derivatives' Hessian + s id
+    # and on a degree-2L one) against the closed-form Hessian + s id of a
+    # polynomial of degree min(L, 8)
     rng = np.random.default_rng(seed)
-    coeffs = rng.standard_normal(coefficient_count(2, degree))
+    poly = _random_polynomial(rng, 2, min(degree, 8))
+    body_grid = standard_grid(2, degree)
+    coeffs = analyze(body_grid, poly.derivatives(body_grid.nodes, 0))
     for fine_degree in dict.fromkeys((degree, 3 * degree // 2, 2 * degree)):
         ring = spectral._smooth_ring_size(fine_degree) if smooth else None
         grid = SphereGrid(2, fine_degree, ring_size=ring)
-        padded = np.zeros(grid.coefficient_count)
-        padded[: coeffs.size] = coeffs
-        field = SpectralField(grid, padded)
         if fine_degree == degree:
-            rows = radii_rows(field)
+            rows = radii_rows(SpectralField(grid, coeffs))
         else:
             ev = TruncatedEvaluator(grid, degree)
             rows = ev.state(ev.spectrum(coeffs))
-        reference = _radii_from_hessian(field)  # s is the field's synthesized values
-        # s relative to max|s|, the radii rows relative to the larger of max|s|
-        # and max|R|: at degree 1, R = c_00 Y_00 id can be near zero while
-        # the rounding of its rows grows with the l = 1 coefficients
-        s_scale = np.max(np.abs(reference[0]))
-        r_scale = max(s_scale, np.max(np.abs(reference[1:])))
-        assert np.max(np.abs(rows[0] - reference[0])) <= 1e-13 * s_scale, (degree, fine_degree)
-        assert np.max(np.abs(rows[1:] - reference[1:])) <= 1e-13 * r_scale, (degree, fine_degree)
+        _assert_closed_form(rows, _closed_form_radii(poly, grid), degree)
 
 
 # ---------------------------------------------------------------------------
@@ -660,26 +609,24 @@ def test_state_and_project_invert_on_enlarged_rings(dimension, max_degree, data)
 # ---------------------------------------------------------------------------
 
 
-def _reference_ring_sums(grid, band, coefficients):
-    # the spectrum on the circle; on the sphere the ring sums of c and of
-    # l(l + 1) c against both slabs, (slab, [c, lam c], ring, m)
+def _reference_spectrum(grid, band, coefficients):
     t = grid._band(band)
     padded = np.append(coefficients, 0.0)
-    spectrum = padded[t.cos_index] - 1j * padded[t.sin_index]
-    if grid.dimension == 1:
-        return spectrum
-    scaled = t.lam * spectrum
-    ring = t.table @ np.stack([spectrum.real, spectrum.imag, scaled.real, scaled.imag], axis=-1)
-    return (ring[..., 0::2] + 1j * ring[..., 1::2]).transpose(0, 3, 2, 1)
+    return padded[t.cos_index] - 1j * padded[t.sin_index]
+
+
+def _circle_norm(band):
+    return np.where(np.arange(band + 1) == 0, 1.0 / np.sqrt(2.0 * np.pi), 1.0 / np.sqrt(np.pi))
 
 
 def _reference_project(grid, band, values):
     t = grid._band(band)
     rings = np.fft.rfft((grid.weights * values).reshape(-1, grid.ring_size))[:, : band + 1]
     if grid.dimension == 1:
-        h = rings[0] * t.table
+        h = rings[0] * _circle_norm(band)
     else:
-        h = t.table[0].swapaxes(1, 2) @ np.stack([rings.real.T, rings.imag.T], axis=-1)
+        table = spectral._colatitude_table(grid.theta[:: grid.ring_size], band)
+        h = table[0].swapaxes(1, 2) @ np.stack([rings.real.T, rings.imag.T], axis=-1)
         h = h[..., 0] + 1j * h[..., 1]
     c = np.empty(t.count + 1)
     c[t.cos_index] = h.real
@@ -693,13 +640,10 @@ def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree
     for grid in (SphereGrid(dimension, degree), smooth_grid(dimension, degree)):
         coeffs = rng.standard_normal(coefficient_count(dimension, band))
         coeffs[rng.integers(coeffs.size, size=3)] = 0.0
-        reference = _reference_ring_sums(grid, band, coeffs)
+        reference = _reference_spectrum(grid, band, coeffs)
         t = grid._band(band)
         spectrum = spectral._spectrum(t, coeffs)
-        if dimension == 1:
-            np.testing.assert_array_equal(spectrum, reference)
-        else:
-            np.testing.assert_array_equal(spectral._ring_sums(t, spectrum), reference)
+        np.testing.assert_array_equal(spectrum, reference)
         values = rng.standard_normal(grid.node_count)
         np.testing.assert_array_equal(
             spectral._coefficients(t, spectral._project(grid, band, values)),
@@ -707,8 +651,9 @@ def test_transforms_equal_their_reference_formulas_bit_for_bit(dimension, degree
         )
         if dimension == 1:
             # the circle's (s, r) multiplier is kept on the band record
-            w, _, w_m2 = grid._band(band).synth[:3]
+            k = np.arange(band + 1)
+            w = np.where(k == 0, 1.0, 0.5) * _circle_norm(band)
             stacked = np.fft.irfft(
-                reference * np.stack([w, w + w_m2]), n=grid.ring_size, norm="forward"
+                reference * np.stack([w, w - w * k**2]), n=grid.ring_size, norm="forward"
             )
             np.testing.assert_array_equal(spectral._radii_rows(grid, band, spectrum), stacked)

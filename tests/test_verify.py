@@ -1,21 +1,14 @@
 import numpy as np
 import pytest
-from scipy.spatial.transform import Rotation
 
-from curvflow.body import curvature, support_from_values
 from curvflow.flow import run_flow
 from curvflow.shapes import make_ellipsoid, make_sphere
-from curvflow.spectral import (
-    standard_grid,
-    tangential_derivatives,
-)
+from curvflow.spectral import standard_grid
 from curvflow.speeds import make_speed
 from curvflow.verify import (
     _cest_sides,
-    _gradient_terms,
     curve_evolution_residual,
     diagnostics_record,
-    gradient_inequality_monitor,
     kappa_gap_table,
     lemma_cest_suite,
     lemma_maclaurin_suite,
@@ -24,8 +17,6 @@ from curvflow.verify import (
     run_lemma_suites,
     volume_decay_check,
 )
-
-from _helpers import field_from_values
 
 SUITES = (lemma_pinch_suite, lemma_cest_suite, lemma_traceless_suite, lemma_maclaurin_suite)
 
@@ -125,73 +116,6 @@ def test_run_lemma_suites_covers_all():
     assert {r.lemma for r in reports} == {"pinch", "cest", "traceless", "maclaurin"}
     assert all(r.passed for r in reports)
     assert "pass" in reports[0].summary()
-
-
-# ---------------------------------------------------------------------------
-# gradient inequality
-
-
-def test_gradient_monitor_sphere_margins_vanish():
-    body = make_sphere(standard_grid(2, 16), 1.0)
-    report = gradient_inequality_monitor(body)
-    assert report.verdict == "holds"
-    assert abs(report.margin_full) < 1e-10
-    assert abs(report.margin_traceless) < 1e-10
-    assert report.scale < 1e-10
-
-
-def test_gradient_monitor_ellipsoid_holds_under_refinement():
-    fine = gradient_inequality_monitor(
-        make_ellipsoid(standard_grid(2, 32), (1.0, 1.0, 1.2))
-    )
-    coarse = gradient_inequality_monitor(
-        make_ellipsoid(standard_grid(2, 16), (1.0, 1.0, 1.2))
-    )
-    for report in (fine, coarse):
-        assert report.verdict == "holds"
-        assert report.margin_full >= -1e-6 * max(report.scale, 1.0)
-        assert report.margin_traceless >= -1e-6 * max(report.scale, 1.0)
-    # refinement must not push a margin into violation territory
-    assert min(fine.margin_full, 0.0) >= min(coarse.margin_full, 0.0) - 1e-9
-    assert fine.coarse_margin_full is not None
-
-
-def test_gradient_terms_match_spectral_mean_curvature_route():
-    grid = standard_grid(2, 32)
-    body = make_ellipsoid(grid, (1.0, 1.0, 1.2))
-    _, t2 = _gradient_terms(body)
-
-    curv = curvature(body)
-    _, hess = tangential_derivatives(body)
-    r_mat = hess + body.values[:, None, None] * np.eye(2)
-    g_inv = np.linalg.inv(r_mat @ r_mat)
-    dh = tangential_derivatives(field_from_values(grid, curv.mean))[0]
-    t2_alt = np.einsum("mab,ma,mb->m", g_inv, dh, dh)
-    assert np.max(np.abs(t2 - t2_alt)) < 1e-8 * t2.max()
-
-
-def test_gradient_terms_rotation_invariant_integrals():
-    # s = 1 + eps P(u) and its rotation 1 + eps P(Q u), with P a degree-4
-    # polynomial, so both are exact on the degree-32 nodes
-    def support(x):
-        x, y, z = x.T
-        return 1.0 + 0.05 * (x * z + 1.5 * x * y * z + 0.05 * (35 * z**4 - 30 * z**2 + 3))
-
-    grid = standard_grid(2, 32)
-    rot = Rotation.random(rng=np.random.default_rng(7)).as_matrix()
-    body = support_from_values(grid, support(grid.nodes))
-    rotated = support_from_values(grid, support(grid.nodes @ rot.T))
-    for a, b in zip(_gradient_terms(body), _gradient_terms(rotated)):
-        ia = float(np.sum(grid.weights * a))
-        ib = float(np.sum(grid.weights * b))
-        assert ia == pytest.approx(ib, rel=1e-9)
-    t1, t2 = _gradient_terms(body)
-    assert np.min(t1 - 0.75 * t2) > 0.0
-
-
-def test_gradient_monitor_rejects_curves():
-    with pytest.raises(ValueError):
-        gradient_inequality_monitor(make_sphere(standard_grid(1, 8), 1.0))
 
 
 # ---------------------------------------------------------------------------
